@@ -400,12 +400,13 @@ def mean(a: DTensor, axis=None, keepdims: bool = False) -> DTensor:
 
 def max_(a: DTensor, axis: int, keepdims: bool = False) -> DTensor:
     out = a.data.max(axis=axis, keepdims=keepdims)
-    kept = a.data.max(axis=axis, keepdims=True)
-    hit = a.data == kept
-    # Ties route the full gradient to the first maximal entry.
-    first = np.logical_and(hit, np.cumsum(hit, axis=axis) == 1)
 
     def bwd(g):
+        # Ties route the full gradient to the first maximal entry, which is
+        # the one argmax picks. Built here so an untaped max never pays.
+        first = np.zeros(a.shape, dtype=bool)
+        np.put_along_axis(first, np.expand_dims(a.data.argmax(axis=axis), axis),
+                          True, axis=axis)
         if not keepdims:
             g = np.expand_dims(g, axis)
         return (first * g,)

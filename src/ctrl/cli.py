@@ -166,7 +166,8 @@ def cmd_align(args) -> int:
     summary = align_stage(prepared, cfg, args.out, gap_split=args.gap_split)
     print(f"aligned in {summary['steps']} steps; "
           f"final loss {summary['final_loss']:.4f}; "
-          f"cosine gap {summary['pre_gap']:.4f} -> {summary['post_gap']:.4f}")
+          f"{cfg.align.similarity} gap "
+          f"{summary['pre_gap']:.4f} -> {summary['post_gap']:.4f}")
     if summary["diverged"]:
         print("alignment diverged; last good state was checkpointed",
               file=sys.stderr)

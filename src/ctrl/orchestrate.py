@@ -26,8 +26,6 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from pathlib import Path
 
-import numpy as np
-
 from .align import AlignmentModel, align_train
 from .autodiff import DTensor
 from .checkpoint import load_checkpoint, restore_into, save_checkpoint
@@ -41,7 +39,7 @@ from .finetune import (CtrHead, end_to_end_train, finetune, predict_scores)
 from .metrics import EvalReport, auc, logloss, relaimpr
 from .params import ParamStore, rng_for
 from .prompt import PromptTemplate, Tokenizer, build_prompt
-from .viz import tower_representations
+from .viz import paired_gap, tower_representations
 
 ARM_NAMES = ("ctrl", "cosine_sim", "no_align", "end_to_end")
 ENV_THREAD_CAP = "CTRL_ALIGN_THREADS"
@@ -130,24 +128,20 @@ def alignment_gap(model: AlignmentModel, split: EncodedSplit,
     Scored with the model's own head: plain cosine for the cosine head, and
     the per-subspace mean of best-match cosines for the late interaction
     head. Both land in [-1, 1] with normalized sub-representations, so the
-    paired-minus-unpaired gap is comparable across the two modes."""
+    paired-minus-unpaired gap is comparable across the two modes. Nothing is
+    taped, and the scoring works in tiles of ``batch_size`` rows."""
     h_text, h_tab = tower_representations(model, split, tokenizer, batch_size)
-    n = h_text.shape[0]
-    if n < 2:
-        raise UsageError("need at least 2 rows to compare paired vs unpaired")
-    sims, _ = model.similarity_matrices(DTensor(h_text), DTensor(h_tab))
-    scores = sims.data
     if model.cfg.align.similarity == "maxsim":
-        scores = scores / model.cfg.align.m_subspaces
-    paired = float(np.trace(scores) / n)
-    unpaired = float((scores.sum() - np.trace(scores)) / (n * (n - 1)))
-    return paired, unpaired, paired - unpaired
+        h_text = model.text_sub(DTensor(h_text)).data
+        h_tab = model.tab_sub(DTensor(h_tab)).data
+    return paired_gap(h_text, h_tab, batch_size)
 
 
 def align_stage(prepared: Prepared, cfg: RunConfig, out_dir,
                 gap_split: str = "val") -> dict:
     """Stage 1: fit the tokenizer, contrastively train both towers, measure the
-    paired-vs-unpaired cosine gap before and after, checkpoint everything."""
+    paired-vs-unpaired gap under the model's similarity head before and
+    after, checkpoint everything."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     tokenizer = fit_tokenizer(prepared, cfg)
@@ -173,7 +167,8 @@ def align_stage(prepared: Prepared, cfg: RunConfig, out_dir,
     with open(out / "gap.json", "w", encoding="utf-8") as fh:
         json.dump({"pre": {"paired": pre[0], "unpaired": pre[1], "gap": pre[2]},
                    "post": {"paired": post[0], "unpaired": post[1], "gap": post[2]},
-                   "split": gap_split}, fh, sort_keys=True)
+                   "head": cfg.align.similarity, "split": gap_split},
+                  fh, sort_keys=True)
         fh.write("\n")
     save_checkpoint(out / "align.ckpt", store, prepared.hash, cfg.to_dict(),
                     extra={"stage": "align", **summary})

@@ -1,9 +1,10 @@
 """Representation dumps and 2-D projection for inspecting alignment quality.
 
-The alignment effect is summarized by one scalar: mean cosine similarity of
-paired (same-row) text/tabular representations minus the mean over unpaired
-combinations. Projection to 2-D uses PCA (top-2 singular vectors) with a
-deterministic sign convention so repeated runs produce identical plots.
+The alignment effect is summarized by one scalar: mean similarity of paired
+(same-row) text/tabular representations minus the mean over unpaired
+combinations, scored by cosine or by late interaction (`paired_gap`).
+Projection to 2-D uses PCA (top-2 singular vectors) with a deterministic sign
+convention so repeated runs produce identical plots.
 """
 
 from __future__ import annotations
@@ -13,8 +14,10 @@ import warnings
 
 import numpy as np
 
+from . import autodiff as ad
+from .autodiff import DTensor
 from .data import EncodedSplit, batches
-from .exceptions import DataError, UsageError
+from .exceptions import DataError, NumericError, UsageError
 from .prompt import build_prompt
 
 
@@ -67,22 +70,47 @@ def read_embeddings(path):
     return np.array(ids), modalities, np.array(vecs)
 
 
-def _row_normalize(x: np.ndarray) -> np.ndarray:
-    norms = np.linalg.norm(x, axis=1, keepdims=True)
-    return x / np.where(norms == 0.0, 1.0, norms)
+def paired_gap(text: np.ndarray, tab: np.ndarray, batch_size: int = 256):
+    """(paired mean, unpaired mean, gap) of the similarity s(i, j) between
+    text row i and tabular row j. Pairs are rows with equal index; unpaired
+    averages over all i != j combinations.
 
+    2-D inputs (N, d) score by cosine; rows with zero norm count as the zero
+    vector (with a warning). 3-D inputs (N, M, d) are sub-representations
+    and score by late interaction over M: the mean over text's M
+    sub-representations of the best inner product against the tabular ones
+    (maxsim / M). Cosine is that score with M = 1 on unit rows.
 
-def paired_gap(h_text: np.ndarray, h_tab: np.ndarray):
-    """Returns (paired mean cosine, unpaired mean cosine, gap). Pairs are rows
-    with equal index; unpaired averages over all i != j combinations."""
-    if h_text.shape != h_tab.shape:
+    Both sides are tiled at ``batch_size`` rows, so the working set is
+    O(batch_size^2 M^2) whatever N is."""
+    text = np.asarray(text, dtype=np.float64)
+    tab = np.asarray(tab, dtype=np.float64)
+    if text.shape != tab.shape or text.ndim not in (2, 3):
         raise UsageError("towers must produce equal-shaped representations")
-    n = h_text.shape[0]
-    if n < 2:
+    if text.shape[0] < 2:
         raise UsageError("need at least 2 rows to compare paired vs unpaired")
-    sims = _row_normalize(h_text) @ _row_normalize(h_tab).T
-    paired = float(np.trace(sims) / n)
-    unpaired = float((sims.sum() - np.trace(sims)) / (n * (n - 1)))
+    if text.ndim == 2:
+        text = ad.l2_normalize(DTensor(text), axis=1).data[:, None, :]
+        tab = ad.l2_normalize(DTensor(tab), axis=1).data[:, None, :]
+    n, m, d = text.shape
+    # Tab-major, so the best match reduces over a middle axis of each tile.
+    tab_major = tab.transpose(1, 0, 2)
+    trace = total = 0.0
+    for j0 in range(0, n, batch_size):
+        cols = tab_major[:, j0:j0 + batch_size].reshape(-1, d).T  # (d, M*nb)
+        nb = cols.shape[1] // m
+        for i0 in range(0, n, batch_size):
+            rows = text[i0:i0 + batch_size]
+            k = rows.shape[0]
+            s = (rows.reshape(k * m, d) @ cols).reshape(k, m, m, nb)
+            s = s.max(axis=2).sum(axis=1) / m  # (k, nb)
+            total += s.sum()
+            if i0 == j0:
+                trace += np.trace(s)
+    if not (np.isfinite(trace) and np.isfinite(total)):
+        raise NumericError("alignment gap: similarity totals are not finite")
+    paired = float(trace / n)
+    unpaired = float((total - trace) / (n * (n - 1)))
     return paired, unpaired, paired - unpaired
 
 

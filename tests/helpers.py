@@ -2,6 +2,7 @@
 
 - finite-difference gradient checking (central differences, h=1e-6)
 - brute-force pairwise AUC
+- the alignment gap from the full all-pairs similarity matrix
 """
 
 from __future__ import annotations
@@ -93,6 +94,23 @@ def auc_bruteforce(scores, labels) -> float:
     wins = (diff > 0).sum()
     ties = (diff == 0).sum()
     return (wins + 0.5 * ties) / (pos.size * neg.size)
+
+
+def allpairs_gap(model, h_text, h_tab):
+    """(paired, unpaired, gap) from the model head's full (N, N) similarity
+    matrix, built through the engine with every row against every row."""
+    from ctrl.align import cosine_matrix, maxsim_matrix
+    a = model.cfg.align
+    if a.similarity == "maxsim":
+        scores = maxsim_matrix(model.text_sub(DTensor(h_text)),
+                               model.tab_sub(DTensor(h_tab))).data
+        scores = scores / a.m_subspaces
+    else:
+        scores = cosine_matrix(DTensor(h_text), DTensor(h_tab)).data
+    n = scores.shape[0]
+    paired = float(np.trace(scores) / n)
+    unpaired = float((scores.sum() - np.trace(scores)) / (n * (n - 1)))
+    return paired, unpaired, paired - unpaired
 
 
 def store_grad_check(store, forward, names=None, sample: int | None = 5,

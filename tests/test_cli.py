@@ -47,7 +47,7 @@ def test_align_finetune_evaluate_chain(workdir, capsys):
     assert main(["align", "--out", str(run)]) == 0
     assert (run / "align.ckpt").exists() and (run / "curve.csv").exists()
     out = capsys.readouterr().out
-    assert "cosine gap" in out
+    assert "maxsim gap" in out
 
     assert main(["finetune", "--out", str(run),
                  "--init", str(run / "align.ckpt")]) == 0

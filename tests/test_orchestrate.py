@@ -93,7 +93,7 @@ def test_align_stage_artifacts_and_determinism(workdir, tmp_path):
     assert (a / "align.ckpt").read_bytes() == (b / "align.ckpt").read_bytes()
     assert (a / "curve.csv").read_text() == (b / "curve.csv").read_text()
     gap = json.loads((a / "gap.json").read_text())
-    assert set(gap) == {"pre", "post", "split"}
+    assert set(gap) == {"pre", "post", "head", "split"}
 
 
 def test_align_stage_rejects_oversized_batch(workdir, tmp_path):
