@@ -20,12 +20,12 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import DTensor, Tape
 from .config import AlignConfig, RunConfig
-from .data import EncodedSplit, batches
+from .data import EncodedSplit, batches, epoch_seed
 from .encoders import CollaborativeEncoder, Linear, TextEncoder
 from .exceptions import NumericError, ShapeError, UsageError
 from .optim import AdamW, WarmupSchedule
 from .params import ParamStore, rng_for
-from .prompt import PromptTemplate, Tokenizer, build_prompt
+from .prompt import Tokenizer, build_prompt, template_from
 
 
 class ProjectionHead(Linear):
@@ -114,26 +114,16 @@ def infonce(sim_matrix: DTensor, temperature: float) -> DTensor:
     return ad.mean(ad.sub(lse, diag))
 
 
-infonce_text2tab = infonce  # rows indexed by text
-
-
-def infonce_tab2text(sim_matrix: DTensor, temperature: float) -> DTensor:
-    """Same objective with rows indexed by tabular anchors."""
-    return infonce(sim_matrix, temperature)
-
-
 class AlignmentModel:
     """Both towers plus projection (and, for the late interaction mode,
     sub-space) heads, sharing one ParamStore."""
 
     def __init__(self, store: ParamStore, schema, vocab_size: int,
-                 cfg: RunConfig, template: PromptTemplate = None):
+                 cfg: RunConfig):
         a = cfg.align
         self.cfg = cfg
         self.store = store
-        self.template = template or PromptTemplate(
-            variant=cfg.prompt_variant, user_prefix=cfg.user_prefix,
-            item_prefix=cfg.item_prefix)
+        self.template = template_from(cfg)
         self.collab = CollaborativeEncoder(store, schema, cfg.model,
                                            rng_for(cfg.seed, "collab"))
         self.text = TextEncoder(store, vocab_size, cfg.text,
@@ -156,8 +146,11 @@ class AlignmentModel:
         else:
             self.tab_sub = self.text_sub = None
 
-    def projected(self, batch, token_ids, mask, train: bool = False, rng=None):
-        h_tab = self.tab_proj(self.collab(batch, train=train, rng=rng))
+    def projected(self, batch, token_ids, mask, train: bool = False, rng=None,
+                  h_col: DTensor = None):
+        if h_col is None:
+            h_col = self.collab(batch, train=train, rng=rng)
+        h_tab = self.tab_proj(h_col)
         h_text = self.text_proj(self.text(token_ids, mask))
         return h_text, h_tab
 
@@ -170,24 +163,19 @@ class AlignmentModel:
         s = cosine_matrix(h_text, h_tab)
         return s, ad.transpose(s, (1, 0))
 
-    def ccl(self, batch, token_ids, mask, train: bool = False, rng=None):
-        """Returns (loss, text-to-tabular term, tabular-to-text term)."""
-        h_text, h_tab = self.projected(batch, token_ids, mask, train=train, rng=rng)
+    def ccl(self, batch, token_ids, mask, train: bool = False, rng=None,
+            h_col: DTensor = None):
+        """Returns (loss, text-to-tabular term, tabular-to-text term).
+        `h_col` is the collaborative tower's output for `batch` when the
+        caller has already computed it; the tower is not run again."""
+        h_text, h_tab = self.projected(batch, token_ids, mask, train=train,
+                                       rng=rng, h_col=h_col)
         s_text, s_tab = self.similarity_matrices(h_text, h_tab)
         tau = self.cfg.align.temperature
-        l_t2t = infonce_text2tab(s_text, tau)
-        l_tab2text = infonce_tab2text(s_tab, tau)
+        l_t2t = infonce(s_text, tau)
+        l_tab2text = infonce(s_tab, tau)
         loss = ad.mul(ad.add(l_t2t, l_tab2text), DTensor(0.5))
         return loss, l_t2t, l_tab2text
-
-
-def ccl_loss(model: AlignmentModel, batch, token_ids, mask,
-             train: bool = False, rng=None) -> DTensor:
-    return model.ccl(batch, token_ids, mask, train=train, rng=rng)[0]
-
-
-def _epoch_seed(seed: int, epoch: int) -> int:
-    return seed * 1_000_003 + epoch
 
 
 @dataclass
@@ -221,7 +209,7 @@ def align_train(model: AlignmentModel, split: EncodedSplit,
     last_good = store.snapshot()
     for epoch in range(cfg.epochs):
         for batch in batches(split, cfg.batch_size, "align",
-                             seed=_epoch_seed(seed, epoch)):
+                             seed=epoch_seed(seed, epoch)):
             prompts = [build_prompt(r, model.collab.schema, model.template)
                        for r in batch.raw_rows]
             ids, mask = tokenizer.encode_batch(prompts)
@@ -254,7 +242,7 @@ def evaluate_ccl(model: AlignmentModel, split: EncodedSplit,
                  tokenizer: Tokenizer, cfg: AlignConfig, seed: int = 0) -> float:
     """Mean contrastive loss over the split in eval mode (no updates)."""
     total, count = 0.0, 0
-    for batch in batches(split, cfg.batch_size, "align", seed=_epoch_seed(seed, 0)):
+    for batch in batches(split, cfg.batch_size, "align", seed=epoch_seed(seed, 0)):
         prompts = [build_prompt(r, model.collab.schema, model.template)
                    for r in batch.raw_rows]
         ids, mask = tokenizer.encode_batch(prompts)

@@ -311,6 +311,11 @@ class Batch:
 BATCH_MODES = ("align", "train", "eval")
 
 
+def epoch_seed(seed: int, epoch: int) -> int:
+    """Shuffle seed of one epoch's `batches`."""
+    return seed * 1_000_003 + epoch
+
+
 def batches(split: EncodedSplit, batch_size: int, mode: str,
             seed: int = 0) -> Iterator[Batch]:
     """Yield Batches. align: shuffled, partial tail dropped (keeps the in-batch

@@ -17,7 +17,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import DTensor, Tape
 from .config import FinetuneConfig
-from .data import EncodedSplit, batches
+from .data import EncodedSplit, batches, epoch_seed
 from .encoders import CollaborativeEncoder, Linear
 from .exceptions import NumericError, UsageError
 from .metrics import LOG_EPS, auc, logloss
@@ -65,10 +65,6 @@ def predict_scores(encoder: CollaborativeEncoder, head: CtrHead,
     return np.concatenate(out)
 
 
-def _epoch_seed(seed: int, epoch: int) -> int:
-    return seed * 1_000_003 + epoch
-
-
 @dataclass
 class FinetuneResult:
     history: list  # rows of (epoch, train_loss, val_auc, val_logloss)
@@ -85,16 +81,16 @@ def write_history(history, path) -> None:
             w.writerow([row[0]] + [repr(float(v)) for v in row[1:]])
 
 
-def finetune(encoder: CollaborativeEncoder, head: CtrHead,
-             train_split: EncodedSplit, val_split: EncodedSplit,
-             cfg: FinetuneConfig, seed: int,
-             history_path=None) -> FinetuneResult:
-    """Adam over encoder + head parameters with early stopping on validation
-    AUC; the best-epoch parameter state is restored before returning."""
-    store = encoder.store
-    names = encoder.param_names() + [n for n in store.names()
-                                     if n.startswith(head.prefix)]
-    opt = AdamW(store, names=names, weight_decay=0.0)
+def _train(opt: AdamW, batch_loss, encoder, head: CtrHead,
+           train_split: EncodedSplit, val_split: EncodedSplit,
+           cfg: FinetuneConfig, seed: int, label: str,
+           history_path=None) -> FinetuneResult:
+    """The supervised loop: one taped step of `batch_loss(batch, dropout_rng)
+    -> (loss to minimize, supervised loss to record)` per shuffled batch,
+    validation AUC/logloss of `head(encoder(.))` after every epoch, early
+    stopping on AUC. The best-epoch state of `opt.store` is restored before
+    returning; a non-finite step stops training."""
+    store = opt.store
     drop_rng = rng_for(seed, "finetune.dropout")
     history = []
     best = store.snapshot()
@@ -104,15 +100,14 @@ def finetune(encoder: CollaborativeEncoder, head: CtrHead,
         losses = []
         try:
             for batch in batches(train_split, cfg.batch_size, "train",
-                                 seed=_epoch_seed(seed, epoch)):
+                                 seed=epoch_seed(seed, epoch)):
                 with Tape() as tape:
-                    preds = head(encoder(batch, train=True, rng=drop_rng))
-                    loss = bce_loss(preds, batch.labels)
+                    loss, supervised = batch_loss(batch, drop_rng)
                 tape.backward(loss)
                 opt.step(cfg.lr)
-                losses.append(loss.item())
+                losses.append(supervised.item())
         except NumericError as e:
-            warnings.warn(f"fine-tuning diverged in epoch {epoch} ({e}); "
+            warnings.warn(f"{label} diverged in epoch {epoch} ({e}); "
                           "restoring best state")
             diverged = True
             break
@@ -134,65 +129,44 @@ def finetune(encoder: CollaborativeEncoder, head: CtrHead,
                           best_val_auc=float(best_auc), diverged=diverged)
 
 
+def finetune(encoder: CollaborativeEncoder, head: CtrHead,
+             train_split: EncodedSplit, val_split: EncodedSplit,
+             cfg: FinetuneConfig, seed: int,
+             history_path=None) -> FinetuneResult:
+    """Adam over encoder + head parameters with early stopping on validation
+    AUC; the best-epoch parameter state is restored before returning."""
+    store = encoder.store
+    names = encoder.param_names() + [n for n in store.names()
+                                     if n.startswith(head.prefix)]
+    opt = AdamW(store, names=names, weight_decay=0.0)
+
+    def batch_loss(batch, rng):
+        preds = head(encoder(batch, train=True, rng=rng))
+        loss = bce_loss(preds, batch.labels)
+        return loss, loss
+
+    return _train(opt, batch_loss, encoder, head, train_split, val_split,
+                  cfg, seed, "fine-tuning", history_path)
+
+
 def end_to_end_train(model, head: CtrHead, train_split: EncodedSplit,
                      val_split: EncodedSplit, tokenizer, cfg: FinetuneConfig,
                      seed: int, history_path=None) -> FinetuneResult:
     """Single-stage variant: minimize supervised loss + lambda * contrastive
     loss jointly over both towers and all heads. With lambda = 0 the
     supervised trajectory matches plain fine-tuning step for step."""
-    from .align import infonce_tab2text, infonce_text2tab
-
-    store = model.store
-    opt = AdamW(store, weight_decay=0.0)
-    lam = cfg.lambda_ccl
-    tau = model.cfg.align.temperature
-    drop_rng = rng_for(seed, "finetune.dropout")
-    history = []
-    best = store.snapshot()
-    best_auc, best_epoch, bad_epochs = -np.inf, -1, 0
-    diverged = False
     encoder = model.collab
-    for epoch in range(cfg.epochs):
-        losses = []
-        try:
-            for batch in batches(train_split, cfg.batch_size, "train",
-                                 seed=_epoch_seed(seed, epoch)):
-                prompts = [build_prompt(r, encoder.schema, model.template)
-                           for r in batch.raw_rows]
-                ids, mask = tokenizer.encode_batch(prompts)
-                with Tape() as tape:
-                    h_col = encoder(batch, train=True, rng=drop_rng)
-                    preds = head(h_col)
-                    l_ctr = bce_loss(preds, batch.labels)
-                    h_tab = model.tab_proj(h_col)
-                    h_text = model.text_proj(model.text(ids, mask))
-                    s_text, s_tab = model.similarity_matrices(h_text, h_tab)
-                    l_ccl = ad.mul(ad.add(infonce_text2tab(s_text, tau),
-                                          infonce_tab2text(s_tab, tau)),
-                                   DTensor(0.5))
-                    loss = ad.add(l_ctr, ad.mul(DTensor(lam), l_ccl))
-                tape.backward(loss)
-                opt.step(cfg.lr)
-                losses.append((loss.item(), l_ctr.item(), l_ccl.item()))
-        except NumericError as e:
-            warnings.warn(f"single-stage training diverged in epoch {epoch} "
-                          f"({e}); restoring best state")
-            diverged = True
-            break
-        val_scores = predict_scores(encoder, head, val_split)
-        val_auc = auc(val_scores, val_split.labels)
-        val_ll = logloss(val_scores, val_split.labels)
-        mean_ctr = float(np.mean([l[1] for l in losses]))
-        history.append((epoch, mean_ctr, val_auc, val_ll))
-        if val_auc > best_auc:
-            best_auc, best_epoch, bad_epochs = val_auc, epoch, 0
-            best = store.snapshot()
-        else:
-            bad_epochs += 1
-            if bad_epochs >= cfg.patience:
-                break
-    store.restore(best)
-    if history_path is not None:
-        write_history(history, history_path)
-    return FinetuneResult(history=history, best_epoch=best_epoch,
-                          best_val_auc=float(best_auc), diverged=diverged)
+
+    def batch_loss(batch, rng):
+        prompts = [build_prompt(r, encoder.schema, model.template)
+                   for r in batch.raw_rows]
+        ids, mask = tokenizer.encode_batch(prompts)
+        h_col = encoder(batch, train=True, rng=rng)
+        l_ctr = bce_loss(head(h_col), batch.labels)
+        l_ccl = model.ccl(batch, ids, mask, h_col=h_col)[0]
+        loss = ad.add(l_ctr, ad.mul(DTensor(cfg.lambda_ccl), l_ccl))
+        return loss, l_ctr
+
+    opt = AdamW(model.store, weight_decay=0.0)
+    return _train(opt, batch_loss, encoder, head, train_split, val_split,
+                  cfg, seed, "single-stage training", history_path)

@@ -43,10 +43,6 @@ class WarmupSchedule:
         return self.start_lr + (self.peak_lr - self.start_lr) * frac
 
 
-def lr_at(schedule: WarmupSchedule, step: int) -> float:
-    return schedule.lr_at(step)
-
-
 class AdamW:
     """Bias-corrected AdamW over a subset of a ParamStore.
 

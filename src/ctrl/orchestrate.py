@@ -19,6 +19,7 @@ directory's config.json is edited.
 from __future__ import annotations
 
 import dataclasses
+import hashlib
 import json
 import os
 import warnings
@@ -38,7 +39,7 @@ from .exceptions import DataError, UsageError
 from .finetune import (CtrHead, end_to_end_train, finetune, predict_scores)
 from .metrics import EvalReport, auc, logloss, relaimpr
 from .params import ParamStore, rng_for
-from .prompt import PromptTemplate, Tokenizer, build_prompt
+from .prompt import Tokenizer, build_prompt, template_from
 from .viz import paired_gap, tower_representations
 
 ARM_NAMES = ("ctrl", "cosine_sim", "no_align", "end_to_end")
@@ -63,12 +64,6 @@ class Prepared:
         if name not in SPLIT_FILES:
             raise UsageError(f"split must be one of {SPLIT_FILES}, got '{name}'")
         return getattr(self, name)
-
-
-def template_from(cfg: RunConfig) -> PromptTemplate:
-    return PromptTemplate(variant=cfg.prompt_variant,
-                          user_prefix=cfg.user_prefix,
-                          item_prefix=cfg.item_prefix)
 
 
 def prepare_workdir(out_dir, rows, schema: FeatureSchema,
@@ -199,12 +194,15 @@ def _fresh_ctr_model(prepared: Prepared, cfg: RunConfig):
 def finetune_stage(prepared: Prepared, cfg: RunConfig, out_dir,
                    init_ckpt=None) -> "FinetuneResult":
     """Stage 2: supervised training of the collaborative tower and CTR head.
-    `init_ckpt` warm-starts the tower from a stage-1 checkpoint."""
+    `init_ckpt` warm-starts the tower from a stage-1 checkpoint; model.ckpt
+    records the sha256 of that file's bytes, not its path."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     store, enc, head = _fresh_ctr_model(prepared, cfg)
+    init_digest = ""
     if init_ckpt is not None:
         ckpt = load_checkpoint(init_ckpt, expect_schema_hash=prepared.hash)
+        init_digest = hashlib.sha256(Path(init_ckpt).read_bytes()).hexdigest()
         ckpt_model = RunConfig.from_dict(ckpt.config).model
         if ckpt_model != cfg.model:
             raise UsageError(
@@ -217,7 +215,7 @@ def finetune_stage(prepared: Prepared, cfg: RunConfig, out_dir,
                       cfg.seed, history_path=out / "history.csv")
     save_checkpoint(out / "model.ckpt", store, prepared.hash, cfg.to_dict(),
                     extra={"stage": "finetune",
-                           "init": str(init_ckpt) if init_ckpt else "",
+                           "init": init_digest,
                            "best_epoch": result.best_epoch,
                            "best_val_auc": result.best_val_auc,
                            "diverged": result.diverged})

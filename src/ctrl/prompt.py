@@ -22,6 +22,7 @@ from typing import Optional
 
 import numpy as np
 
+from .config import RunConfig
 from .data import SEQ_SEP, FeatureSchema, split_cell
 from .exceptions import DataError, UsageError
 
@@ -42,6 +43,12 @@ class PromptTemplate:
     def __post_init__(self):
         if self.variant not in VARIANTS:
             raise UsageError(f"prompt variant must be in {VARIANTS}, got {self.variant}")
+
+
+def template_from(cfg: RunConfig) -> PromptTemplate:
+    return PromptTemplate(variant=cfg.prompt_variant,
+                          user_prefix=cfg.user_prefix,
+                          item_prefix=cfg.item_prefix)
 
 
 def _clause(field, value: str, variant: int) -> str:
@@ -87,10 +94,6 @@ def build_prompt(raw: dict, schema: FeatureSchema, template: PromptTemplate) -> 
     if n_user + n_item == 0:
         raise DataError("instance renders no features; cannot build a prompt")
     return f"{user_sent}. {item_sent}."
-
-
-def build_prompts(split, template: PromptTemplate) -> list:
-    return [build_prompt(row, split.schema, template) for row in split.raw_rows]
 
 
 class Tokenizer:

@@ -3,6 +3,7 @@
 - finite-difference gradient checking (central differences, h=1e-6)
 - brute-force pairwise AUC
 - the alignment gap from the full all-pairs similarity matrix
+- the single-stage training loop as written before it was merged
 """
 
 from __future__ import annotations
@@ -175,3 +176,73 @@ def tiny_pipeline(seed: int = 0, backbone: str = "autoint",
     tokenizer = Tokenizer.fit(corpus, max_tokens=cfg.text.max_tokens)
     assert tokenizer.vocab_size <= 64
     return model, tokenizer, (train, val, test), cfg
+
+
+def reference_end_to_end_train(model, head, train_split, val_split, tokenizer,
+                               cfg, seed: int):
+    """The single-stage loop as it was written before it shared fine-tuning's
+    loop: its own epoch loop and its own copy of the contrastive objective.
+    Returns (history, best_epoch, best_val_auc, diverged)."""
+    import warnings
+
+    import ctrl.autodiff as ad
+    from ctrl.align import infonce
+    from ctrl.data import batches
+    from ctrl.exceptions import NumericError
+    from ctrl.finetune import bce_loss, predict_scores
+    from ctrl.metrics import auc, logloss
+    from ctrl.optim import AdamW
+    from ctrl.params import rng_for
+    from ctrl.prompt import build_prompt
+
+    store = model.store
+    opt = AdamW(store, weight_decay=0.0)
+    lam = cfg.lambda_ccl
+    tau = model.cfg.align.temperature
+    drop_rng = rng_for(seed, "finetune.dropout")
+    history = []
+    best = store.snapshot()
+    best_auc, best_epoch, bad_epochs = -np.inf, -1, 0
+    diverged = False
+    encoder = model.collab
+    for epoch in range(cfg.epochs):
+        losses = []
+        try:
+            for batch in batches(train_split, cfg.batch_size, "train",
+                                 seed=seed * 1_000_003 + epoch):
+                prompts = [build_prompt(r, encoder.schema, model.template)
+                           for r in batch.raw_rows]
+                ids, mask = tokenizer.encode_batch(prompts)
+                with Tape() as tape:
+                    h_col = encoder(batch, train=True, rng=drop_rng)
+                    preds = head(h_col)
+                    l_ctr = bce_loss(preds, batch.labels)
+                    h_tab = model.tab_proj(h_col)
+                    h_text = model.text_proj(model.text(ids, mask))
+                    s_text, s_tab = model.similarity_matrices(h_text, h_tab)
+                    l_ccl = ad.mul(ad.add(infonce(s_text, tau),
+                                          infonce(s_tab, tau)),
+                                   DTensor(0.5))
+                    loss = ad.add(l_ctr, ad.mul(DTensor(lam), l_ccl))
+                tape.backward(loss)
+                opt.step(cfg.lr)
+                losses.append((loss.item(), l_ctr.item(), l_ccl.item()))
+        except NumericError as e:
+            warnings.warn(f"single-stage training diverged in epoch {epoch} "
+                          f"({e}); restoring best state")
+            diverged = True
+            break
+        val_scores = predict_scores(encoder, head, val_split)
+        val_auc = auc(val_scores, val_split.labels)
+        val_ll = logloss(val_scores, val_split.labels)
+        mean_ctr = float(np.mean([l[1] for l in losses]))
+        history.append((epoch, mean_ctr, val_auc, val_ll))
+        if val_auc > best_auc:
+            best_auc, best_epoch, bad_epochs = val_auc, epoch, 0
+            best = store.snapshot()
+        else:
+            bad_epochs += 1
+            if bad_epochs >= cfg.patience:
+                break
+    store.restore(best)
+    return history, best_epoch, float(best_auc), diverged

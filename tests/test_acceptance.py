@@ -15,7 +15,7 @@ import pytest
 
 import ctrl.autodiff as ad
 from ctrl.align import (AlignmentModel, ProjectionHead, SubspaceHead,
-                        ccl_loss, infonce, maxsim)
+                        infonce, maxsim)
 from ctrl.autodiff import DTensor
 from ctrl.checkpoint import load_checkpoint, save_checkpoint
 from ctrl.config import (AlignConfig, FinetuneConfig, ModelConfig, RunConfig,
@@ -170,7 +170,7 @@ def test_criterion_4_gradient_suite():
         tids, tmask = tokenizer.encode_batch(prompts)
 
         def forward_ccl():
-            return ccl_loss(model, cbatch, tids, tmask, train=True)
+            return model.ccl(cbatch, tids, tmask, train=True)[0]
 
         store_grad_check(model.store, forward_ccl,
                          names=_pick(model.store.names(), r, 4),

@@ -7,9 +7,8 @@ from hypothesis import strategies as st
 
 import ctrl.autodiff as ad
 from ctrl.autodiff import DTensor, Tape
-from ctrl.align import (AlignmentModel, SubspaceHead, align_train, ccl_loss,
-                        cosine, cosine_matrix, evaluate_ccl, infonce,
-                        infonce_tab2text, infonce_text2tab, maxsim,
+from ctrl.align import (AlignmentModel, SubspaceHead, align_train, cosine,
+                        cosine_matrix, evaluate_ccl, infonce, maxsim,
                         maxsim_matrix, write_curve)
 from ctrl.data import batches
 from ctrl.exceptions import ShapeError, UsageError
@@ -108,12 +107,6 @@ def test_infonce_row_shift_invariance():
     assert abs(infonce(DTensor(shifted), 0.7).item() - base) < 1e-10
 
 
-def test_infonce_direction_aliases():
-    s = DTensor(rng_for(3, "s").normal(size=(4, 4)))
-    assert infonce_text2tab(s, 0.7).item() == infonce(s, 0.7).item()
-    assert infonce_tab2text(s, 0.7).item() == infonce(s, 0.7).item()
-
-
 def test_infonce_directions_differ_under_asymmetry():
     # the maxsim asymmetry witness embedded in a 2x2 batch
     s_text = DTensor(np.array([[1.2, 0.1], [0.1, 1.2]]))
@@ -145,11 +138,25 @@ def test_ccl_is_mean_of_directional_losses():
     assert abs(loss.item() - 0.5 * (l_t2t.item() + l_tab2text.item())) < 1e-12
 
 
+@pytest.mark.parametrize("similarity", ["maxsim", "cosine"])
+def test_ccl_with_precomputed_tower_output_is_bit_identical(similarity):
+    model, tokenizer, (train, _, _), cfg = tiny_pipeline(seed=5,
+                                                         similarity=similarity)
+    batch = next(batches(train, 4, "align", seed=1))
+    prompts = [build_prompt(r, model.collab.schema, model.template)
+               for r in batch.raw_rows]
+    ids, mask = tokenizer.encode_batch(prompts)
+    want = model.ccl(batch, ids, mask)
+    got = model.ccl(batch, ids, mask, h_col=model.collab(batch))
+    for w, g in zip(want, got):
+        assert np.array_equal(w.data, g.data)
+
+
 def test_ccl_orthonormal_cosine_oracle():
     h = DTensor(np.eye(2))
     s = cosine_matrix(h, h)
-    l1 = infonce_text2tab(s, 1.0)
-    l2 = infonce_tab2text(ad.transpose(s, (1, 0)), 1.0)
+    l1 = infonce(s, 1.0)
+    l2 = infonce(ad.transpose(s, (1, 0)), 1.0)
     ccl = 0.5 * (l1.item() + l2.item())
     assert abs(ccl - LOG_1P_EXP_NEG1) < 1e-10
 
@@ -203,7 +210,7 @@ def test_ccl_gradients_reach_both_towers():
                for r in batch.raw_rows]
     ids, mask = tokenizer.encode_batch(prompts)
     with Tape() as tape:
-        loss = ccl_loss(model, batch, ids, mask, train=True)
+        loss = model.ccl(batch, ids, mask, train=True)[0]
     tape.backward(loss)
     store = model.store
     collab = [np.linalg.norm(store[n].grad) for n in store.names()
@@ -224,7 +231,7 @@ def test_ccl_gradients_match_finite_differences(similarity):
     ids, mask = tokenizer.encode_batch(prompts)
 
     def forward():
-        return ccl_loss(model, batch, ids, mask, train=True)
+        return model.ccl(batch, ids, mask, train=True)[0]
 
     store_grad_check(model.store, forward, sample=3,
                      rng=np.random.default_rng(2))

@@ -15,7 +15,7 @@ from ctrl.metrics import auc
 from ctrl.params import ParamStore, rng_for
 from ctrl.synthetic import SyntheticSpec, generate
 
-from helpers import check_grads, tiny_pipeline
+from helpers import check_grads, reference_end_to_end_train, tiny_pipeline
 
 LN2 = 0.6931471805599453
 
@@ -182,6 +182,44 @@ def test_end_to_end_contrastive_term_changes_trajectory():
                               plain["collab.out.w"])
     # the text tower only receives gradient through the contrastive term
     assert not np.array_equal(model.store["text.block0.q.w"].data, text_w0)
+
+
+def test_end_to_end_matches_the_reference_loop():
+    model, tokenizer, (train, val, _), cfg = tiny_pipeline(seed=11, n_rows=40)
+    head = CtrHead(model.store, model.collab.out_dim, rng_for(11, "ctr"))
+    start = model.store.snapshot()
+    ft_cfg = FinetuneConfig(lr=1e-3, batch_size=8, epochs=3, patience=5,
+                            lambda_ccl=0.5)
+
+    want = reference_end_to_end_train(model, head, train, val, tokenizer,
+                                      ft_cfg, seed=11)
+    ref = {n: model.store[n].data.copy() for n in model.store.names()}
+
+    model.store.restore(start)
+    res = end_to_end_train(model, head, train, val, tokenizer, ft_cfg,
+                           seed=11)
+    assert len(res.history) == 3
+    assert (res.history, res.best_epoch, res.best_val_auc,
+            res.diverged) == want
+    for n in model.store.names():
+        assert np.array_equal(model.store[n].data, ref[n]), n
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_end_to_end_divergence_restores_initial_state():
+    model, tokenizer, (train, val, _), cfg = tiny_pipeline(seed=11, n_rows=40)
+    head = CtrHead(model.store, model.collab.out_dim, rng_for(11, "ctr"))
+    snap_params = {n: model.store[n].data.copy()
+                   for n in model.store.names()}
+    ft_cfg = FinetuneConfig(lr=1e160, batch_size=8, epochs=3, patience=3,
+                            lambda_ccl=0.5)
+    with pytest.warns(UserWarning, match="diverged"):
+        res = end_to_end_train(model, head, train, val, tokenizer, ft_cfg,
+                               seed=11)
+    assert res.diverged
+    assert res.best_epoch == -1 and res.history == []
+    for n, arr in snap_params.items():
+        assert np.array_equal(model.store[n].data, arr), n
 
 
 def test_write_history_round_trip(tmp_path):

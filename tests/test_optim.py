@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 import ctrl.autodiff as ad
 from ctrl.autodiff import DTensor, Tape
 from ctrl.exceptions import UsageError
-from ctrl.optim import AdamW, WarmupSchedule, lr_at
+from ctrl.optim import AdamW, WarmupSchedule
 from ctrl.params import ParamStore, rng_for, xavier_uniform
 
 
@@ -140,7 +140,6 @@ def test_warmup_schedule_paper_points():
     assert sched.lr_at(500) == pytest.approx(2.55e-4, abs=1e-12)
     assert sched.lr_at(1000) == pytest.approx(5e-4, abs=1e-15)
     assert sched.lr_at(5000) == pytest.approx(5e-4, abs=1e-15)
-    assert lr_at(sched, 500) == sched.lr_at(500)
 
 
 def test_warmup_schedule_zero_warmup_is_flat():

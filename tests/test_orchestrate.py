@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import numpy as np
@@ -104,6 +105,18 @@ def test_align_stage_rejects_oversized_batch(workdir, tmp_path):
         align_stage(prepared, big, tmp_path / "oversized")
 
 
+def test_warm_start_checkpoint_does_not_depend_on_directory(workdir,
+                                                           tmp_path):
+    _, cfg, prepared = workdir
+    runs = [tmp_path / "first", tmp_path / "a_second_run"]
+    for d in runs:
+        align_stage(prepared, cfg, d)
+        finetune_stage(prepared, cfg, d, init_ckpt=d / "align.ckpt")
+    for name in ("align.ckpt", "history.csv", "model.ckpt"):
+        assert (runs[0] / name).read_bytes() == \
+            (runs[1] / name).read_bytes(), name
+
+
 def test_finetune_stage_warm_start_and_guards(workdir, tmp_path):
     out, cfg, prepared = workdir
     stage1 = tmp_path / "stage1"
@@ -118,7 +131,8 @@ def test_finetune_stage_warm_start_and_guards(workdir, tmp_path):
     ck_cold = load_checkpoint(cold / "model.ckpt")
     ck_warm = load_checkpoint(warm / "model.ckpt")
     assert ck_cold.extra["init"] == ""
-    assert ck_warm.extra["init"].endswith("align.ckpt")
+    init_bytes = (stage1 / "align.ckpt").read_bytes()
+    assert ck_warm.extra["init"] == hashlib.sha256(init_bytes).hexdigest()
     # warm start actually changed the starting point
     assert not np.array_equal(ck_cold.params["collab.mlp.l0.w"],
                               ck_warm.params["collab.mlp.l0.w"])
