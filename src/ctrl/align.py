@@ -66,9 +66,40 @@ def maxsim(subs_i, subs_j) -> DTensor:
     return ad.sum_(ad.max_(sims, axis=1))
 
 
-def maxsim_matrix(subs_a: DTensor, subs_b: DTensor) -> DTensor:
-    """All-pairs late interaction scores. subs_a, subs_b: (N, M, d).
-    Returns (N, N) with rows indexed by subs_a."""
+def _summed_best(sims: DTensor, axes: tuple) -> DTensor:
+    """Late interaction scores from one view of the sub-space similarities.
+
+    With x = sims.data.transpose(axes), shaped (rows, M, cols, M'), returns
+    the (rows, cols) sum over x's axis 1 of its max over axis 3. The max is
+    the elementwise max of the M' slices, which is far cheaper than a
+    reduction over a short last axis. The backward pass routes each adjoint
+    to the first maximal slice, the entry argmax would pick, so ties match
+    `ad.max_`."""
+    x = sims.data.transpose(axes)
+    best = x[..., 0].copy()
+    for r in range(1, x.shape[3]):
+        np.maximum(best, x[..., r], out=best)
+
+    def bwd(g):
+        gx = np.empty_like(sims.data)
+        view = gx.transpose(axes)
+        g = g[:, None, :]
+        free = np.ones(best.shape, dtype=bool)
+        for r in range(x.shape[3]):
+            hit = x[..., r] == best
+            hit &= free
+            free ^= hit
+            np.multiply(g, hit, out=view[..., r])
+        return (gx,)
+
+    return ad.apply_op("maxsim", (sims,), best.sum(axis=1), bwd)
+
+
+def maxsim_pair(subs_a: DTensor, subs_b: DTensor):
+    """All-pairs late interaction scores in both directions from one
+    product. subs_a: (N, M, d), subs_b: (Nb, Mb, d). Returns the (N, Nb)
+    scores with rows indexed by subs_a and the (Nb, N) scores with rows
+    indexed by subs_b."""
     n, m, d = subs_a.shape
     nb, mb, db = subs_b.shape
     if d != db:
@@ -77,8 +108,7 @@ def maxsim_matrix(subs_a: DTensor, subs_b: DTensor) -> DTensor:
     flat_b = ad.reshape(subs_b, (nb * mb, d))
     sims = ad.matmul(flat_a, ad.transpose(flat_b, (1, 0)))  # (n*m, nb*mb)
     sims = ad.reshape(sims, (n, m, nb, mb))
-    best = ad.max_(sims, axis=3)  # (n, m, nb)
-    return ad.sum_(best, axis=1)  # (n, nb)
+    return _summed_best(sims, (0, 1, 2, 3)), _summed_best(sims, (2, 3, 0, 1))
 
 
 def cosine(h_i, h_j) -> DTensor:
@@ -159,7 +189,7 @@ class AlignmentModel:
         if self.cfg.align.similarity == "maxsim":
             a = self.text_sub(h_text)
             b = self.tab_sub(h_tab)
-            return maxsim_matrix(a, b), maxsim_matrix(b, a)
+            return maxsim_pair(a, b)
         s = cosine_matrix(h_text, h_tab)
         return s, ad.transpose(s, (1, 0))
 
@@ -236,19 +266,3 @@ def align_train(model: AlignmentModel, split: EncodedSplit,
     if curve_path is not None:
         write_curve(curve, curve_path)
     return AlignResult(curve=curve, steps=step, diverged=diverged)
-
-
-def evaluate_ccl(model: AlignmentModel, split: EncodedSplit,
-                 tokenizer: Tokenizer, cfg: AlignConfig, seed: int = 0) -> float:
-    """Mean contrastive loss over the split in eval mode (no updates)."""
-    total, count = 0.0, 0
-    for batch in batches(split, cfg.batch_size, "align", seed=epoch_seed(seed, 0)):
-        prompts = [build_prompt(r, model.collab.schema, model.template)
-                   for r in batch.raw_rows]
-        ids, mask = tokenizer.encode_batch(prompts)
-        loss, _, _ = model.ccl(batch, ids, mask, train=False)
-        total += loss.item()
-        count += 1
-    if count == 0:
-        raise UsageError("split has fewer rows than one alignment batch")
-    return total / count

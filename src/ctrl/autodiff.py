@@ -6,9 +6,15 @@ recorded; :meth:`Tape.backward` then replays exact analytic adjoints in
 reverse order. The tape is rebuilt from scratch on every training step
 (define-by-run), so conditional model branches need no special casing.
 
-Every produced value is checked for finiteness, so a NaN or infinity
+Every op that can create a NaN or infinity checks its output, so one
 surfaces as a :class:`~ctrl.exceptions.NumericError` naming the operation
-that created it instead of silently poisoning the run.
+that created it instead of silently poisoning the run. Ops that only move,
+select or compare values (reshape, transpose, slice, concat, max, relu, neg,
+embedding lookup) skip the check: from finite inputs they cannot create a
+non-finite value.
+
+Fused model ops outside this module (attention, the maxsim pair) record
+themselves with :func:`apply_op`, as the primitives here do.
 """
 
 from __future__ import annotations
@@ -47,9 +53,10 @@ class DTensor:
         self.grad: Optional[Array] = None
 
     @classmethod
-    def _from_op(cls, arr: Array, requires_grad: bool, op: str) -> "DTensor":
+    def _from_op(cls, arr: Array, requires_grad: bool, op: str,
+                 check: bool = True) -> "DTensor":
         # Internal fast path for op outputs: no defensive copy.
-        if not np.all(np.isfinite(arr)):
+        if check and not np.all(np.isfinite(arr)):
             raise NumericError(f"{op}: produced non-finite values")
         obj = cls.__new__(cls)
         arr = np.asarray(arr, dtype=np.float64)
@@ -199,9 +206,15 @@ def backward(loss: DTensor) -> None:
     tape.backward(loss)
 
 
-def _apply(op: str, inputs: tuple, out_arr: Array, bwd) -> DTensor:
+def apply_op(op: str, inputs: tuple, out_arr: Array, bwd,
+             check: bool = True) -> DTensor:
+    """Wrap `out_arr`, which `op` computed from `inputs`, without a copy, and
+    record `bwd` on the active tape when an input requires gradients.
+    `bwd(g)` returns one adjoint per input, or None for an input that needs
+    none. `check=False` skips the finiteness check, for ops that cannot
+    create a non-finite value from finite inputs."""
     req = any(t.requires_grad for t in inputs)
-    out = DTensor._from_op(out_arr, req, op)
+    out = DTensor._from_op(out_arr, req, op, check=check)
     tape = active_tape()
     if tape is not None and req:
         tape.nodes.append(TapeNode(op, inputs, out, bwd))
@@ -221,6 +234,14 @@ def _unbroadcast(g: Array, shape: tuple) -> Array:
     return g.reshape(shape)
 
 
+def _adjoints(a: DTensor, b: DTensor, ga, gb) -> tuple:
+    """Both adjoints of a binary op, unbroadcast to each input's shape.
+    `ga`/`gb` compute them; neither runs for an input that requires no
+    gradient (a constant such as a scale or a mask), whose adjoint is None."""
+    return (_unbroadcast(ga(), a.shape) if a.requires_grad else None,
+            _unbroadcast(gb(), b.shape) if b.requires_grad else None)
+
+
 # ---------------------------------------------------------------------------
 # Elementwise arithmetic
 
@@ -229,27 +250,27 @@ def add(a: DTensor, b: DTensor) -> DTensor:
     out = a.data + b.data
 
     def bwd(g):
-        return _unbroadcast(g, a.shape), _unbroadcast(g, b.shape)
+        return _adjoints(a, b, lambda: g, lambda: g)
 
-    return _apply("add", (a, b), out, bwd)
+    return apply_op("add", (a, b), out, bwd)
 
 
 def sub(a: DTensor, b: DTensor) -> DTensor:
     out = a.data - b.data
 
     def bwd(g):
-        return _unbroadcast(g, a.shape), _unbroadcast(-g, b.shape)
+        return _adjoints(a, b, lambda: g, lambda: -g)
 
-    return _apply("sub", (a, b), out, bwd)
+    return apply_op("sub", (a, b), out, bwd)
 
 
 def mul(a: DTensor, b: DTensor) -> DTensor:
     out = a.data * b.data
 
     def bwd(g):
-        return _unbroadcast(g * b.data, a.shape), _unbroadcast(g * a.data, b.shape)
+        return _adjoints(a, b, lambda: g * b.data, lambda: g * a.data)
 
-    return _apply("mul", (a, b), out, bwd)
+    return apply_op("mul", (a, b), out, bwd)
 
 
 def div(a: DTensor, b: DTensor) -> DTensor:
@@ -257,15 +278,14 @@ def div(a: DTensor, b: DTensor) -> DTensor:
         out = a.data / b.data
 
     def bwd(g):
-        ga = _unbroadcast(g / b.data, a.shape)
-        gb = _unbroadcast(-g * a.data / (b.data * b.data), b.shape)
-        return ga, gb
+        return _adjoints(a, b, lambda: g / b.data,
+                         lambda: -g * a.data / (b.data * b.data))
 
-    return _apply("div", (a, b), out, bwd)
+    return apply_op("div", (a, b), out, bwd)
 
 
 def neg(a: DTensor) -> DTensor:
-    return _apply("neg", (a,), -a.data, lambda g: (-g,))
+    return apply_op("neg", (a,), -a.data, lambda g: (-g,), check=False)
 
 
 def relu(a: DTensor) -> DTensor:
@@ -274,7 +294,7 @@ def relu(a: DTensor) -> DTensor:
     def bwd(g):
         return (g * (a.data > 0.0),)
 
-    return _apply("relu", (a,), out, bwd)
+    return apply_op("relu", (a,), out, bwd, check=False)
 
 
 def exp(a: DTensor) -> DTensor:
@@ -283,7 +303,7 @@ def exp(a: DTensor) -> DTensor:
     def bwd(g):
         return (g * out,)
 
-    return _apply("exp", (a,), out, bwd)
+    return apply_op("exp", (a,), out, bwd)
 
 
 def log(a: DTensor) -> DTensor:
@@ -293,7 +313,7 @@ def log(a: DTensor) -> DTensor:
     def bwd(g):
         return (g / a.data,)
 
-    return _apply("log", (a,), out, bwd)
+    return apply_op("log", (a,), out, bwd)
 
 
 def sigmoid(a: DTensor) -> DTensor:
@@ -304,7 +324,7 @@ def sigmoid(a: DTensor) -> DTensor:
     def bwd(g):
         return (g * out * (1.0 - out),)
 
-    return _apply("sigmoid", (a,), out, bwd)
+    return apply_op("sigmoid", (a,), out, bwd)
 
 
 # ---------------------------------------------------------------------------
@@ -323,7 +343,7 @@ def matmul(a: DTensor, b: DTensor) -> DTensor:
         gb = np.matmul(np.swapaxes(a.data, -1, -2), g)
         return _unbroadcast(ga, a.shape), _unbroadcast(gb, b.shape)
 
-    return _apply("matmul", (a, b), out, bwd)
+    return apply_op("matmul", (a, b), out, bwd)
 
 
 def reshape(a: DTensor, shape) -> DTensor:
@@ -332,7 +352,7 @@ def reshape(a: DTensor, shape) -> DTensor:
     def bwd(g):
         return (g.reshape(a.shape),)
 
-    return _apply("reshape", (a,), out, bwd)
+    return apply_op("reshape", (a,), out, bwd, check=False)
 
 
 def transpose(a: DTensor, axes) -> DTensor:
@@ -343,7 +363,7 @@ def transpose(a: DTensor, axes) -> DTensor:
     def bwd(g):
         return (g.transpose(inv),)
 
-    return _apply("transpose", (a,), out, bwd)
+    return apply_op("transpose", (a,), out, bwd, check=False)
 
 
 def concat(tensors: Sequence[DTensor], axis: int = 0) -> DTensor:
@@ -357,7 +377,7 @@ def concat(tensors: Sequence[DTensor], axis: int = 0) -> DTensor:
     def bwd(g):
         return tuple(np.split(g, cuts, axis=axis))
 
-    return _apply("concat", tensors, out, bwd)
+    return apply_op("concat", tensors, out, bwd, check=False)
 
 
 def slice_(a: DTensor, key) -> DTensor:
@@ -368,7 +388,7 @@ def slice_(a: DTensor, key) -> DTensor:
         np.add.at(z, key, g)
         return (z,)
 
-    return _apply("slice", (a,), out, bwd)
+    return apply_op("slice", (a,), out, bwd, check=False)
 
 
 # ---------------------------------------------------------------------------
@@ -383,7 +403,7 @@ def sum_(a: DTensor, axis=None, keepdims: bool = False) -> DTensor:
             g = np.expand_dims(g, axis)
         return (np.broadcast_to(g, a.shape).copy(),)
 
-    return _apply("sum", (a,), out, bwd)
+    return apply_op("sum", (a,), out, bwd)
 
 
 def mean(a: DTensor, axis=None, keepdims: bool = False) -> DTensor:
@@ -395,7 +415,7 @@ def mean(a: DTensor, axis=None, keepdims: bool = False) -> DTensor:
             g = np.expand_dims(g, axis)
         return (np.broadcast_to(g, a.shape) / n,)
 
-    return _apply("mean", (a,), out, bwd)
+    return apply_op("mean", (a,), out, bwd)
 
 
 def max_(a: DTensor, axis: int, keepdims: bool = False) -> DTensor:
@@ -411,7 +431,7 @@ def max_(a: DTensor, axis: int, keepdims: bool = False) -> DTensor:
             g = np.expand_dims(g, axis)
         return (first * g,)
 
-    return _apply("max", (a,), out, bwd)
+    return apply_op("max", (a,), out, bwd, check=False)
 
 
 def softmax(a: DTensor, axis: int = -1) -> DTensor:
@@ -423,7 +443,7 @@ def softmax(a: DTensor, axis: int = -1) -> DTensor:
         dot = (g * out).sum(axis=axis, keepdims=True)
         return (out * (g - dot),)
 
-    return _apply("softmax", (a,), out, bwd)
+    return apply_op("softmax", (a,), out, bwd)
 
 
 def logsumexp(a: DTensor, axis: int, keepdims: bool = False) -> DTensor:
@@ -453,7 +473,7 @@ def l2_normalize(a: DTensor, axis: int = -1) -> DTensor:
         gx = (g - out * dot) / safe
         return (np.where(dead, 0.0, gx),)
 
-    return _apply("l2_normalize", (a,), out, bwd)
+    return apply_op("l2_normalize", (a,), out, bwd)
 
 
 def dropout(a: DTensor, rate: float, train: bool, rng: np.random.Generator) -> DTensor:
@@ -467,7 +487,7 @@ def dropout(a: DTensor, rate: float, train: bool, rng: np.random.Generator) -> D
     def bwd(g):
         return (g * keep,)
 
-    return _apply("dropout", (a,), a.data * keep, bwd)
+    return apply_op("dropout", (a,), a.data * keep, bwd)
 
 
 def embedding_lookup(table: DTensor, indices) -> DTensor:
@@ -482,11 +502,15 @@ def embedding_lookup(table: DTensor, indices) -> DTensor:
     out = table.data[idx]
 
     def bwd(g):
-        gt = np.zeros_like(table.data)
-        np.add.at(gt, idx, g)
-        return (gt,)
+        # One scatter-add over flat (row, column) bins. bincount adds each
+        # bin's terms in index order from 0.0, as np.add.at does, so the
+        # sums are the same bits.
+        rows, d = table.shape
+        bins = (idx.reshape(-1, 1) * d + np.arange(d)).reshape(-1)
+        gt = np.bincount(bins, weights=g.reshape(-1), minlength=rows * d)
+        return (gt.reshape(rows, d),)
 
-    return _apply("embedding_lookup", (table,), out, bwd)
+    return apply_op("embedding_lookup", (table,), out, bwd, check=False)
 
 
 def batch_norm(x: DTensor, gamma: DTensor, beta: DTensor,
@@ -523,7 +547,7 @@ def batch_norm(x: DTensor, gamma: DTensor, beta: DTensor,
             dx = dxhat / std
         return dx, dgamma, dbeta
 
-    return _apply("batch_norm", (x, gamma, beta), out, bwd)
+    return apply_op("batch_norm", (x, gamma, beta), out, bwd)
 
 
 def layer_norm(x: DTensor, gamma: DTensor, beta: DTensor, eps: float = 1e-5) -> DTensor:
@@ -543,4 +567,4 @@ def layer_norm(x: DTensor, gamma: DTensor, beta: DTensor, eps: float = 1e-5) -> 
               - xhat * (dxhat * xhat).mean(axis=-1, keepdims=True)) / std
         return dx, dgamma, dbeta
 
-    return _apply("layer_norm", (x, gamma, beta), out, bwd)
+    return apply_op("layer_norm", (x, gamma, beta), out, bwd)

@@ -344,9 +344,3 @@ def batches(split: EncodedSplit, batch_size: int, mode: str,
             raw_rows=[split.raw_rows[i] for i in idx],
             row_indices=idx,
         )
-
-
-def num_batches(n: int, batch_size: int, mode: str) -> int:
-    if mode == "align":
-        return n // batch_size
-    return (n + batch_size - 1) // batch_size

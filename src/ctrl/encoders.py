@@ -21,7 +21,7 @@ from . import autodiff as ad
 from .autodiff import DTensor
 from .config import ModelConfig, TextConfig
 from .data import Batch, FeatureSchema
-from .exceptions import ShapeError, UsageError
+from .exceptions import NumericError, ShapeError, UsageError
 from .params import ParamStore, xavier_uniform
 
 
@@ -106,16 +106,36 @@ def scaled_attention(q: DTensor, k: DTensor, v: DTensor,
     """Scaled dot-product attention over the last two axes.
 
     q, k, v: (..., L, d_head). Returns (context (..., L, d_head),
-    weights (..., L, L)); weights rows sum to 1 over keys.
+    weights (..., L, L)); weights rows sum to 1 over keys. One taped op: only
+    the weights are kept for the backward pass, and the weights returned are
+    not taped. The float operations and their order are those of composing
+    matmul, scale, mask, softmax and matmul from the engine's primitives.
     """
-    d_head = q.shape[-1]
-    axes = tuple(range(k.data.ndim - 2)) + (k.data.ndim - 1, k.data.ndim - 2)
-    scores = ad.matmul(q, ad.transpose(k, axes))
-    scores = ad.mul(scores, DTensor(1.0 / np.sqrt(d_head)))
+    scale = 1.0 / np.sqrt(q.shape[-1])
+    w = np.matmul(q.data, np.swapaxes(k.data, -1, -2))
+    w *= scale
     if additive_mask is not None:
-        scores = ad.add(scores, DTensor(additive_mask))
-    weights = ad.softmax(scores, axis=scores.data.ndim - 1)
-    return ad.matmul(weights, v), weights
+        w += additive_mask
+    if not np.all(np.isfinite(w)):
+        raise NumericError("attention: scores are not finite")
+    w -= w.max(axis=-1, keepdims=True)
+    np.exp(w, out=w)
+    w /= w.sum(axis=-1, keepdims=True)
+
+    def bwd(g):
+        gv = np.matmul(np.swapaxes(w, -1, -2), g)
+        gs = np.matmul(g, np.swapaxes(v.data, -1, -2))
+        dot = (gs * w).sum(axis=-1, keepdims=True)
+        gs -= dot
+        gs *= w
+        gs *= scale
+        gq = np.matmul(gs, k.data)
+        gk = np.swapaxes(np.matmul(np.swapaxes(q.data, -1, -2), gs), -1, -2)
+        return gq, gk, gv
+
+    ctx = ad.apply_op("attention", (q, k, v), np.matmul(w, v.data), bwd)
+    # no inputs, so nothing is recorded and nothing copied
+    return ctx, ad.apply_op("attention", (), w, None, check=False)
 
 
 def _split_heads(x: DTensor, n_heads: int, d_head: int) -> DTensor:

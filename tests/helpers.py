@@ -4,12 +4,16 @@
 - brute-force pairwise AUC
 - the alignment gap from the full all-pairs similarity matrix
 - the single-stage training loop as written before it was merged
+- the engine compositions that attention and the maxsim pair fused:
+  one-direction late interaction and masked attention
+- the mean contrastive loss over a split, in eval mode
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+import ctrl.autodiff as ad
 from ctrl.autodiff import DTensor, Tape
 
 FD_H = 1e-6
@@ -100,7 +104,7 @@ def auc_bruteforce(scores, labels) -> float:
 def allpairs_gap(model, h_text, h_tab):
     """(paired, unpaired, gap) from the model head's full (N, N) similarity
     matrix, built through the engine with every row against every row."""
-    from ctrl.align import cosine_matrix, maxsim_matrix
+    from ctrl.align import cosine_matrix
     a = model.cfg.align
     if a.similarity == "maxsim":
         scores = maxsim_matrix(model.text_sub(DTensor(h_text)),
@@ -112,6 +116,53 @@ def allpairs_gap(model, h_text, h_tab):
     paired = float(np.trace(scores) / n)
     unpaired = float((scores.sum() - np.trace(scores)) / (n * (n - 1)))
     return paired, unpaired, paired - unpaired
+
+
+def maxsim_matrix(subs_a: DTensor, subs_b: DTensor) -> DTensor:
+    """One direction of all-pairs late interaction from the engine's
+    primitives. subs_a, subs_b: (N, M, d). Returns (N, N) with rows indexed
+    by subs_a."""
+    from ctrl.exceptions import ShapeError
+    n, m, d = subs_a.shape
+    nb, mb, db = subs_b.shape
+    if d != db:
+        raise ShapeError("sub-representation widths differ")
+    flat_a = ad.reshape(subs_a, (n * m, d))
+    flat_b = ad.reshape(subs_b, (nb * mb, d))
+    sims = ad.matmul(flat_a, ad.transpose(flat_b, (1, 0)))  # (n*m, nb*mb)
+    sims = ad.reshape(sims, (n, m, nb, mb))
+    best = ad.max_(sims, axis=3)  # (n, m, nb)
+    return ad.sum_(best, axis=1)  # (n, nb)
+
+
+def composed_attention(q: DTensor, k: DTensor, v: DTensor,
+                       additive_mask=None):
+    """Scaled dot-product attention from the engine's primitives: matmul,
+    scale, mask, softmax, matmul. Returns (context, weights), both taped."""
+    d_head = q.shape[-1]
+    axes = tuple(range(k.data.ndim - 2)) + (k.data.ndim - 1, k.data.ndim - 2)
+    scores = ad.matmul(q, ad.transpose(k, axes))
+    scores = ad.mul(scores, DTensor(1.0 / np.sqrt(d_head)))
+    if additive_mask is not None:
+        scores = ad.add(scores, DTensor(additive_mask))
+    weights = ad.softmax(scores, axis=scores.data.ndim - 1)
+    return ad.matmul(weights, v), weights
+
+
+def evaluate_ccl(model, split, tokenizer, cfg, seed: int = 0) -> float:
+    """Mean contrastive loss over the split in eval mode (no updates)."""
+    from ctrl.data import batches, epoch_seed
+    from ctrl.prompt import build_prompt
+    total, count = 0.0, 0
+    for batch in batches(split, cfg.batch_size, "align", seed=epoch_seed(seed, 0)):
+        prompts = [build_prompt(r, model.collab.schema, model.template)
+                   for r in batch.raw_rows]
+        ids, mask = tokenizer.encode_batch(prompts)
+        loss, _, _ = model.ccl(batch, ids, mask, train=False)
+        total += loss.item()
+        count += 1
+    assert count > 0, "split has fewer rows than one alignment batch"
+    return total / count
 
 
 def store_grad_check(store, forward, names=None, sample: int | None = 5,

@@ -8,14 +8,15 @@ from hypothesis import strategies as st
 import ctrl.autodiff as ad
 from ctrl.autodiff import DTensor, Tape
 from ctrl.align import (AlignmentModel, SubspaceHead, align_train, cosine,
-                        cosine_matrix, evaluate_ccl, infonce, maxsim,
-                        maxsim_matrix, write_curve)
+                        cosine_matrix, infonce, maxsim, maxsim_pair,
+                        write_curve)
 from ctrl.data import batches
 from ctrl.exceptions import ShapeError, UsageError
 from ctrl.params import ParamStore, rng_for
 from ctrl.prompt import build_prompt
 
-from helpers import store_grad_check, tiny_pipeline
+from helpers import (check_grads, evaluate_ccl, maxsim_matrix,
+                     store_grad_check, tiny_pipeline)
 
 LOG_1P_EXP_NEG1 = 0.31326168751822286  # log(1 + e^-1)
 
@@ -53,6 +54,55 @@ def test_maxsim_matrix_matches_pairwise_calls():
     for i in range(3):
         for j in range(3):
             assert abs(mat[i, j] - maxsim(a[i], b[j]).item()) < 1e-12
+
+
+def _maxsim_inputs(ties: bool):
+    rng = rng_for(5, "pair")
+    a = rng.normal(size=(5, 3, 4))
+    b = rng.normal(size=(6, 2, 4))
+    if ties:
+        a[1, 0] = 0.0  # every score against it ties at 0
+        a[3, 2] = a[3, 0]  # tied text sub-representations
+        b[2, 1] = b[2, 0]  # tied tabular sub-representations
+    return a, b
+
+
+def _pair_loss(s_a, s_b):
+    # distinct constant weights on every score, so every adjoint differs
+    w_a = DTensor(np.linspace(-1.0, 2.0, s_a.size).reshape(s_a.shape))
+    w_b = DTensor(np.linspace(1.5, -0.5, s_b.size).reshape(s_b.shape))
+    return ad.add(ad.sum_(ad.mul(s_a, w_a)), ad.sum_(ad.mul(s_b, w_b)))
+
+
+@pytest.mark.parametrize("ties", [False, True])
+def test_maxsim_pair_matches_both_one_direction_matrices(ties):
+    a, b = _maxsim_inputs(ties)
+    grads = []
+    for fused in (True, False):
+        ta, tb = DTensor(a, requires_grad=True), DTensor(b, requires_grad=True)
+        with Tape() as tape:
+            if fused:
+                s_a, s_b = maxsim_pair(ta, tb)
+            else:
+                s_a, s_b = maxsim_matrix(ta, tb), maxsim_matrix(tb, ta)
+            tape.backward(_pair_loss(s_a, s_b))
+        grads.append((s_a.data, s_b.data, ta.grad, tb.grad))
+    (fa, fb, fga, fgb), (ra, rb, rga, rgb) = grads
+    assert fa.shape == (5, 6) and fb.shape == (6, 5)
+    assert fa.tobytes() == ra.tobytes() and fb.tobytes() == rb.tobytes()
+    np.testing.assert_allclose(fga, rga, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(fgb, rgb, rtol=0, atol=1e-12)
+
+
+def test_maxsim_pair_gradients_match_finite_differences():
+    a, b = _maxsim_inputs(ties=False)
+    check_grads(lambda t: _pair_loss(*maxsim_pair(t["a"], t["b"])),
+                {"a": a, "b": b})
+
+
+def test_maxsim_pair_shape_check():
+    with pytest.raises(ShapeError):
+        maxsim_pair(DTensor(np.zeros((2, 2, 3))), DTensor(np.zeros((2, 2, 4))))
 
 
 def test_maxsim_self_score_is_m_when_normalized():

@@ -293,6 +293,46 @@ def test_embedding_lookup_gradient_scatter_adds():
     assert np.array_equal(table.grad, expected)
 
 
+def test_embedding_scatter_equals_add_at_bit_for_bit():
+    rng = np.random.default_rng(29)
+    table = DTensor(rng.normal(size=(7, 5)), requires_grad=True)
+    idx = rng.integers(0, 7, size=(40, 3))  # every row repeats
+    g = rng.normal(size=(40, 3, 5)) * 10.0 ** rng.integers(-8, 8, size=(40, 3, 1))
+    with Tape() as tape:
+        ad.embedding_lookup(table, idx)
+    (scattered,) = tape.nodes[-1].backward(g)
+    expected = np.zeros((7, 5))
+    np.add.at(expected, idx, g)
+    assert scattered.tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("op", [ad.add, ad.sub, ad.mul, ad.div])
+def test_constant_input_gets_no_adjoint(op):
+    rng = np.random.default_rng(31)
+    x = DTensor(rng.uniform(1.0, 2.0, size=(3, 4)), requires_grad=True)
+    c = DTensor(rng.uniform(1.0, 2.0, size=(4,)))
+    g = rng.normal(size=(3, 4))
+    for args, const_at in (((x, c), 1), ((c, x), 0)):
+        with Tape() as tape:
+            op(*args)
+        adjoints = tape.nodes[-1].backward(g)
+        assert adjoints[const_at] is None
+        assert adjoints[1 - const_at].shape == (3, 4)
+
+
+def test_constants_leave_leaf_gradients_unchanged():
+    x0 = np.array([[0.5, -1.5, 2.0], [1.25, 3.0, -0.75]])
+    c = np.array([2.0, 4.0, 0.5])
+    x = DTensor(x0, requires_grad=True)
+    with Tape() as tape:
+        y = ad.div(ad.sub(ad.add(ad.mul(x, DTensor(c)), DTensor(c)), DTensor(1.0)),
+                   DTensor(c))
+        loss = ad.sum_(ad.mul(y, x))
+    tape.backward(loss)
+    y_data = (x0 * c + c - 1.0) / c
+    assert np.array_equal(x.grad, y_data + (x0 / c) * c)
+
+
 def test_batched_matmul_gradients():
     rng = np.random.default_rng(23)
     a = rng.normal(size=(2, 3, 4))

@@ -7,8 +7,8 @@ from hypothesis import strategies as st
 
 from ctrl.data import (Batch, FeatureSchema, FieldSpec, batches, build_vocab,
                        canonical_schema_json, decode, encode, load_schema,
-                       num_batches, prepare_splits, read_csv_rows, save_schema,
-                       schema_hash, split_by_time)
+                       prepare_splits, read_csv_rows, save_schema, schema_hash,
+                       split_by_time)
 from ctrl.exceptions import DataError, UsageError
 
 
@@ -157,8 +157,6 @@ def test_batches_counts_and_modes():
     ev = list(batches(split, 32, "eval"))
     assert [b.n for b in ev] == [32, 32, 32, 4]
     assert np.array_equal(np.concatenate([b.row_indices for b in ev]), np.arange(100))
-    assert num_batches(100, 32, "align") == 3
-    assert num_batches(100, 32, "eval") == 4
 
 
 def test_batches_deterministic_shuffle():

@@ -7,10 +7,10 @@ from ctrl.config import ModelConfig, TextConfig
 from ctrl.data import FeatureSchema, FieldSpec, batches, build_vocab, encode
 from ctrl.encoders import (CollaborativeEncoder, CrossLayer, TextEncoder,
                            scaled_attention)
-from ctrl.exceptions import ShapeError
+from ctrl.exceptions import NumericError, ShapeError
 from ctrl.params import ParamStore, rng_for
 
-from helpers import store_grad_check
+from helpers import check_grads, composed_attention, store_grad_check
 
 
 def cat_schema(n_fields, vocab=4):
@@ -150,6 +150,53 @@ def test_masked_attention_excludes_masked_keys():
     _, w = scaled_attention(q, k, v, additive_mask=additive)
     assert np.all(w.data[..., 2:] == 0.0)
     assert np.abs(w.data[..., :2].sum(axis=-1) - 1.0).max() < 1e-12
+
+
+def _attention_leaves(padded: bool):
+    """Inputs laid out as a transformer block feeds attention: (N, L, H*dh)
+    projections split into heads, plus the padding mask over keys."""
+    rng = rng_for(6, "attn")
+    leaves = {name: rng.normal(size=(3, 5, 6)) for name in ("q", "k", "v")}
+    mask = np.array([[1, 1, 1, 0, 0], [1, 1, 1, 1, 1], [1, 0, 0, 0, 0]], float)
+    additive = (mask[:, None, None, :] - 1.0) * 1e9 if padded else None
+    return leaves, additive
+
+
+def _attention_loss(attend, t, additive):
+    heads = {n: ad.transpose(ad.reshape(x, (3, 5, 2, 3)), (0, 2, 1, 3))
+             for n, x in t.items()}
+    ctx, w = attend(heads["q"], heads["k"], heads["v"], additive_mask=additive)
+    weight = DTensor(np.linspace(-1.0, 1.0, ctx.size).reshape(ctx.shape))
+    return ad.sum_(ad.mul(ctx, weight)), ctx, w
+
+
+@pytest.mark.parametrize("padded", [False, True])
+def test_fused_attention_is_byte_identical_to_composed(padded):
+    leaves, additive = _attention_leaves(padded)
+    out = []
+    for attend in (scaled_attention, composed_attention):
+        t = {n: DTensor(x, requires_grad=True) for n, x in leaves.items()}
+        with Tape() as tape:
+            loss, ctx, w = _attention_loss(attend, t, additive)
+        tape.backward(loss)
+        out.append([ctx.data, w.data] + [t[n].grad for n in ("q", "k", "v")])
+    for fused, composed in zip(*out):
+        assert fused.tobytes() == composed.tobytes()
+    assert not out[0][1].flags.writeable
+
+
+@pytest.mark.parametrize("padded", [False, True])
+def test_fused_attention_gradients_match_finite_differences(padded):
+    leaves, additive = _attention_leaves(padded)
+    check_grads(lambda t: _attention_loss(scaled_attention, t, additive)[0],
+                leaves)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_attention_overflow_raises_numeric_error():
+    q = DTensor(np.full((1, 1, 2, 2), 1e200))
+    with pytest.raises(NumericError, match="attention"):
+        scaled_attention(q, q, q)
 
 
 TEXT_TINY = TextConfig(d_model=8, n_layers=2, n_heads=2, d_ff=16, max_tokens=16)
