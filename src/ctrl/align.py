@@ -55,17 +55,6 @@ class SubspaceHead:
         return z
 
 
-def maxsim(subs_i, subs_j) -> DTensor:
-    """Late interaction score between two sub-representation sets (M_i, d) and
-    (M_j, d): sum over rows of subs_i of the max inner product with subs_j."""
-    a = subs_i if isinstance(subs_i, DTensor) else DTensor(subs_i)
-    b = subs_j if isinstance(subs_j, DTensor) else DTensor(subs_j)
-    if a.data.ndim != 2 or b.data.ndim != 2 or a.shape[1] != b.shape[1]:
-        raise ShapeError("maxsim expects (M_i, d) and (M_j, d)")
-    sims = ad.matmul(a, ad.transpose(b, (1, 0)))
-    return ad.sum_(ad.max_(sims, axis=1))
-
-
 def _summed_best(sims: DTensor, axes: tuple) -> DTensor:
     """Late interaction scores from one view of the sub-space similarities.
 
@@ -109,15 +98,6 @@ def maxsim_pair(subs_a: DTensor, subs_b: DTensor):
     sims = ad.matmul(flat_a, ad.transpose(flat_b, (1, 0)))  # (n*m, nb*mb)
     sims = ad.reshape(sims, (n, m, nb, mb))
     return _summed_best(sims, (0, 1, 2, 3)), _summed_best(sims, (2, 3, 0, 1))
-
-
-def cosine(h_i, h_j) -> DTensor:
-    """Cosine similarity between two vectors; zero vectors score 0 (warned)."""
-    a = h_i if isinstance(h_i, DTensor) else DTensor(h_i)
-    b = h_j if isinstance(h_j, DTensor) else DTensor(h_j)
-    an = ad.l2_normalize(ad.reshape(a, (1, a.data.size)), axis=1)
-    bn = ad.l2_normalize(ad.reshape(b, (1, b.data.size)), axis=1)
-    return ad.sum_(ad.mul(an, bn))
 
 
 def cosine_matrix(h_a: DTensor, h_b: DTensor) -> DTensor:

@@ -198,14 +198,6 @@ def active_tape() -> Optional[Tape]:
     return _TAPES[-1] if _TAPES else None
 
 
-def backward(loss: DTensor) -> None:
-    """Run backward on the currently active tape."""
-    tape = active_tape()
-    if tape is None:
-        raise UsageError("backward: no active tape")
-    tape.backward(loss)
-
-
 def apply_op(op: str, inputs: tuple, out_arr: Array, bwd,
              check: bool = True) -> DTensor:
     """Wrap `out_arr`, which `op` computed from `inputs`, without a copy, and
@@ -525,16 +517,17 @@ def batch_norm(x: DTensor, gamma: DTensor, beta: DTensor,
         raise ShapeError(f"batch_norm: input must be 2-D, got {x.shape}")
     if train:
         mu = x.data.mean(axis=0)
-        var = x.data.var(axis=0)
+        xc = x.data - mu
+        var = (xc * xc).mean(axis=0)
         running_mean *= momentum
         running_mean += (1.0 - momentum) * mu
         running_var *= momentum
         running_var += (1.0 - momentum) * var
     else:
-        mu = running_mean
+        xc = x.data - running_mean
         var = running_var
     std = np.sqrt(var + eps)
-    xhat = (x.data - mu) / std
+    xhat = xc / std
     out = gamma.data * xhat + beta.data
 
     def bwd(g):
@@ -552,10 +545,10 @@ def batch_norm(x: DTensor, gamma: DTensor, beta: DTensor,
 
 def layer_norm(x: DTensor, gamma: DTensor, beta: DTensor, eps: float = 1e-5) -> DTensor:
     """Normalization over the last axis with learned scale and shift."""
-    mu = x.data.mean(axis=-1, keepdims=True)
-    var = x.data.var(axis=-1, keepdims=True)
+    xc = x.data - x.data.mean(axis=-1, keepdims=True)
+    var = (xc * xc).mean(axis=-1, keepdims=True)
     std = np.sqrt(var + eps)
-    xhat = (x.data - mu) / std
+    xhat = xc / std
     out = gamma.data * xhat + beta.data
 
     def bwd(g):

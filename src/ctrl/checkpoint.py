@@ -5,8 +5,8 @@ Layout:
     8 bytes   magic  b"CTRLCKP1"
     8 bytes   header length (uint64 little-endian)
     header    canonical JSON: format version, schema hash, config snapshot,
-              sorted manifests of parameter / buffer / optimizer blobs,
-              sha256 of the payload
+              sorted manifests of parameter / buffer / optimizer blobs (the
+              optimizer manifest is written empty), sha256 of the payload
     payload   the blobs, concatenated in manifest order, each raw float64
               little-endian
 
@@ -37,7 +37,6 @@ class Checkpoint:
     config: dict
     params: dict  # name -> float64 array
     buffers: dict
-    optimizer: dict
     extra: dict
 
 
@@ -54,19 +53,18 @@ def _manifest_and_payload(arrays: dict):
 
 
 def save_checkpoint(path, store: ParamStore, schema_hash: str, config: dict,
-                    optimizer: dict = None, extra: dict = None) -> None:
+                    extra: dict = None) -> None:
     params, buffers = store.export_arrays()
     p_manifest, p_payload = _manifest_and_payload(params)
     b_manifest, b_payload = _manifest_and_payload(buffers)
-    o_manifest, o_payload = _manifest_and_payload(optimizer or {})
-    payload = p_payload + b_payload + o_payload
+    payload = p_payload + b_payload
     header = {
         "version": FORMAT_VERSION,
         "schema_hash": schema_hash,
         "config": config,
         "params": p_manifest,
         "buffers": b_manifest,
-        "optimizer": o_manifest,
+        "optimizer": [],
         "extra": extra or {},
         "payload_sha256": hashlib.sha256(payload).hexdigest(),
     }
@@ -126,11 +124,10 @@ def load_checkpoint(path, expect_schema_hash: str = None) -> Checkpoint:
     if hashlib.sha256(payload).hexdigest() != header["payload_sha256"]:
         raise CheckpointError(f"{path}: payload digest mismatch (corrupt blob)")
     params, offset = _read_section(header["params"], payload, 0)
-    buffers, offset = _read_section(header["buffers"], payload, offset)
-    optimizer, _ = _read_section(header["optimizer"], payload, offset)
+    buffers, _ = _read_section(header["buffers"], payload, offset)
     return Checkpoint(version=header["version"], schema_hash=header["schema_hash"],
                       config=header["config"], params=params, buffers=buffers,
-                      optimizer=optimizer, extra=header.get("extra", {}))
+                      extra=header.get("extra", {}))
 
 
 def restore_into(store: ParamStore, ckpt: Checkpoint, prefix: str = "") -> int:

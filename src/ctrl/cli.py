@@ -22,13 +22,13 @@ from dataclasses import replace
 from pathlib import Path
 
 from .config import (BACKBONES, SIMILARITIES, RunConfig, load_config)
-from .data import load_schema, read_csv_rows, save_schema
+from .data import load_schema, read_csv_rows, save_schema, write_csv_rows
 from .exceptions import (CheckpointError, DataError, NumericError, UsageError)
 from .orchestrate import (ARM_NAMES, align_stage, evaluate_ckpt,
                           end_to_end_stage, finetune_stage,
                           load_alignment_model, load_prepared, load_tokenizer,
                           prepare_workdir, run_ablation, run_sweep)
-from .synthetic import SyntheticSpec, generate, write_csv
+from .synthetic import SyntheticSpec, generate
 from .viz import (dump_embeddings, paired_gap, project_2d, read_embeddings,
                   write_projection)
 
@@ -271,7 +271,7 @@ def cmd_gen_synthetic(args) -> int:
     rows, schema, meta = generate(spec)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    write_csv(rows, schema, out / "data.csv")
+    write_csv_rows(rows, schema, out / "data.csv")
     save_schema(schema, out / "schema.json")
     with open(out / "meta.json", "w", encoding="utf-8") as fh:
         json.dump(meta, fh, sort_keys=True)

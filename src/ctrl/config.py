@@ -137,28 +137,27 @@ class RunConfig:
 
     @staticmethod
     def from_dict(d: dict) -> "RunConfig":
+        """Inverse of to_dict. Missing keys keep their defaults; an unknown
+        key at any level raises UsageError."""
+        fields = {f.name: f for f in dataclasses.fields(RunConfig)}
+        unknown = sorted(set(d) - set(fields))
+        if unknown:
+            raise UsageError(f"malformed config: unknown key(s) {unknown}")
+        kwargs = {}
         try:
-            return RunConfig(
-                version=d.get("version", CONFIG_VERSION),
-                seed=d.get("seed", 0),
-                prompt_variant=d.get("prompt_variant", 1),
-                user_prefix=d.get("user_prefix", "This is a user"),
-                item_prefix=d.get("item_prefix", "This is an item"),
-                split_ratios=tuple(d.get("split_ratios", (8, 1, 1))),
-                model=ModelConfig(**_tupled(d.get("model", {}), "hidden")),
-                text=TextConfig(**d.get("text", {})),
-                align=AlignConfig(**d.get("align", {})),
-                finetune=FinetuneConfig(**d.get("finetune", {})),
-            )
-        except TypeError as e:
+            for name, value in d.items():
+                section = fields[name].default_factory
+                if section is not dataclasses.MISSING:
+                    value = section(**{k: _tupled(v) for k, v in value.items()})
+                kwargs[name] = _tupled(value)
+            return RunConfig(**kwargs)
+        except (TypeError, AttributeError) as e:
             raise UsageError(f"malformed config: {e}") from e
 
 
-def _tupled(d: dict, key: str) -> dict:
-    d = dict(d)
-    if key in d:
-        d[key] = tuple(d[key])
-    return d
+def _tupled(value):
+    """JSON has no tuples: every list in a config is a tuple field."""
+    return tuple(value) if isinstance(value, list) else value
 
 
 def config_json(cfg: RunConfig) -> str:

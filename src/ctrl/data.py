@@ -195,14 +195,6 @@ def build_vocab(rows, schema: FeatureSchema) -> FeatureSchema:
     return FeatureSchema(fields=new_fields, max_seq_len=schema.max_seq_len)
 
 
-@dataclass(frozen=True)
-class TabularInstance:
-    indices: dict  # field -> int (categorical) or list[int] (sequence)
-    raw: dict  # field -> raw cell string
-    label: int
-    timestamp: int
-
-
 @dataclass
 class EncodedSplit:
     """Columnar view of one split: ids per field, masks for sequences, labels."""
@@ -217,17 +209,6 @@ class EncodedSplit:
     @property
     def n(self) -> int:
         return int(self.labels.shape[0])
-
-    def instance(self, i: int) -> TabularInstance:
-        indices = {}
-        for name, ids in self.cat_ids.items():
-            indices[name] = int(ids[i])
-        for name, ids in self.seq_ids.items():
-            mask = self.seq_mask[name][i]
-            indices[name] = [int(v) for v, m in zip(ids[i], mask) if m > 0]
-        raw = {f.name: self.raw_rows[i].get(f.name, "") for f in self.schema.fields}
-        return TabularInstance(indices=indices, raw=raw,
-                               label=int(self.labels[i]), timestamp=int(self.timestamps[i]))
 
 
 def encode(rows, schema: FeatureSchema) -> EncodedSplit:
@@ -259,19 +240,6 @@ def encode(rows, schema: FeatureSchema) -> EncodedSplit:
                         raw_rows=list(rows))
 
 
-def decode(instance: TabularInstance, schema: FeatureSchema) -> dict:
-    """Inverse of encode for in-vocabulary values; OOV index 0 decodes to ''."""
-    out = {}
-    for f in schema.fields:
-        inverse = {idx: val for val, idx in f.vocab.items()}
-        enc = instance.indices[f.name]
-        if f.kind == "categorical":
-            out[f.name] = inverse.get(enc, "")
-        else:
-            out[f.name] = SEQ_SEP.join(inverse.get(v, "") for v in enc)
-    return out
-
-
 def split_by_time(rows, ratios=(8, 1, 1)):
     """Stable time-ordered split into (train, val, test) row lists."""
     if len(ratios) != 3 or any(r <= 0 for r in ratios):
@@ -287,9 +255,11 @@ def split_by_time(rows, ratios=(8, 1, 1)):
 
 
 def prepare_splits(rows, schema: FeatureSchema, ratios=(8, 1, 1)):
-    """Split raw rows by time, fit vocabularies on train only, encode all splits."""
+    """Split raw rows by time, fit vocabularies on train only (an already
+    fitted schema is kept as it is), encode all splits. Returns (train, val,
+    test, fitted schema)."""
     train_rows, val_rows, test_rows = split_by_time(rows, ratios)
-    fitted = build_vocab(train_rows, schema)
+    fitted = schema if schema.fitted else build_vocab(train_rows, schema)
     return (encode(train_rows, fitted), encode(val_rows, fitted),
             encode(test_rows, fitted), fitted)
 

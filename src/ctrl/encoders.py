@@ -190,14 +190,16 @@ class CrossLayer:
 class CollaborativeEncoder:
     """Field-embedding tower with a pluggable interaction backbone."""
 
+    prefix = "collab"
+
     def __init__(self, store: ParamStore, schema: FeatureSchema,
-                 cfg: ModelConfig, rng, prefix: str = "collab"):
+                 cfg: ModelConfig, rng):
         if not schema.fitted:
             raise UsageError("collaborative encoder needs a fitted schema")
         self.store = store
         self.schema = schema
         self.cfg = cfg
-        self.prefix = prefix
+        prefix = self.prefix
         d = cfg.d
         for f in schema.fields:
             store.add(f"{prefix}.emb.{f.name}", xavier_uniform(rng, f.vocab_size, d))
@@ -314,14 +316,15 @@ class TextEncoder:
     """Token + learned positional embeddings, a small transformer stack, and
     mean pooling over unmasked last hidden states."""
 
+    prefix = "text"
+
     def __init__(self, store: ParamStore, vocab_size: int, cfg: TextConfig,
-                 rng, prefix: str = "text"):
+                 rng):
         if vocab_size < 2:
             raise UsageError("text vocabulary must include pad and unk")
         self.store = store
         self.cfg = cfg
-        self.prefix = prefix
-        self.vocab_size = vocab_size
+        prefix = self.prefix
         store.add(f"{prefix}.tok_emb", xavier_uniform(rng, vocab_size, cfg.d_model))
         store.add(f"{prefix}.pos_emb",
                   xavier_uniform(rng, cfg.max_tokens, cfg.d_model))
@@ -358,7 +361,3 @@ class TextEncoder:
         summed = ad.sum_(masked, axis=1)
         denom = np.maximum(counts, 1.0)[:, None]
         return ad.div(summed, DTensor(denom))
-
-    def param_names(self) -> list:
-        pre = self.prefix + "."
-        return [n for n in self.store.names() if n.startswith(pre)]

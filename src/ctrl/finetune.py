@@ -29,9 +29,10 @@ from .prompt import build_prompt
 class CtrHead:
     """Randomly initialized linear layer to one logit, plus sigmoid."""
 
-    def __init__(self, store: ParamStore, d_in: int, rng, prefix: str = "ctr.out"):
-        self.lin = Linear(store, prefix, d_in, 1, rng)
-        self.prefix = prefix
+    prefix = "ctr.out"
+
+    def __init__(self, store: ParamStore, d_in: int, rng):
+        self.lin = Linear(store, self.prefix, d_in, 1, rng)
 
     def __call__(self, h: DTensor) -> DTensor:
         logits = self.lin(h)

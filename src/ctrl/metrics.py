@@ -84,14 +84,6 @@ class EvalReport:
             payload["base_name"] = self.base_name
         return json.dumps(payload, sort_keys=True, separators=(",", ":"))
 
-    @staticmethod
-    def from_json(blob: str) -> "EvalReport":
-        d = json.loads(blob)
-        return EvalReport(auc=d["auc"], logloss=d["logloss"],
-                          n_examples=d["n_examples"], seed=d["seed"],
-                          relaimpr_pct=d.get("relaimpr_pct"),
-                          base_name=d.get("base_name"))
-
     def table(self) -> str:
         rows = [("auc", f"{self.auc:.6f}"),
                 ("logloss", f"{self.logloss:.6f}"),

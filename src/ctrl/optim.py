@@ -87,16 +87,3 @@ class AdamW:
             if self.weight_decay:
                 new = new - lr * self.weight_decay * p.data
             self.store.replace(name, DTensor(new, requires_grad=True))
-
-    def state_arrays(self) -> dict:
-        out = {"step": np.array([float(self.t)])}
-        for n in self.names:
-            out[f"m.{n}"] = self._m[n].copy()
-            out[f"v.{n}"] = self._v[n].copy()
-        return out
-
-    def load_state_arrays(self, state: dict) -> None:
-        self.t = int(state["step"][0])
-        for n in self.names:
-            self._m[n][...] = state[f"m.{n}"]
-            self._v[n][...] = state[f"v.{n}"]

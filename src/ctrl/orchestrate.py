@@ -18,7 +18,6 @@ directory's config.json is edited.
 
 from __future__ import annotations
 
-import dataclasses
 import hashlib
 import json
 import os
@@ -31,9 +30,9 @@ from .align import AlignmentModel, align_train
 from .autodiff import DTensor
 from .checkpoint import load_checkpoint, restore_into, save_checkpoint
 from .config import RunConfig, load_config, save_config
-from .data import (EncodedSplit, FeatureSchema, build_vocab, encode,
-                   load_schema, read_csv_rows, save_schema, schema_hash,
-                   split_by_time, write_csv_rows)
+from .data import (EncodedSplit, FeatureSchema, encode, load_schema,
+                   prepare_splits, read_csv_rows, save_schema, schema_hash,
+                   write_csv_rows)
 from .encoders import CollaborativeEncoder
 from .exceptions import DataError, UsageError
 from .finetune import (CtrHead, end_to_end_train, finetune, predict_scores)
@@ -71,14 +70,12 @@ def prepare_workdir(out_dir, rows, schema: FeatureSchema,
     """Time-split raw rows, fit vocabularies on train, write all artifacts."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    train_rows, val_rows, test_rows = split_by_time(rows, cfg.split_ratios)
-    fitted = schema if schema.fitted else build_vocab(train_rows, schema)
+    *splits, fitted = prepare_splits(rows, schema, cfg.split_ratios)
     save_schema(fitted, out / "schema.json")
     save_config(cfg, out / "config.json")
-    for name, subset in zip(SPLIT_FILES, (train_rows, val_rows, test_rows)):
-        write_csv_rows(subset, fitted, out / f"{name}.csv")
-    return Prepared(fitted, encode(train_rows, fitted),
-                    encode(val_rows, fitted), encode(test_rows, fitted))
+    for name, split in zip(SPLIT_FILES, splits):
+        write_csv_rows(split.raw_rows, fitted, out / f"{name}.csv")
+    return Prepared(fitted, *splits)
 
 
 def load_prepared(work_dir) -> tuple[RunConfig, Prepared]:
@@ -310,11 +307,6 @@ def run_ablation(prepared: Prepared, cfg: RunConfig, out_dir,
     for arm in arms:
         if arm not in ARM_NAMES:
             raise UsageError(f"unknown arm '{arm}', expected one of {ARM_NAMES}")
-    stage2 = {arm: dataclasses.asdict(_arm_config(arm, cfg).finetune)
-              for arm in arms}
-    if len({json.dumps(s, sort_keys=True) for s in stage2.values()}) != 1:
-        raise UsageError("ablation arms disagree on stage-2 settings; "
-                         "the comparison would be confounded")
     reports = {arm: run_arm(arm, prepared, cfg, out / arm) for arm in arms}
 
     base = reports.get("no_align")

@@ -9,7 +9,6 @@ single writer: it replaces entries with successor tensors. Buffers
 from __future__ import annotations
 
 import zlib
-from typing import Iterable, Optional
 
 import numpy as np
 
@@ -29,10 +28,10 @@ def rng_for(seed: int, tag: str) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(ss))
 
 
-def xavier_uniform(rng: np.random.Generator, fan_in: int, fan_out: int,
-                   shape: Optional[tuple] = None) -> np.ndarray:
+def xavier_uniform(rng: np.random.Generator, fan_in: int,
+                   fan_out: int) -> np.ndarray:
     limit = np.sqrt(6.0 / (fan_in + fan_out))
-    return rng.uniform(-limit, limit, size=shape or (fan_in, fan_out))
+    return rng.uniform(-limit, limit, size=(fan_in, fan_out))
 
 
 class ParamStore:
@@ -64,13 +63,6 @@ class ParamStore:
     def names(self) -> list[str]:
         return sorted(self._params)
 
-    def items(self):
-        return [(n, self._params[n]) for n in self.names()]
-
-    def zero_grads(self) -> None:
-        for p in self._params.values():
-            p.grad = None
-
     def add_buffer(self, name: str, array) -> np.ndarray:
         if name in self._buffers:
             raise UsageError(f"buffer '{name}' already registered")
@@ -87,9 +79,6 @@ class ParamStore:
     def buffer_names(self) -> list[str]:
         return sorted(self._buffers)
 
-    def total_size(self) -> int:
-        return sum(p.size for p in self._params.values())
-
     def snapshot(self) -> tuple[dict, dict]:
         """Cheap state capture: tensors are immutable, buffers are copied."""
         return dict(self._params), {n: b.copy() for n, b in self._buffers.items()}
@@ -101,25 +90,21 @@ class ParamStore:
             self._buffers[n][...] = b
 
     def load_arrays(self, params: dict[str, np.ndarray],
-                    buffers: Optional[dict[str, np.ndarray]] = None,
-                    prefix: str = "") -> None:
+                    buffers: dict[str, np.ndarray]) -> None:
         """Overwrite matching entries from raw arrays (checkpoint restore)."""
         for name, arr in params.items():
-            full = prefix + name
-            if full in self._params:
-                if self._params[full].shape != arr.shape:
+            if name in self._params:
+                if self._params[name].shape != arr.shape:
                     raise UsageError(
-                        f"parameter '{full}' shape {self._params[full].shape} "
+                        f"parameter '{name}' shape {self._params[name].shape} "
                         f"does not match stored {arr.shape}")
-                self._params[full] = DTensor(arr, requires_grad=True)
-        for name, arr in (buffers or {}).items():
-            full = prefix + name
-            if full in self._buffers:
-                self._buffers[full][...] = arr
+                self._params[name] = DTensor(arr, requires_grad=True)
+        for name, arr in buffers.items():
+            if name in self._buffers:
+                self._buffers[name][...] = arr
 
-    def export_arrays(self, names: Optional[Iterable[str]] = None):
+    def export_arrays(self):
         """(params, buffers) as plain arrays, for checkpointing."""
-        keys = sorted(names) if names is not None else self.names()
-        params = {n: np.asarray(self._params[n].data) for n in keys}
+        params = {n: np.asarray(self._params[n].data) for n in self.names()}
         buffers = {n: self._buffers[n].copy() for n in self.buffer_names()}
         return params, buffers

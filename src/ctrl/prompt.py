@@ -27,7 +27,6 @@ from .data import SEQ_SEP, FeatureSchema, split_cell
 from .exceptions import DataError, UsageError
 
 VARIANTS = (1, 2, 3, 4, 5)
-PAD_ID = 0
 UNK_ID = 1
 DEFAULT_MAX_TOKENS = 128
 
@@ -111,7 +110,6 @@ class Tokenizer:
         self.vocab = dict(vocab) if vocab else {}
         self.lowercase = lowercase
         self.max_tokens = max_tokens
-        self._inverse = {i: t for t, i in self.vocab.items()}
 
     @property
     def vocab_size(self) -> int:
@@ -123,39 +121,21 @@ class Tokenizer:
         return _TOKEN_RE.findall(text)
 
     @staticmethod
-    def fit(corpus, lowercase: bool = True, max_tokens: int = DEFAULT_MAX_TOKENS,
-            min_count: int = 1) -> "Tokenizer":
+    def fit(corpus, max_tokens: int = DEFAULT_MAX_TOKENS) -> "Tokenizer":
+        """Lowercased vocabulary of every token in the corpus."""
         corpus = list(corpus)
         if not corpus:
             raise DataError("cannot fit a tokenizer on an empty corpus")
-        tok = Tokenizer(lowercase=lowercase, max_tokens=max_tokens)
-        counts, order = {}, []
+        tok = Tokenizer(max_tokens=max_tokens)
         for text in corpus:
             for t in tok._split(text):
-                if t not in counts:
-                    counts[t] = 0
-                    order.append(t)
-                counts[t] += 1
-        vocab = {}
-        for t in order:
-            if counts[t] >= min_count:
-                vocab[t] = len(vocab) + 2  # ids 0 and 1 are reserved
-        tok.vocab = vocab
-        tok._inverse = {i: t for t, i in vocab.items()}
+                if t not in tok.vocab:
+                    tok.vocab[t] = len(tok.vocab) + 2  # ids 0 and 1 are reserved
         return tok
 
     def encode(self, text: str) -> list:
         ids = [self.vocab.get(t, UNK_ID) for t in self._split(text)]
         return ids[:self.max_tokens]  # head truncation keeps the user sentence
-
-    def decode(self, ids) -> str:
-        parts = []
-        for i in ids:
-            i = int(i)
-            if i == PAD_ID:
-                continue
-            parts.append(self._inverse.get(i, "<unk>"))
-        return " ".join(parts)
 
     def encode_batch(self, texts):
         """Encode and pad to the longest row. Returns (ids (N, L) int64,

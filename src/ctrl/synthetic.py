@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import FeatureSchema, FieldSpec, write_csv_rows
+from .data import FeatureSchema, FieldSpec
 from .exceptions import UsageError
 from .params import rng_for
 
@@ -118,8 +118,3 @@ def generate(spec: SyntheticSpec):
         "seed": spec.seed,
     }
     return rows, synthetic_schema(spec), meta
-
-
-def write_csv(rows, schema: FeatureSchema, path) -> None:
-    """Deterministic byte output: fixed column order, \\n line endings."""
-    write_csv_rows(rows, schema, path)

@@ -6,6 +6,9 @@
 - the single-stage training loop as written before it was merged
 - the engine compositions that attention and the maxsim pair fused:
   one-direction late interaction and masked attention
+- the pairwise late interaction and cosine scores of one row against one row
+- layer and batch normalization forward passes as written before they
+  reused the centered input (numpy's `var` recomputes the mean)
 - the mean contrastive loss over a split, in eval mode
 """
 
@@ -15,6 +18,7 @@ import numpy as np
 
 import ctrl.autodiff as ad
 from ctrl.autodiff import DTensor, Tape
+from ctrl.exceptions import ShapeError
 
 FD_H = 1e-6
 FD_RTOL = 1e-4
@@ -122,7 +126,6 @@ def maxsim_matrix(subs_a: DTensor, subs_b: DTensor) -> DTensor:
     """One direction of all-pairs late interaction from the engine's
     primitives. subs_a, subs_b: (N, M, d). Returns (N, N) with rows indexed
     by subs_a."""
-    from ctrl.exceptions import ShapeError
     n, m, d = subs_a.shape
     nb, mb, db = subs_b.shape
     if d != db:
@@ -133,6 +136,54 @@ def maxsim_matrix(subs_a: DTensor, subs_b: DTensor) -> DTensor:
     sims = ad.reshape(sims, (n, m, nb, mb))
     best = ad.max_(sims, axis=3)  # (n, m, nb)
     return ad.sum_(best, axis=1)  # (n, nb)
+
+
+def maxsim(subs_i, subs_j) -> DTensor:
+    """Late interaction score between two sub-representation sets (M_i, d) and
+    (M_j, d): sum over rows of subs_i of the max inner product with subs_j."""
+    a = subs_i if isinstance(subs_i, DTensor) else DTensor(subs_i)
+    b = subs_j if isinstance(subs_j, DTensor) else DTensor(subs_j)
+    if a.data.ndim != 2 or b.data.ndim != 2 or a.shape[1] != b.shape[1]:
+        raise ShapeError("maxsim expects (M_i, d) and (M_j, d)")
+    sims = ad.matmul(a, ad.transpose(b, (1, 0)))
+    return ad.sum_(ad.max_(sims, axis=1))
+
+
+def cosine(h_i, h_j) -> DTensor:
+    """Cosine similarity between two vectors; zero vectors score 0 (warned)."""
+    a = h_i if isinstance(h_i, DTensor) else DTensor(h_i)
+    b = h_j if isinstance(h_j, DTensor) else DTensor(h_j)
+    an = ad.l2_normalize(ad.reshape(a, (1, a.data.size)), axis=1)
+    bn = ad.l2_normalize(ad.reshape(b, (1, b.data.size)), axis=1)
+    return ad.sum_(ad.mul(an, bn))
+
+
+def reference_layer_norm(x, gamma, beta, eps: float = 1e-5) -> np.ndarray:
+    """Layer normalization forward over the last axis, variance from
+    `np.var`."""
+    mu = x.mean(axis=-1, keepdims=True)
+    var = x.var(axis=-1, keepdims=True)
+    std = np.sqrt(var + eps)
+    return gamma * ((x - mu) / std) + beta
+
+
+def reference_batch_norm(x, gamma, beta, running_mean, running_var,
+                         train: bool, momentum: float = 0.9,
+                         eps: float = 1e-5) -> np.ndarray:
+    """Batch normalization forward over axis 0, variance from `np.var`;
+    updates the running statistics in place in train mode."""
+    if train:
+        mu = x.mean(axis=0)
+        var = x.var(axis=0)
+        running_mean *= momentum
+        running_mean += (1.0 - momentum) * mu
+        running_var *= momentum
+        running_var += (1.0 - momentum) * var
+    else:
+        mu = running_mean
+        var = running_var
+    std = np.sqrt(var + eps)
+    return gamma * ((x - mu) / std) + beta
 
 
 def composed_attention(q: DTensor, k: DTensor, v: DTensor,

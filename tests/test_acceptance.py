@@ -15,7 +15,7 @@ import pytest
 
 import ctrl.autodiff as ad
 from ctrl.align import (AlignmentModel, ProjectionHead, SubspaceHead,
-                        infonce, maxsim)
+                        infonce)
 from ctrl.autodiff import DTensor
 from ctrl.checkpoint import load_checkpoint, save_checkpoint
 from ctrl.config import (AlignConfig, FinetuneConfig, ModelConfig, RunConfig,
@@ -33,7 +33,8 @@ from ctrl.params import ParamStore, rng_for
 from ctrl.prompt import PromptTemplate, build_prompt
 from ctrl.synthetic import SyntheticSpec, generate
 
-from helpers import auc_bruteforce, check_grads, store_grad_check, tiny_pipeline
+from helpers import (auc_bruteforce, check_grads, maxsim, store_grad_check,
+                     tiny_pipeline)
 from test_data import movie_schema
 from test_encoders import batch_for, cat_schema
 from test_prompt import MOVIE_ROW, MOVIE_TEMPLATE

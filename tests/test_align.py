@@ -7,15 +7,14 @@ from hypothesis import strategies as st
 
 import ctrl.autodiff as ad
 from ctrl.autodiff import DTensor, Tape
-from ctrl.align import (AlignmentModel, SubspaceHead, align_train, cosine,
-                        cosine_matrix, infonce, maxsim, maxsim_pair,
-                        write_curve)
+from ctrl.align import (AlignmentModel, SubspaceHead, align_train,
+                        cosine_matrix, infonce, maxsim_pair, write_curve)
 from ctrl.data import batches
 from ctrl.exceptions import ShapeError, UsageError
 from ctrl.params import ParamStore, rng_for
 from ctrl.prompt import build_prompt
 
-from helpers import (check_grads, evaluate_ccl, maxsim_matrix,
+from helpers import (check_grads, cosine, evaluate_ccl, maxsim, maxsim_matrix,
                      store_grad_check, tiny_pipeline)
 
 LOG_1P_EXP_NEG1 = 0.31326168751822286  # log(1 + e^-1)

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ctrl.data import (Batch, FeatureSchema, FieldSpec, batches, build_vocab,
-                       canonical_schema_json, decode, encode, load_schema,
+                       canonical_schema_json, encode, load_schema,
                        prepare_splits, read_csv_rows, save_schema, schema_hash,
                        split_by_time)
 from ctrl.exceptions import DataError, UsageError
@@ -73,10 +73,16 @@ def test_encode_sequence_cell_and_oov():
     rows = tiny_rows(4)
     rows[0]["history"] = "Titanic|Avatar"
     rows[1]["gender"] = "Zzz"  # unseen -> 0
+    rows[1]["history"] = "Alien|Unseen"
     split = encode(rows, fitted)
-    inst0 = split.instance(0)
-    assert inst0.indices["history"] == [1, 2]
-    assert split.cat_ids["gender"][1] == 0
+    # in-vocabulary ids, left-aligned, padded with 0 under a zero mask
+    assert split.cat_ids["gender"].tolist() == [1, 0, 1, 2]
+    assert split.cat_ids["title"].tolist() == [1, 2, 3, 4]
+    assert split.seq_ids["history"][0].tolist() == [1, 2] + [0] * 8
+    assert split.seq_mask["history"][0].tolist() == [1.0, 1.0] + [0.0] * 8
+    # an unseen sequence element is OOV 0 but still a valid position
+    assert split.seq_ids["history"][1].tolist() == [3, 0] + [0] * 8
+    assert split.seq_mask["history"][1].tolist() == [1.0, 1.0] + [0.0] * 8
     for f in fitted.fields:
         if f.kind == "categorical":
             assert split.cat_ids[f.name].max() < f.vocab_size
@@ -90,20 +96,11 @@ def test_encode_truncates_to_most_recent():
         movie_schema(max_seq_len=10))
     row = dict(tiny_rows(1)[0], history="|".join(f"m{i}" for i in range(12)))
     split = encode([row], fitted)
-    inst = split.instance(0)
-    names = [v for v, i in sorted(fitted.field("history").vocab.items(),
-                                  key=lambda kv: kv[1])]
-    decoded = [names[i - 1] for i in inst.indices["history"]]
-    assert decoded == [f"m{i}" for i in range(2, 12)]  # first two dropped
-
-
-def test_round_trip_decode():
-    fitted = build_vocab(tiny_rows(), movie_schema())
-    split = encode(tiny_rows(6), fitted)
-    for i in range(split.n):
-        raw = decode(split.instance(i), fitted)
-        for f in fitted.fields:
-            assert raw[f.name] == tiny_rows(6)[i][f.name]
+    vocab = fitted.field("history").vocab
+    # the first two are dropped; the ten kept fill every position in order
+    assert split.seq_ids["history"][0].tolist() == \
+        [vocab[f"m{i}"] for i in range(2, 12)]
+    assert split.seq_mask["history"][0].tolist() == [1.0] * 10
 
 
 def test_no_leakage_unseen_test_value_is_oov():

@@ -86,10 +86,9 @@ def test_relaimpr_identity_and_guard():
 def test_eval_report_round_trip_and_validation():
     rep = EvalReport(auc=0.71, logloss=0.62, n_examples=100, seed=3,
                      relaimpr_pct=2.5, base_name="no_align")
-    again = EvalReport.from_json(rep.to_json())
-    assert again == rep
-    blob = json.loads(rep.to_json())
-    assert blob["auc"] == 0.71
+    assert json.loads(rep.to_json()) == {
+        "auc": 0.71, "logloss": 0.62, "n_examples": 100, "seed": 3,
+        "relaimpr_pct": 2.5, "base_name": "no_align"}
     with pytest.raises(UsageError):
         EvalReport(auc=1.2, logloss=0.5, n_examples=1, seed=0)
     with pytest.raises(UsageError):

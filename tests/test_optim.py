@@ -38,7 +38,6 @@ def test_param_store_basics():
     assert "w" in store
     with pytest.raises(UsageError):
         store.add("w", np.zeros(1))
-    assert store.total_size() == 4
     assert store.names() == ["w"]
 
 
@@ -55,7 +54,6 @@ def test_param_store_snapshot_restore():
 
 
 def _quadratic_step(store, opt, lr):
-    store.zero_grads()
     x = store["x"]
     with Tape() as tape:
         loss = ad.sum_(ad.mul(x, x))
@@ -115,23 +113,6 @@ def test_adamw_converges_on_quadratic():
     for _ in range(400):
         _quadratic_step(store, opt, lr=0.05)
     assert np.abs(store["x"].data).max() < 1e-2
-
-
-def test_adamw_state_roundtrip():
-    store = ParamStore()
-    store.add("x", np.array([1.0, -2.0]))
-    opt = AdamW(store, weight_decay=0.0)
-    for _ in range(3):
-        _quadratic_step(store, opt, lr=0.01)
-    state = opt.state_arrays()
-
-    store2 = ParamStore()
-    store2.add("x", store["x"].data.copy())
-    opt2 = AdamW(store2, weight_decay=0.0)
-    opt2.load_state_arrays(state)
-    _quadratic_step(store, opt, lr=0.01)
-    _quadratic_step(store2, opt2, lr=0.01)
-    assert np.array_equal(store["x"].data, store2["x"].data)
 
 
 def test_warmup_schedule_paper_points():

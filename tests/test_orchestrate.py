@@ -234,6 +234,28 @@ def test_run_sweep_grid_dedup_and_failures(workdir, tmp_path):
     assert json.loads((sweep_dir / "sweep_failures.json").read_text())
 
 
+@pytest.mark.filterwarnings("ignore:2 sweep cell")
+def test_run_sweep_parallel_matches_serial(workdir, tmp_path, monkeypatch):
+    out, cfg, _ = workdir
+    monkeypatch.delenv("CTRL_ALIGN_THREADS", raising=False)
+    results = []
+    for parallel in (1, 2):
+        sweep_dir = tmp_path / f"parallel{parallel}"
+        # batch 4096 exceeds the train split, so both of its cells fail
+        rows, failures = run_sweep(out, cfg, taus=[0.5, 0.7],
+                                   batch_sizes=[16, 4096], out_dir=sweep_dir,
+                                   parallel=parallel)
+        results.append(((sweep_dir / "sweep.csv").read_bytes(), rows,
+                        failures))
+    (csv1, rows1, failures1), (csv2, rows2, failures2) = results
+    assert [(r["tau"], r["batch"]) for r in rows1] == [(0.5, 16), (0.7, 16)]
+    assert [(f["tau"], f["batch"]) for f in failures1] == [(0.5, 4096),
+                                                          (0.7, 4096)]
+    assert csv2 == csv1
+    assert rows2 == rows1
+    assert failures2 == failures1
+
+
 def test_worker_cap(monkeypatch):
     monkeypatch.delenv("CTRL_ALIGN_THREADS", raising=False)
     assert _worker_cap(4) == 4

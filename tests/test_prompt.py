@@ -144,21 +144,9 @@ def test_tokenizer_empty_corpus():
         Tokenizer.fit([])
 
 
-def test_tokenizer_round_trip():
-    tok = Tokenizer.fit(["gender is female, who watched Titanic|Avatar."])
-    ids = tok.encode("gender is female , .")
-    assert tok.encode(tok.decode(ids)) == ids
-
-
 def test_tokenizer_head_truncation():
     tok = Tokenizer.fit(["a b c d e"], max_tokens=3)
     assert tok.encode("a b c d e") == [2, 3, 4]
-
-
-def test_tokenizer_min_count():
-    tok = Tokenizer.fit(["rare common", "common"], min_count=2)
-    assert "common" in tok.vocab
-    assert "rare" not in tok.vocab
 
 
 def test_encode_batch_pads_and_flags_empty():

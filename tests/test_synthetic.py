@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from ctrl.data import read_csv_rows
+from ctrl.data import read_csv_rows, write_csv_rows
 from ctrl.exceptions import UsageError
-from ctrl.synthetic import SyntheticSpec, generate, synthetic_schema, write_csv
+from ctrl.synthetic import SyntheticSpec, generate, synthetic_schema
 
 
 def test_generate_is_deterministic(tmp_path):
@@ -16,8 +16,8 @@ def test_generate_is_deterministic(tmp_path):
     assert meta_a == meta_b
 
     p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
-    write_csv(rows_a, schema_a, p1)
-    write_csv(rows_b, schema_b, p2)
+    write_csv_rows(rows_a, schema_a, p1)
+    write_csv_rows(rows_b, schema_b, p2)
     assert p1.read_bytes() == p2.read_bytes()
 
 
@@ -103,7 +103,7 @@ def test_csv_round_trips_through_reader(tmp_path):
                          history_len=2)
     rows, schema, _ = generate(spec)
     path = tmp_path / "data.csv"
-    write_csv(rows, schema, path)
+    write_csv_rows(rows, schema, path)
     loaded = read_csv_rows(path, schema)
     assert len(loaded) == 25
     for orig, back in zip(rows, loaded):
