@@ -28,10 +28,6 @@ from .params import ParamStore, rng_for
 from .prompt import Tokenizer, build_prompt, template_from
 
 
-class ProjectionHead(Linear):
-    """Affine map from a tower's output width to the shared alignment width."""
-
-
 class SubspaceHead:
     """M affine maps to width d_sub = d_proj / M, stored as one matrix.
     Sub-representations are optionally L2-normalized, which bounds the late
@@ -106,13 +102,12 @@ def cosine_matrix(h_a: DTensor, h_b: DTensor) -> DTensor:
     return ad.matmul(a, ad.transpose(b, (1, 0)))
 
 
-def infonce(sim_matrix: DTensor, temperature: float) -> DTensor:
+def infonce(s: DTensor, temperature: float) -> DTensor:
     """Softmax cross-entropy over one direction of the similarity matrix.
     Rows are anchors, the diagonal holds the positive pairs. Stabilized by
     row-max subtraction inside logsumexp."""
     if temperature <= 0:
         raise UsageError("temperature must be > 0")
-    s = sim_matrix if isinstance(sim_matrix, DTensor) else DTensor(sim_matrix)
     if s.data.ndim != 2 or s.shape[0] != s.shape[1]:
         raise ShapeError(f"similarity matrix must be square, got {s.shape}")
     n = s.shape[0]
@@ -138,12 +133,12 @@ class AlignmentModel:
                                            rng_for(cfg.seed, "collab"))
         self.text = TextEncoder(store, vocab_size, cfg.text,
                                 rng_for(cfg.seed, "text"))
-        self.tab_proj = ProjectionHead(store, "heads.tab_proj",
-                                       self.collab.out_dim, a.d_proj,
-                                       rng_for(cfg.seed, "heads.tab_proj"))
-        self.text_proj = ProjectionHead(store, "heads.text_proj",
-                                        self.text.out_dim, a.d_proj,
-                                        rng_for(cfg.seed, "heads.text_proj"))
+        self.tab_proj = Linear(store, "heads.tab_proj",
+                               self.collab.out_dim, a.d_proj,
+                               rng_for(cfg.seed, "heads.tab_proj"))
+        self.text_proj = Linear(store, "heads.text_proj",
+                                self.text.out_dim, a.d_proj,
+                                rng_for(cfg.seed, "heads.text_proj"))
         if a.similarity == "maxsim":
             self.tab_sub = SubspaceHead(store, "heads.tab_sub", a.d_proj,
                                         a.m_subspaces,

@@ -9,7 +9,7 @@ reverse order. The tape is rebuilt from scratch on every training step
 Every op that can create a NaN or infinity checks its output, so one
 surfaces as a :class:`~ctrl.exceptions.NumericError` naming the operation
 that created it instead of silently poisoning the run. Ops that only move,
-select or compare values (reshape, transpose, slice, concat, max, relu, neg,
+select or compare values (reshape, transpose, concat, max, relu, neg,
 embedding lookup) skip the check: from finite inputs they cannot create a
 non-finite value.
 
@@ -31,6 +31,10 @@ Array = np.ndarray
 
 # Norms below this are treated as zero by l2_normalize.
 _NORM_FLOOR = 1e-300
+# Added to the variance by batch_norm and layer_norm.
+_NORM_EPS = 1e-5
+# Weight of the old value in batch_norm's running statistics.
+_BN_MOMENTUM = 0.9
 
 
 class DTensor:
@@ -85,46 +89,6 @@ class DTensor:
 
     def __repr__(self) -> str:
         return f"DTensor(shape={self.shape}, requires_grad={self.requires_grad})"
-
-    # Operator sugar. Scalars and arrays are coerced to constants.
-    def __add__(self, other):
-        return add(self, _coerce(other))
-
-    def __radd__(self, other):
-        return add(_coerce(other), self)
-
-    def __sub__(self, other):
-        return sub(self, _coerce(other))
-
-    def __rsub__(self, other):
-        return sub(_coerce(other), self)
-
-    def __mul__(self, other):
-        return mul(self, _coerce(other))
-
-    def __rmul__(self, other):
-        return mul(_coerce(other), self)
-
-    def __truediv__(self, other):
-        return div(self, _coerce(other))
-
-    def __rtruediv__(self, other):
-        return div(_coerce(other), self)
-
-    def __neg__(self):
-        return neg(self)
-
-    def __matmul__(self, other):
-        return matmul(self, _coerce(other))
-
-    def __getitem__(self, key):
-        return slice_(self, key)
-
-
-def _coerce(x) -> DTensor:
-    if isinstance(x, DTensor):
-        return x
-    return DTensor(x)
 
 
 @dataclass
@@ -372,17 +336,6 @@ def concat(tensors: Sequence[DTensor], axis: int = 0) -> DTensor:
     return apply_op("concat", tensors, out, bwd, check=False)
 
 
-def slice_(a: DTensor, key) -> DTensor:
-    out = a.data[key]
-
-    def bwd(g):
-        z = np.zeros_like(a.data)
-        np.add.at(z, key, g)
-        return (z,)
-
-    return apply_op("slice", (a,), out, bwd, check=False)
-
-
 # ---------------------------------------------------------------------------
 # Reductions
 
@@ -398,13 +351,12 @@ def sum_(a: DTensor, axis=None, keepdims: bool = False) -> DTensor:
     return apply_op("sum", (a,), out, bwd)
 
 
-def mean(a: DTensor, axis=None, keepdims: bool = False) -> DTensor:
-    n = a.size if axis is None else a.shape[axis]
-    out = a.data.mean(axis=axis, keepdims=keepdims)
+def mean(a: DTensor) -> DTensor:
+    """Mean over every element."""
+    n = a.size
+    out = a.data.mean()
 
     def bwd(g):
-        if axis is not None and not keepdims:
-            g = np.expand_dims(g, axis)
         return (np.broadcast_to(g, a.shape) / n,)
 
     return apply_op("mean", (a,), out, bwd)
@@ -426,26 +378,12 @@ def max_(a: DTensor, axis: int, keepdims: bool = False) -> DTensor:
     return apply_op("max", (a,), out, bwd, check=False)
 
 
-def softmax(a: DTensor, axis: int = -1) -> DTensor:
-    shifted = a.data - a.data.max(axis=axis, keepdims=True)
-    e = np.exp(shifted)
-    out = e / e.sum(axis=axis, keepdims=True)
-
-    def bwd(g):
-        dot = (g * out).sum(axis=axis, keepdims=True)
-        return (out * (g - dot),)
-
-    return apply_op("softmax", (a,), out, bwd)
-
-
-def logsumexp(a: DTensor, axis: int, keepdims: bool = False) -> DTensor:
+def logsumexp(a: DTensor, axis: int) -> DTensor:
     """Numerically stable log-sum-exp, composed from taped primitives."""
     m = max_(a, axis=axis, keepdims=True)
     s = log(sum_(exp(sub(a, m)), axis=axis, keepdims=True))
     out = add(s, m)
-    if not keepdims:
-        out = reshape(out, tuple(np.delete(out.shape, axis)))
-    return out
+    return reshape(out, tuple(np.delete(out.shape, axis)))
 
 
 # ---------------------------------------------------------------------------
@@ -507,11 +445,11 @@ def embedding_lookup(table: DTensor, indices) -> DTensor:
 
 def batch_norm(x: DTensor, gamma: DTensor, beta: DTensor,
                running_mean: Array, running_var: Array,
-               train: bool, momentum: float = 0.9, eps: float = 1e-5) -> DTensor:
+               train: bool) -> DTensor:
     """Batch normalization over axis 0 of a 2-D input.
 
     Running statistics are plain mutable buffers updated in train mode
-    with ``new = momentum * old + (1 - momentum) * batch``.
+    with ``new = 0.9 * old + 0.1 * batch``.
     """
     if x.ndim != 2:
         raise ShapeError(f"batch_norm: input must be 2-D, got {x.shape}")
@@ -519,14 +457,14 @@ def batch_norm(x: DTensor, gamma: DTensor, beta: DTensor,
         mu = x.data.mean(axis=0)
         xc = x.data - mu
         var = (xc * xc).mean(axis=0)
-        running_mean *= momentum
-        running_mean += (1.0 - momentum) * mu
-        running_var *= momentum
-        running_var += (1.0 - momentum) * var
+        running_mean *= _BN_MOMENTUM
+        running_mean += (1.0 - _BN_MOMENTUM) * mu
+        running_var *= _BN_MOMENTUM
+        running_var += (1.0 - _BN_MOMENTUM) * var
     else:
         xc = x.data - running_mean
         var = running_var
-    std = np.sqrt(var + eps)
+    std = np.sqrt(var + _NORM_EPS)
     xhat = xc / std
     out = gamma.data * xhat + beta.data
 
@@ -543,11 +481,11 @@ def batch_norm(x: DTensor, gamma: DTensor, beta: DTensor,
     return apply_op("batch_norm", (x, gamma, beta), out, bwd)
 
 
-def layer_norm(x: DTensor, gamma: DTensor, beta: DTensor, eps: float = 1e-5) -> DTensor:
+def layer_norm(x: DTensor, gamma: DTensor, beta: DTensor) -> DTensor:
     """Normalization over the last axis with learned scale and shift."""
     xc = x.data - x.data.mean(axis=-1, keepdims=True)
     var = (xc * xc).mean(axis=-1, keepdims=True)
-    std = np.sqrt(var + eps)
+    std = np.sqrt(var + _NORM_EPS)
     xhat = xc / std
     out = gamma.data * xhat + beta.data
 

@@ -66,12 +66,6 @@ class FeatureSchema:
         if self.max_seq_len < 1:
             raise UsageError("max_seq_len must be >= 1")
 
-    def field(self, name: str) -> FieldSpec:
-        for f in self.fields:
-            if f.name == name:
-                return f
-        raise UsageError(f"unknown field '{name}'")
-
     def side_fields(self, side: str) -> list:
         return [f for f in self.fields if f.side == side]
 
@@ -203,7 +197,6 @@ class EncodedSplit:
     seq_ids: dict  # name -> (N, max_seq_len) int64, left-padded with 0
     seq_mask: dict  # name -> (N, max_seq_len) float64, 1 at valid positions
     labels: np.ndarray  # (N,) float64
-    timestamps: np.ndarray  # (N,) int64
     raw_rows: list
 
     @property
@@ -234,9 +227,8 @@ def encode(rows, schema: FeatureSchema) -> EncodedSplit:
                     seq_ids[f.name][i, j] = f.vocab.get(v, 0)
                     seq_mask[f.name][i, j] = 1.0
     labels = np.array([row["label"] for row in rows], dtype=np.float64)
-    timestamps = np.array([row["timestamp"] for row in rows], dtype=np.int64)
     return EncodedSplit(schema=schema, cat_ids=cat_ids, seq_ids=seq_ids,
-                        seq_mask=seq_mask, labels=labels, timestamps=timestamps,
+                        seq_mask=seq_mask, labels=labels,
                         raw_rows=list(rows))
 
 
@@ -271,7 +263,6 @@ class Batch:
     seq_mask: dict  # name -> (N, L) float64
     labels: np.ndarray  # (N,) float64
     raw_rows: list
-    row_indices: np.ndarray  # positions within the split
 
     @property
     def n(self) -> int:
@@ -312,5 +303,4 @@ def batches(split: EncodedSplit, batch_size: int, mode: str,
             seq_mask={k: v[idx] for k, v in split.seq_mask.items()},
             labels=split.labels[idx],
             raw_rows=[split.raw_rows[i] for i in idx],
-            row_indices=idx,
         )

@@ -35,7 +35,6 @@ class Linear:
         self.prefix = prefix
         self.bias = bias
         self.d_in = d_in
-        self.d_out = d_out
 
     def __call__(self, x: DTensor) -> DTensor:
         out = ad.matmul(x, self.store[f"{self.prefix}.w"])
@@ -109,7 +108,7 @@ def scaled_attention(q: DTensor, k: DTensor, v: DTensor,
     weights (..., L, L)); weights rows sum to 1 over keys. One taped op: only
     the weights are kept for the backward pass, and the weights returned are
     not taped. The float operations and their order are those of composing
-    matmul, scale, mask, softmax and matmul from the engine's primitives.
+    matmul, scale, mask, softmax and matmul as separate taped ops.
     """
     scale = 1.0 / np.sqrt(q.shape[-1])
     w = np.matmul(q.data, np.swapaxes(k.data, -1, -2))

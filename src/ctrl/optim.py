@@ -17,6 +17,11 @@ from .autodiff import DTensor
 from .exceptions import UsageError
 from .params import ParamStore
 
+# AdamW's moment decay rates and denominator floor.
+_BETA1 = 0.9
+_BETA2 = 0.999
+_EPS = 1e-8
+
 
 @dataclass(frozen=True)
 class WarmupSchedule:
@@ -51,15 +56,11 @@ class AdamW:
     """
 
     def __init__(self, store: ParamStore, names: Optional[Sequence[str]] = None,
-                 beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8,
                  weight_decay: float = 0.01):
         self.store = store
         self.names = sorted(names) if names is not None else store.names()
         for n in self.names:
             store[n]  # raises for unknown names
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.weight_decay = weight_decay
         self.t = 0
         self._m = {n: np.zeros(store[n].shape) for n in self.names}
@@ -67,7 +68,7 @@ class AdamW:
 
     def step(self, lr: float) -> None:
         self.t += 1
-        b1, b2 = self.beta1, self.beta2
+        b1, b2 = _BETA1, _BETA2
         bc1 = 1.0 - b1 ** self.t
         bc2 = 1.0 - b2 ** self.t
         for name in self.names:
@@ -83,7 +84,7 @@ class AdamW:
             v += (1.0 - b2) * (g * g)
             mhat = m / bc1
             vhat = v / bc2
-            new = p.data - lr * (mhat / (np.sqrt(vhat) + self.eps))
+            new = p.data - lr * (mhat / (np.sqrt(vhat) + _EPS))
             if self.weight_decay:
                 new = new - lr * self.weight_decay * p.data
             self.store.replace(name, DTensor(new, requires_grad=True))

@@ -23,7 +23,9 @@ import json
 import os
 import warnings
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass, replace
+from functools import partial
 from pathlib import Path
 
 from .align import AlignmentModel, align_train
@@ -378,41 +380,36 @@ def run_sweep(work_dir, cfg: RunConfig, taus, batch_sizes, out_dir,
         raise UsageError("--parallel must be >= 1")
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    grid = []
+    grid = {}  # cell directory name -> (tau, batch)
     for tau in taus:
         for batch in batch_sizes:
             cell = (float(tau), int(batch))
-            if cell in grid:
+            name = f"cell_tau{cell[0]:g}_bs{cell[1]}"
+            if grid.get(name) == cell:
                 warnings.warn(f"duplicate sweep cell (tau={cell[0]:g}, "
                               f"batch={cell[1]}) ignored")
                 continue
-            grid.append(cell)
+            if name in grid:
+                raise UsageError(f"sweep temperatures {grid[name][0]!r} and "
+                                 f"{cell[0]!r} would share {name}")
+            grid[name] = cell
     if not grid:
         raise UsageError("sweep grid is empty")
 
-    def cell_dir(tau, batch):
-        return str(out / f"cell_tau{tau:g}_bs{batch}")
-
     rows, failures = [], []
     workers = _worker_cap(min(parallel, len(grid)))
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            futs = [(tau, batch,
-                     pool.submit(_sweep_cell, str(work_dir),
-                                 cell_dir(tau, batch), cfg.to_dict(),
-                                 tau, batch))
-                    for tau, batch in grid]
-            for tau, batch, fut in futs:
-                try:
-                    rows.append(fut.result())
-                except Exception as e:  # noqa: BLE001 - cell isolation
-                    failures.append({"tau": tau, "batch": batch,
-                                     "error": f"{type(e).__name__}: {e}"})
-    else:
-        for tau, batch in grid:
+    with (ProcessPoolExecutor(max_workers=workers) if workers > 1
+          else nullcontext()) as pool:
+        # Calling an entry returns its cell's row: a worker's future result,
+        # or the cell run here when there is no pool.
+        results = []
+        for name, (tau, batch) in grid.items():
+            args = (str(work_dir), str(out / name), cfg.to_dict(), tau, batch)
+            results.append(pool.submit(_sweep_cell, *args).result if pool
+                           else partial(_sweep_cell, *args))
+        for (tau, batch), result in zip(grid.values(), results):
             try:
-                rows.append(_sweep_cell(str(work_dir), cell_dir(tau, batch),
-                                        cfg.to_dict(), tau, batch))
+                rows.append(result())
             except Exception as e:  # noqa: BLE001 - cell isolation
                 failures.append({"tau": tau, "batch": batch,
                                  "error": f"{type(e).__name__}: {e}"})

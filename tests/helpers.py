@@ -10,6 +10,8 @@
 - layer and batch normalization forward passes as written before they
   reused the centered input (numpy's `var` recomputes the mean)
 - the mean contrastive loss over a split, in eval mode
+- ops no model path records: softmax and slicing, each one taped op
+- a schema's field by name
 """
 
 from __future__ import annotations
@@ -186,6 +188,40 @@ def reference_batch_norm(x, gamma, beta, running_mean, running_var,
     return gamma * ((x - mu) / std) + beta
 
 
+def softmax(a: DTensor, axis: int = -1) -> DTensor:
+    """Softmax along `axis` as one taped op."""
+    shifted = a.data - a.data.max(axis=axis, keepdims=True)
+    e = np.exp(shifted)
+    out = e / e.sum(axis=axis, keepdims=True)
+
+    def bwd(g):
+        dot = (g * out).sum(axis=axis, keepdims=True)
+        return (out * (g - dot),)
+
+    return ad.apply_op("softmax", (a,), out, bwd)
+
+
+def slice_(a: DTensor, key) -> DTensor:
+    """`a.data[key]` as one taped op; the backward scatters the adjoint
+    into zeros of `a`'s shape."""
+    out = a.data[key]
+
+    def bwd(g):
+        z = np.zeros_like(a.data)
+        np.add.at(z, key, g)
+        return (z,)
+
+    return ad.apply_op("slice", (a,), out, bwd, check=False)
+
+
+def field(schema, name: str):
+    """The FieldSpec called `name` in `schema`."""
+    for f in schema.fields:
+        if f.name == name:
+            return f
+    raise KeyError(name)
+
+
 def composed_attention(q: DTensor, k: DTensor, v: DTensor,
                        additive_mask=None):
     """Scaled dot-product attention from the engine's primitives: matmul,
@@ -196,7 +232,7 @@ def composed_attention(q: DTensor, k: DTensor, v: DTensor,
     scores = ad.mul(scores, DTensor(1.0 / np.sqrt(d_head)))
     if additive_mask is not None:
         scores = ad.add(scores, DTensor(additive_mask))
-    weights = ad.softmax(scores, axis=scores.data.ndim - 1)
+    weights = softmax(scores, axis=scores.data.ndim - 1)
     return ad.matmul(weights, v), weights
 
 
@@ -232,7 +268,8 @@ def store_grad_check(store, forward, names=None, sample: int | None = 5,
 
 
 def tiny_run_config(seed: int = 0, backbone: str = "autoint",
-                    similarity: str = "maxsim", **align_overrides):
+                    similarity: str = "maxsim", dropout: float = 0.0,
+                    **align_overrides):
     """A full RunConfig small enough for finite-difference checks."""
     from ctrl.config import (AlignConfig, FinetuneConfig, ModelConfig,
                              RunConfig, TextConfig)
@@ -244,7 +281,7 @@ def tiny_run_config(seed: int = 0, backbone: str = "autoint",
         seed=seed,
         model=ModelConfig(backbone=backbone, d=4, hidden=(8, 6),
                           attn_layers=1, attn_heads=2, attn_head_dim=3,
-                          cross_layers=2),
+                          cross_layers=2, dropout=dropout),
         text=TextConfig(d_model=8, n_layers=1, n_heads=2, d_ff=16,
                         max_tokens=32),
         align=AlignConfig(**align_kwargs),
@@ -254,7 +291,8 @@ def tiny_run_config(seed: int = 0, backbone: str = "autoint",
 
 def tiny_pipeline(seed: int = 0, backbone: str = "autoint",
                   similarity: str = "maxsim", n_rows: int = 24,
-                  history_len: int = 2, **align_overrides):
+                  history_len: int = 2, dropout: float = 0.0,
+                  **align_overrides):
     """Synthetic rows -> splits -> tokenizer -> AlignmentModel, all tiny.
 
     Returns (model, tokenizer, splits, cfg) where splits is
@@ -271,7 +309,7 @@ def tiny_pipeline(seed: int = 0, backbone: str = "autoint",
         flip_noise=0.0, seed=seed, history_len=history_len))
     train, val, test, fitted = prepare_splits(rows, schema)
     cfg = tiny_run_config(seed=seed, backbone=backbone, similarity=similarity,
-                          **align_overrides)
+                          dropout=dropout, **align_overrides)
     store = ParamStore()
     model = AlignmentModel(store, fitted, vocab_size=64, cfg=cfg)
     corpus = [build_prompt(r, fitted, model.template) for r in train.raw_rows]

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 import ctrl.autodiff as ad
-from ctrl.align import (AlignmentModel, ProjectionHead, SubspaceHead,
+from ctrl.align import (AlignmentModel, Linear, SubspaceHead,
                         infonce)
 from ctrl.autodiff import DTensor
 from ctrl.checkpoint import load_checkpoint, save_checkpoint
@@ -151,7 +151,7 @@ def test_criterion_4_gradient_suite():
         store = ParamStore()
         d_in = int(r.integers(3, 7))
         d_out = 2 * int(r.integers(2, 5))
-        proj = ProjectionHead(store, "p", d_in, d_out, rng_for(seed, "p"))
+        proj = Linear(store, "p", d_in, d_out, rng_for(seed, "p"))
         sub = SubspaceHead(store, "s", d_out, 2, rng_for(seed, "s"))
         x = DTensor(rng_for(seed, "x").normal(size=(n, d_in)))
         wh = DTensor(rng_for(seed, "loss.h").normal(size=(n, 2, d_out // 2)))

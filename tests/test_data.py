@@ -11,6 +11,8 @@ from ctrl.data import (Batch, FeatureSchema, FieldSpec, batches, build_vocab,
                        split_by_time)
 from ctrl.exceptions import DataError, UsageError
 
+from helpers import field
+
 
 def movie_schema(max_seq_len=10):
     return FeatureSchema(fields=(
@@ -54,12 +56,12 @@ def test_schema_rejects_duplicates_and_missing_sides():
 def test_build_vocab_first_seen_and_oov_reserved():
     schema = movie_schema()
     fitted = build_vocab(tiny_rows(), schema)
-    gender = fitted.field("gender")
+    gender = field(fitted, "gender")
     # two observed values plus reserved OOV slot
     assert gender.vocab == {"female": 1, "male": 2}
     assert gender.vocab_size == 3
-    assert fitted.field("director").vocab_size == 2  # single value column
-    history = fitted.field("history")
+    assert field(fitted, "director").vocab_size == 2  # single value column
+    history = field(fitted, "history")
     assert history.vocab == {"Titanic": 1, "Avatar": 2, "Alien": 3}
 
 
@@ -96,7 +98,7 @@ def test_encode_truncates_to_most_recent():
         movie_schema(max_seq_len=10))
     row = dict(tiny_rows(1)[0], history="|".join(f"m{i}" for i in range(12)))
     split = encode([row], fitted)
-    vocab = fitted.field("history").vocab
+    vocab = field(fitted, "history").vocab
     # the first two are dropped; the ten kept fill every position in order
     assert split.seq_ids["history"][0].tolist() == \
         [vocab[f"m{i}"] for i in range(2, 12)]
@@ -107,7 +109,7 @@ def test_no_leakage_unseen_test_value_is_oov():
     rows = tiny_rows(20)
     rows[-1]["title"] = "OnlyInTest"
     train, val, test, fitted = prepare_splits(rows, movie_schema())
-    assert "OnlyInTest" not in fitted.field("title").vocab
+    assert "OnlyInTest" not in field(fitted, "title").vocab
     assert test.cat_ids["title"][-1] == 0
 
 
@@ -153,18 +155,23 @@ def test_batches_counts_and_modes():
     assert len(align) == 3 and all(b.n == 32 for b in align)
     ev = list(batches(split, 32, "eval"))
     assert [b.n for b in ev] == [32, 32, 32, 4]
-    assert np.array_equal(np.concatenate([b.row_indices for b in ev]), np.arange(100))
+    pos = {id(r): i for i, r in enumerate(split.raw_rows)}
+    assert [pos[id(r)] for b in ev for r in b.raw_rows] == list(range(100))
 
 
 def test_batches_deterministic_shuffle():
     rows = tiny_rows(50)
     fitted = build_vocab(rows, movie_schema())
     split = encode(rows, fitted)
-    a = np.concatenate([b.row_indices for b in batches(split, 16, "align", seed=7)])
-    b = np.concatenate([b.row_indices for b in batches(split, 16, "align", seed=7)])
-    c = np.concatenate([b.row_indices for b in batches(split, 16, "align", seed=8)])
-    assert np.array_equal(a, b)
-    assert not np.array_equal(a, c)
+    pos = {id(r): i for i, r in enumerate(split.raw_rows)}
+
+    def order(seed):
+        return [pos[id(r)] for b in batches(split, 16, "align", seed=seed)
+                for r in b.raw_rows]
+
+    a, b, c = order(7), order(7), order(8)
+    assert a == b
+    assert a != c
 
 
 def test_batches_align_requires_two():

@@ -61,11 +61,12 @@ def _quadratic_step(store, opt, lr):
     opt.step(lr)
 
 
-def test_adamw_zero_betas_matches_signed_gradient_step():
-    # with beta1=beta2=0 and no decay, update is -lr * g / (|g| + eps)
+def test_adamw_first_step_matches_signed_gradient_step():
+    # at step 1 bias correction cancels the betas, so with no decay the
+    # update is -lr * g / (|g| + eps)
     store = ParamStore()
     store.add("x", np.array([2.0, -3.0]))
-    opt = AdamW(store, beta1=0.0, beta2=0.0, weight_decay=0.0, eps=1e-8)
+    opt = AdamW(store, weight_decay=0.0)
     g = 2.0 * np.array([2.0, -3.0])
     _quadratic_step(store, opt, lr=0.1)
     expected = np.array([2.0, -3.0]) - 0.1 * g / (np.abs(g) + 1e-8)

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from ctrl.checkpoint import load_checkpoint
+from ctrl.cli import main
 from ctrl.config import (AlignConfig, FinetuneConfig, ModelConfig, RunConfig,
                          TextConfig)
 from ctrl.exceptions import UsageError
@@ -232,6 +233,19 @@ def test_run_sweep_grid_dedup_and_failures(workdir, tmp_path):
     assert lines[0] == "tau,batch,auc,logloss"
     assert len(lines) == 2
     assert json.loads((sweep_dir / "sweep_failures.json").read_text())
+
+
+def test_run_sweep_rejects_temperatures_that_share_a_cell_directory(
+        workdir, tmp_path):
+    out, cfg, _ = workdir
+    sweep_dir = tmp_path / "sweep"
+    # both format as 0.1, so both cells would write cell_tau0.1_bs16
+    with pytest.raises(UsageError, match=r"0\.1 and 0\.1000001"):
+        run_sweep(out, cfg, taus=[0.1, 0.1000001], batch_sizes=[16],
+                  out_dir=sweep_dir)
+    assert not list(sweep_dir.glob("cell_*"))
+    assert main(["sweep", "--out", str(out), "--taus", "0.1,0.1000001",
+                 "--batch-sizes", "16"]) == 1
 
 
 @pytest.mark.filterwarnings("ignore:2 sweep cell")

@@ -11,11 +11,11 @@ ROOT = Path(__file__).resolve().parent.parent
 
 
 @pytest.mark.parametrize("script", ["run_two_stage.py", "run_ablation.py",
-                                    "sweep_alignment.py"])
+                                    "sweep_alignment.py", "diff_runs.py"])
 def test_script_help_exits_zero(script):
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     proc = subprocess.run([sys.executable, str(ROOT / "scripts" / script),
                            "--help"], env=env, capture_output=True, text=True,
                           timeout=60)
     assert proc.returncode == 0, proc.stderr
-    assert "--out" in proc.stdout
+    assert ("--rtol" if script == "diff_runs.py" else "--out") in proc.stdout
