@@ -481,21 +481,30 @@ def batch_norm(x: DTensor, gamma: DTensor, beta: DTensor,
     return apply_op("batch_norm", (x, gamma, beta), out, bwd)
 
 
-def layer_norm(x: DTensor, gamma: DTensor, beta: DTensor) -> DTensor:
-    """Normalization over the last axis with learned scale and shift."""
-    xc = x.data - x.data.mean(axis=-1, keepdims=True)
-    var = (xc * xc).mean(axis=-1, keepdims=True)
-    std = np.sqrt(var + _NORM_EPS)
-    xhat = xc / std
-    out = gamma.data * xhat + beta.data
+def layer_norm(x: DTensor, f: DTensor, gamma: DTensor,
+               beta: DTensor) -> DTensor:
+    """Normalization of the residual sum x + f over the last axis, with
+    learned scale and shift. One op; x and f get the same adjoint array."""
+    if x.shape != f.shape:
+        raise ShapeError(f"layer_norm: residual shape {f.shape} is not {x.shape}")
+    xhat = x.data + f.data
+    xhat -= xhat.mean(axis=-1, keepdims=True)
+    std = np.sqrt((xhat * xhat).mean(axis=-1, keepdims=True) + _NORM_EPS)
+    xhat /= std
+    out = gamma.data * xhat
+    out += beta.data
 
     def bwd(g):
-        axes = tuple(range(x.ndim - 1))
-        dgamma = (g * xhat).sum(axis=axes)
+        axes = tuple(range(xhat.ndim - 1))
+        tmp = g * xhat
+        dgamma = tmp.sum(axis=axes)
         dbeta = g.sum(axis=axes)
-        dxhat = g * gamma.data
-        dx = (dxhat - dxhat.mean(axis=-1, keepdims=True)
-              - xhat * (dxhat * xhat).mean(axis=-1, keepdims=True)) / std
-        return dx, dgamma, dbeta
+        dx = g * gamma.data
+        np.multiply(dx, xhat, out=tmp)
+        dot = tmp.mean(axis=-1, keepdims=True)
+        dx -= dx.mean(axis=-1, keepdims=True)
+        dx -= np.multiply(xhat, dot, out=tmp)
+        dx /= std
+        return dx, dx, dgamma, dbeta
 
-    return apply_op("layer_norm", (x, gamma, beta), out, bwd)
+    return apply_op("layer_norm", (x, f, gamma, beta), out, bwd)

@@ -34,7 +34,6 @@ class Linear:
         self.store = store
         self.prefix = prefix
         self.bias = bias
-        self.d_in = d_in
 
     def __call__(self, x: DTensor) -> DTensor:
         out = ad.matmul(x, self.store[f"{self.prefix}.w"])
@@ -66,9 +65,9 @@ class LayerNorm:
         self.store = store
         self.prefix = prefix
 
-    def __call__(self, x: DTensor) -> DTensor:
+    def __call__(self, x: DTensor, f: DTensor) -> DTensor:
         s, p = self.store, self.prefix
-        return ad.layer_norm(x, s[f"{p}.gamma"], s[f"{p}.beta"])
+        return ad.layer_norm(x, f, s[f"{p}.gamma"], s[f"{p}.beta"])
 
 
 class MLPStack:
@@ -100,39 +99,60 @@ class MLPStack:
         return x
 
 
+# Bytes of one attention tile's scores: small enough to stay in cache
+# through the tile's softmax and both of its products with them.
+_ATTENTION_TILE_BYTES = 512 * 1024
+
+
 def scaled_attention(q: DTensor, k: DTensor, v: DTensor,
                      additive_mask: Optional[np.ndarray] = None):
     """Scaled dot-product attention over the last two axes.
 
-    q, k, v: (..., L, d_head). Returns (context (..., L, d_head),
-    weights (..., L, L)); weights rows sum to 1 over keys. One taped op: only
-    the weights are kept for the backward pass, and the weights returned are
-    not taped. The float operations and their order are those of composing
-    matmul, scale, mask, softmax and matmul as separate taped ops.
+    q, k, v: (N, ..., L, d_head), alike but in the last axis. Returns
+    (context (N, ..., L, d_head), weights (N, ..., L, L)); weights rows sum
+    to 1 over keys. One taped op: only the weights are kept for the backward
+    pass, and the weights returned are not taped. Both passes run in tiles of
+    rows of N. Each row's float operations and their order are those of
+    composing matmul, scale, mask, softmax and matmul as separate taped ops.
     """
+    if q.ndim < 3 or not q.shape[:-2] == k.shape[:-2] == v.shape[:-2]:
+        raise ShapeError(f"attention: unlike q, k, v {q.shape} {k.shape} {v.shape}")
     scale = 1.0 / np.sqrt(q.shape[-1])
-    w = np.matmul(q.data, np.swapaxes(k.data, -1, -2))
-    w *= scale
-    if additive_mask is not None:
-        w += additive_mask
-    if not np.all(np.isfinite(w)):
-        raise NumericError("attention: scores are not finite")
-    w -= w.max(axis=-1, keepdims=True)
-    np.exp(w, out=w)
-    w /= w.sum(axis=-1, keepdims=True)
+    kt = np.swapaxes(k.data, -1, -2)
+    w = np.empty(q.shape[:-1] + (k.shape[-2],))
+    ctx = np.empty(q.shape[:-1] + (v.shape[-1],))
+    mask = None if additive_mask is None else np.broadcast_to(additive_mask, w.shape)
+    rows = max(1, _ATTENTION_TILE_BYTES // max(8, w[:1].nbytes))
+    tiles = [slice(i, i + rows) for i in range(0, len(w), rows)]
+    for t in tiles:
+        wt = w[t]
+        np.matmul(q.data[t], kt[t], out=wt)
+        wt *= scale
+        if mask is not None:
+            wt += mask[t]
+        if not np.all(np.isfinite(wt)):
+            raise NumericError("attention: scores are not finite")
+        wt -= wt.max(axis=-1, keepdims=True)
+        np.exp(wt, out=wt)
+        wt /= wt.sum(axis=-1, keepdims=True)
+        np.matmul(wt, v.data[t], out=ctx[t])
 
     def bwd(g):
-        gv = np.matmul(np.swapaxes(w, -1, -2), g)
-        gs = np.matmul(g, np.swapaxes(v.data, -1, -2))
-        dot = (gs * w).sum(axis=-1, keepdims=True)
-        gs -= dot
-        gs *= w
-        gs *= scale
-        gq = np.matmul(gs, k.data)
-        gk = np.swapaxes(np.matmul(np.swapaxes(q.data, -1, -2), gs), -1, -2)
-        return gq, gk, gv
+        gq, gkt, gv = np.empty(q.shape), np.empty(kt.shape), np.empty(v.shape)
+        scratch = np.empty(w[:rows].shape)
+        for t in tiles:
+            wt = w[t]
+            gs = scratch[:len(wt)]
+            np.matmul(np.swapaxes(wt, -1, -2), g[t], out=gv[t])
+            np.matmul(g[t], np.swapaxes(v.data[t], -1, -2), out=gs)
+            gs -= (gs * wt).sum(axis=-1, keepdims=True)
+            gs *= wt
+            gs *= scale
+            np.matmul(gs, k.data[t], out=gq[t])
+            np.matmul(np.swapaxes(q.data[t], -1, -2), gs, out=gkt[t])
+        return gq, np.swapaxes(gkt, -1, -2), gv
 
-    ctx = ad.apply_op("attention", (q, k, v), np.matmul(w, v.data), bwd)
+    ctx = ad.apply_op("attention", (q, k, v), ctx, bwd)
     # no inputs, so nothing is recorded and nothing copied
     return ctx, ad.apply_op("attention", (), w, None, check=False)
 
@@ -306,9 +326,8 @@ class TransformerBlock:
         k = _split_heads(self.k(x), self.n_heads, self.d_head)
         v = _split_heads(self.v(x), self.n_heads, self.d_head)
         ctx, _ = scaled_attention(q, k, v, additive_mask=additive)
-        x = self.ln1(ad.add(x, self.o(_merge_heads(ctx))))
-        ff = self.ff2(ad.relu(self.ff1(x)))
-        return self.ln2(ad.add(x, ff))
+        x = self.ln1(x, self.o(_merge_heads(ctx)))
+        return self.ln2(x, self.ff2(ad.relu(self.ff1(x))))
 
 
 class TextEncoder:

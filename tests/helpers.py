@@ -9,6 +9,8 @@
 - the pairwise late interaction and cosine scores of one row against one row
 - layer and batch normalization forward passes as written before they
   reused the centered input (numpy's `var` recomputes the mean)
+- the residual add and layer norm as two taped ops, as written before they
+  were fused
 - the mean contrastive loss over a split, in eval mode
 - ops no model path records: softmax and slicing, each one taped op
 - a schema's field by name
@@ -167,6 +169,29 @@ def reference_layer_norm(x, gamma, beta, eps: float = 1e-5) -> np.ndarray:
     var = x.var(axis=-1, keepdims=True)
     std = np.sqrt(var + eps)
     return gamma * ((x - mu) / std) + beta
+
+
+def composed_layer_norm(x: DTensor, f: DTensor, gamma: DTensor,
+                        beta: DTensor) -> DTensor:
+    """Layer norm of x + f as a taped `add` followed by a taped layer norm
+    over the last axis."""
+    s = ad.add(x, f)
+    xc = s.data - s.data.mean(axis=-1, keepdims=True)
+    var = (xc * xc).mean(axis=-1, keepdims=True)
+    std = np.sqrt(var + 1e-5)
+    xhat = xc / std
+    out = gamma.data * xhat + beta.data
+
+    def bwd(g):
+        axes = tuple(range(s.ndim - 1))
+        dgamma = (g * xhat).sum(axis=axes)
+        dbeta = g.sum(axis=axes)
+        dxhat = g * gamma.data
+        dx = (dxhat - dxhat.mean(axis=-1, keepdims=True)
+              - xhat * (dxhat * xhat).mean(axis=-1, keepdims=True)) / std
+        return dx, dgamma, dbeta
+
+    return ad.apply_op("layer_norm", (s, gamma, beta), out, bwd)
 
 
 def reference_batch_norm(x, gamma, beta, running_mean, running_var,

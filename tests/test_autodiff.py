@@ -7,8 +7,8 @@ import ctrl.autodiff as ad
 from ctrl.autodiff import DTensor, Tape
 from ctrl.exceptions import NumericError, ShapeError, UsageError
 
-from helpers import (check_grads, reference_batch_norm, reference_layer_norm,
-                     slice_, softmax)
+from helpers import (check_grads, composed_layer_norm, reference_batch_norm,
+                     reference_layer_norm, slice_, softmax)
 
 
 def test_dtensor_rejects_nonfinite():
@@ -268,12 +268,13 @@ def test_layer_norm_gradients_match_finite_differences():
     gamma = rng.normal(size=6) + 1.0
     beta = rng.normal(size=6)
     weights = rng.normal(size=(4, 6))
+    f = rng.normal(size=(4, 6))
 
     def build(t):
-        y = ad.layer_norm(t["x"], t["gamma"], t["beta"])
+        y = ad.layer_norm(t["x"], t["f"], t["gamma"], t["beta"])
         return ad.sum_(ad.mul(y, DTensor(weights)))
 
-    check_grads(build, {"x": x, "gamma": gamma, "beta": beta})
+    check_grads(build, {"x": x, "f": f, "gamma": gamma, "beta": beta})
 
 
 def test_layer_norm_matches_var_formula_bit_for_bit():
@@ -281,8 +282,36 @@ def test_layer_norm_matches_var_formula_bit_for_bit():
     x = rng.normal(loc=3.0, scale=2.0, size=(128, 60, 32))
     gamma = rng.normal(size=32) + 1.0
     beta = rng.normal(size=32)
-    y = ad.layer_norm(DTensor(x), DTensor(gamma), DTensor(beta))
-    assert np.array_equal(y.data, reference_layer_norm(x, gamma, beta))
+    f = rng.normal(size=(128, 60, 32))
+    y = ad.layer_norm(DTensor(x), DTensor(f), DTensor(gamma), DTensor(beta))
+    assert np.array_equal(y.data, reference_layer_norm(x + f, gamma, beta))
+
+
+@pytest.mark.parametrize("shape", [(128, 60, 32), (3, 5)])
+def test_residual_layer_norm_is_byte_identical_to_composed(shape):
+    rng = np.random.default_rng(31)
+    leaves = {"x": rng.normal(loc=1.0, scale=2.0, size=shape),
+              "f": rng.normal(size=shape),
+              "gamma": rng.normal(size=shape[-1]) + 1.0,
+              "beta": rng.normal(size=shape[-1])}
+    weights = DTensor(rng.normal(size=shape))
+    out = []
+    for norm in (ad.layer_norm, composed_layer_norm):
+        t = {n: DTensor(a, requires_grad=True) for n, a in leaves.items()}
+        with Tape() as tape:
+            y = norm(t["x"], t["f"], t["gamma"], t["beta"])
+            loss = ad.sum_(ad.mul(y, weights))
+        tape.backward(loss)
+        out.append([y.data] + [t[n].grad for n in leaves])
+    for fused, composed in zip(*out):
+        assert fused.tobytes() == composed.tobytes()
+
+
+def test_layer_norm_rejects_a_residual_of_another_shape():
+    x = DTensor(np.ones((2, 3)))
+    with pytest.raises(ShapeError, match="residual"):
+        ad.layer_norm(x, DTensor(np.ones(3)), DTensor(np.ones(3)),
+                      DTensor(np.zeros(3)))
 
 
 @pytest.mark.parametrize("train", [True, False])

@@ -6,7 +6,7 @@ from ctrl.autodiff import DTensor, Tape
 from ctrl.config import ModelConfig, TextConfig
 from ctrl.data import FeatureSchema, FieldSpec, batches, build_vocab, encode
 from ctrl.encoders import (CollaborativeEncoder, CrossLayer, TextEncoder,
-                           scaled_attention)
+                           _ATTENTION_TILE_BYTES, scaled_attention)
 from ctrl.exceptions import NumericError, ShapeError
 from ctrl.params import ParamStore, rng_for
 
@@ -73,7 +73,7 @@ def test_autoint_default_dims_flatten_to_256():
     fields = enc.field_embeddings(batch_for(schema, n=3))
     assert len(fields) == 8
     assert all(e.shape == (3, 32) for e in fields)
-    assert enc.head.d_in == 256
+    assert enc.store["collab.out.w"].shape[0] == 256
     assert enc(batch_for(schema, n=3)).shape == (3, 256)
 
 
@@ -152,27 +152,32 @@ def test_masked_attention_excludes_masked_keys():
     assert np.abs(w.data[..., :2].sum(axis=-1) - 1.0).max() < 1e-12
 
 
-def _attention_leaves(padded: bool):
+def _attention_leaves(padded: bool, n: int = 3, length: int = 5,
+                      width: int = 6):
     """Inputs laid out as a transformer block feeds attention: (N, L, H*dh)
-    projections split into heads, plus the padding mask over keys."""
+    projections split into 2 heads, plus the padding mask over keys. Row
+    lengths cycle through 3, L, 1 and L - 7."""
     rng = rng_for(6, "attn")
-    leaves = {name: rng.normal(size=(3, 5, 6)) for name in ("q", "k", "v")}
-    mask = np.array([[1, 1, 1, 0, 0], [1, 1, 1, 1, 1], [1, 0, 0, 0, 0]], float)
+    leaves = {name: rng.normal(size=(n, length, width)) for name in ("q", "k", "v")}
+    lengths = np.resize([3, length, 1, length - 7], n)
+    mask = (np.arange(length) < lengths[:, None]).astype(float)
     additive = (mask[:, None, None, :] - 1.0) * 1e9 if padded else None
     return leaves, additive
 
 
 def _attention_loss(attend, t, additive):
-    heads = {n: ad.transpose(ad.reshape(x, (3, 5, 2, 3)), (0, 2, 1, 3))
-             for n, x in t.items()}
+    n, length, width = t["q"].shape
+    heads = {name: ad.transpose(ad.reshape(x, (n, length, 2, width // 2)),
+                                (0, 2, 1, 3))
+             for name, x in t.items()}
     ctx, w = attend(heads["q"], heads["k"], heads["v"], additive_mask=additive)
     weight = DTensor(np.linspace(-1.0, 1.0, ctx.size).reshape(ctx.shape))
     return ad.sum_(ad.mul(ctx, weight)), ctx, w
 
 
-@pytest.mark.parametrize("padded", [False, True])
-def test_fused_attention_is_byte_identical_to_composed(padded):
-    leaves, additive = _attention_leaves(padded)
+def _assert_fused_equals_composed(leaves, additive):
+    """Context, weights and q/k/v gradients of the fused op equal the
+    composed oracle's byte for byte, and the weights are read-only."""
     out = []
     for attend in (scaled_attention, composed_attention):
         t = {n: DTensor(x, requires_grad=True) for n, x in leaves.items()}
@@ -183,6 +188,42 @@ def test_fused_attention_is_byte_identical_to_composed(padded):
     for fused, composed in zip(*out):
         assert fused.tobytes() == composed.tobytes()
     assert not out[0][1].flags.writeable
+
+
+@pytest.mark.parametrize("padded", [False, True])
+def test_fused_attention_is_byte_identical_to_composed(padded):
+    _assert_fused_equals_composed(*_attention_leaves(padded))
+
+
+# rows per tile at L = 60 and H = 2, the benchmark's text tower
+ROWS = _ATTENTION_TILE_BYTES // (2 * 60 * 60 * 8)
+
+
+@pytest.mark.parametrize("padded", [False, True])
+@pytest.mark.parametrize("n", [2 * ROWS + 3, ROWS, ROWS - 1])
+def test_tiled_attention_is_byte_identical_to_composed(n, padded):
+    assert ROWS > 2, "the sizes below would not cross a tile boundary"
+    _assert_fused_equals_composed(
+        *_attention_leaves(padded, n=n, length=60, width=32))
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_attention_overflow_in_the_last_tile_raises_numeric_error():
+    n = 2 * ROWS + 3
+    rng = rng_for(7, "attn")
+    q, k, v = (rng.normal(size=(n, 2, 60, 16)) for _ in range(3))
+    q[-1, :, 0] = k[-1, :, 0] = 1e200
+    with pytest.raises(NumericError, match="attention: scores are not finite"):
+        scaled_attention(DTensor(q), DTensor(k), DTensor(v))
+
+
+def test_attention_rejects_unlike_leading_axes():
+    q = DTensor(np.zeros((2, 2, 5, 3)))
+    with pytest.raises(ShapeError, match="attention"):
+        scaled_attention(q, DTensor(np.zeros((1, 2, 5, 3))), q)
+    x = DTensor(np.zeros((5, 3)))
+    with pytest.raises(ShapeError, match="attention"):
+        scaled_attention(x, x, x)
 
 
 @pytest.mark.parametrize("padded", [False, True])

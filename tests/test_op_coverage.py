@@ -73,9 +73,10 @@ FD_CASES = {
     "batch_norm": (lambda t: _weighted(_batch_norm(t)),
                    {"x": _r.normal(size=(6, 3)), "g": _r.normal(size=3) + 1.5,
                     "b": _r.normal(size=3)}),
-    "layer_norm": (lambda t: _weighted(ad.layer_norm(t["x"], t["g"], t["b"])),
-                   {"x": _r.normal(size=(4, 6)), "g": _r.normal(size=6) + 1.0,
-                    "b": _r.normal(size=6)}),
+    "layer_norm": (lambda t: _weighted(ad.layer_norm(t["x"], t["f"], t["g"],
+                                                     t["b"])),
+                   {"x": _r.normal(size=(4, 6)), "f": _r.normal(size=(4, 6)),
+                    "g": _r.normal(size=6) + 1.0, "b": _r.normal(size=6)}),
     "attention": (lambda t: _weighted(scaled_attention(
         t["q"], t["k"], t["v"], additive_mask=_MASK[:, None])[0]),
         {n: _r.normal(size=(2, 2, 3, 4)) for n in ("q", "k", "v")}),
