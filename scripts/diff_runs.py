@@ -12,12 +12,19 @@ The relative difference of a and b is |a - b| / max(|a|, |b|). The exit
 status is 0 when every file is byte-identical, or, with --rtol R, when every
 difference is numeric and at most R relative; otherwise it is 1.
 
+A checkpoint's `extra.init` is the sha256 of the checkpoint it was
+warm-started from, so any drift in align.ckpt changes it in model.ckpt.
+Two differing values are accepted when each is the sha256 of the align.ckpt
+beside its own checkpoint and those two align.ckpt files match within
+--rtol; without --rtol, files whose bytes differ never match.
+
     python scripts/diff_runs.py parent/work change/work
     python scripts/diff_runs.py parent/work change/work --rtol 1e-12
 """
 
 import argparse
 import csv
+import hashlib
 import json
 from pathlib import Path
 
@@ -133,6 +140,18 @@ def compare_json(a: Path, b: Path, rep: Report):
     compare_values(ja, jb, rep)
 
 
+def _init_from_align(a: Path, b: Path, init_a, init_b, rtol) -> bool:
+    """Whether each init digest is the sha256 of the align.ckpt beside its
+    checkpoint, and those two files match within rtol."""
+    sa, sb = a.with_name("align.ckpt"), b.with_name("align.ckpt")
+    if not (sa.is_file() and sb.is_file()):
+        return False
+    if (hashlib.sha256(sa.read_bytes()).hexdigest() != init_a
+            or hashlib.sha256(sb.read_bytes()).hexdigest() != init_b):
+        return False
+    return compare_file(sa, sb, rtol).ok
+
+
 def compare_ckpt(a: Path, b: Path, rep: Report):
     try:
         ca, cb = load_checkpoint(a), load_checkpoint(b)
@@ -142,7 +161,14 @@ def compare_ckpt(a: Path, b: Path, rep: Report):
     if ca.schema_hash != cb.schema_hash:
         rep.text("schema hash differs")
     compare_values(ca.config, cb.config, rep, "config")
-    compare_values(ca.extra, cb.extra, rep, "extra")
+    ea, eb = dict(ca.extra), dict(cb.extra)
+    if (ea.get("init") != eb.get("init")
+            and _init_from_align(a, b, ea.get("init"), eb.get("init"),
+                                 rep.rtol)):
+        del ea["init"], eb["init"]
+        rep.lines.append("key extra.init: derived from align.ckpt, "
+                         "the sha256 of each side's copy")
+    compare_values(ea, eb, rep, "extra")
     for section in ("params", "buffers"):
         ta, tb = getattr(ca, section), getattr(cb, section)
         for name in sorted(set(ta) | set(tb)):
@@ -156,6 +182,17 @@ def compare_ckpt(a: Path, b: Path, rep: Report):
 
 
 COMPARERS = {".csv": compare_csv, ".json": compare_json, ".ckpt": compare_ckpt}
+
+
+def compare_file(a: Path, b: Path, rtol) -> Report:
+    """The differences of two files whose bytes differ."""
+    rep = Report(rtol)
+    compare = COMPARERS.get(a.suffix)
+    if compare is not None:
+        compare(a, b, rep)
+    if not rep.lines:  # nothing the parsed contents can show
+        rep.text("bytes differ")
+    return rep
 
 
 def files_under(root: Path) -> set:
@@ -176,12 +213,7 @@ def diff_dirs(dir_a: Path, dir_b: Path, rtol=None) -> bool:
         if pa.read_bytes() == pb.read_bytes():
             print(f"{'identical':<10}{rel}")
             continue
-        rep = Report(rtol)
-        compare = COMPARERS.get(pa.suffix)
-        if compare is not None:
-            compare(pa, pb, rep)
-        if not rep.lines:  # nothing the parsed contents can show
-            rep.text("bytes differ")
+        rep = compare_file(pa, pb, rtol)
         print(f"{'within' if rep.ok else 'DIFFERS':<10}{rel}")
         for line in rep.lines:
             print(f"    {line}")

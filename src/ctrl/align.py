@@ -1,10 +1,11 @@
 """Stage 1: cross-modal contrastive alignment of the two towers.
 
-Each tower's output is projected to a shared width. Similarity between a text
-row and a tabular row is either cosine over the projected vectors or a late
-interaction score: both vectors are split into M sub-representations and the
-score is the sum over one side's sub-representations of the maximum inner
-product against the other side's (asymmetric by construction). The training
+Each tower's output is projected to a shared width, and a sub-space head
+turns each projected row into M sub-representations. Similarity between a
+text row and a tabular row is their late interaction score: the sum over one
+side's sub-representations of the maximum inner product against the other
+side's (asymmetric by construction). Cosine is late interaction over one
+unit sub-space (M = 1), the parameter-free head `unit_rows`. The training
 loss is the mean of the two directional InfoNCE losses over the in-batch
 similarity matrix, diagonal = positive pairs.
 """
@@ -96,10 +97,10 @@ def maxsim_pair(subs_a: DTensor, subs_b: DTensor):
     return _summed_best(sims, (0, 1, 2, 3)), _summed_best(sims, (2, 3, 0, 1))
 
 
-def cosine_matrix(h_a: DTensor, h_b: DTensor) -> DTensor:
-    a = ad.l2_normalize(h_a, axis=1)
-    b = ad.l2_normalize(h_b, axis=1)
-    return ad.matmul(a, ad.transpose(b, (1, 0)))
+def unit_rows(h: DTensor) -> DTensor:
+    """The cosine head: each (N, d) row as one unit-norm sub-representation,
+    (N, 1, d). It has no parameters."""
+    return ad.l2_normalize(ad.reshape(h, (h.shape[0], 1, h.shape[1])), axis=2)
 
 
 def infonce(s: DTensor, temperature: float) -> DTensor:
@@ -120,8 +121,8 @@ def infonce(s: DTensor, temperature: float) -> DTensor:
 
 
 class AlignmentModel:
-    """Both towers plus projection (and, for the late interaction mode,
-    sub-space) heads, sharing one ParamStore."""
+    """Both towers plus projection and sub-space heads, sharing one
+    ParamStore. The similarity setting only picks the sub-space heads."""
 
     def __init__(self, store: ParamStore, schema, vocab_size: int,
                  cfg: RunConfig):
@@ -149,7 +150,7 @@ class AlignmentModel:
                                          rng_for(cfg.seed, "heads.text_sub"),
                                          normalize=a.normalize_subreps)
         else:
-            self.tab_sub = self.text_sub = None
+            self.tab_sub = self.text_sub = unit_rows
 
     def projected(self, batch, token_ids, mask, train: bool = False, rng=None,
                   h_col: DTensor = None):
@@ -161,12 +162,7 @@ class AlignmentModel:
 
     def similarity_matrices(self, h_text: DTensor, h_tab: DTensor):
         """Returns (rows=text matrix, rows=tabular matrix)."""
-        if self.cfg.align.similarity == "maxsim":
-            a = self.text_sub(h_text)
-            b = self.tab_sub(h_tab)
-            return maxsim_pair(a, b)
-        s = cosine_matrix(h_text, h_tab)
-        return s, ad.transpose(s, (1, 0))
+        return maxsim_pair(self.text_sub(h_text), self.tab_sub(h_tab))
 
     def ccl(self, batch, token_ids, mask, train: bool = False, rng=None,
             h_col: DTensor = None):

@@ -131,31 +131,25 @@ class Tape:
         if not self.nodes:
             raise UsageError("backward: tape is empty")
 
-        produced = {id(n.output) for n in self.nodes}
-        leaves: list[DTensor] = []
-        seen: set[int] = set()
-        for node in self.nodes:
-            for t in node.inputs:
-                if t.requires_grad and id(t) not in produced and id(t) not in seen:
-                    seen.add(id(t))
-                    leaves.append(t)
-        for t in leaves:
-            t.grad = np.zeros_like(t.data)
-
+        # Every adjoint, of an intermediate or a leaf, accumulates in
+        # `grads`. A node runs after all its consumers in the reverse sweep,
+        # so popping its output from `leaves` there leaves only the leaves.
         grads: dict[int, Array] = {id(loss): np.ones_like(loss.data)}
+        leaves: dict[int, DTensor] = {}
         for node in reversed(self.nodes):
+            leaves.pop(id(node.output), None)
+            leaves.update((id(t), t) for t in node.inputs if t.requires_grad)
             g = grads.pop(id(node.output), None)
             if g is None:
                 continue
-            in_grads = node.backward(g)
-            for t, ig in zip(node.inputs, in_grads):
-                if ig is None or not t.requires_grad:
-                    continue
-                if id(t) in produced:
+            for t, ig in zip(node.inputs, node.backward(g)):
+                if ig is not None and t.requires_grad:
                     acc = grads.get(id(t))
                     grads[id(t)] = ig if acc is None else acc + ig
-                else:
-                    t.grad = t.grad + ig
+        for key, t in leaves.items():
+            g = grads.get(key)
+            # a copy: one adjoint array may reach several leaves (add)
+            t.grad = np.zeros_like(t.data) if g is None else g.copy()
 
 
 def active_tape() -> Optional[Tape]:

@@ -29,7 +29,7 @@ from .orchestrate import (ARM_NAMES, align_stage, evaluate_ckpt,
                           load_alignment_model, load_prepared, load_tokenizer,
                           prepare_workdir, run_ablation, run_sweep)
 from .synthetic import SyntheticSpec, generate
-from .viz import (dump_embeddings, paired_gap, project_2d, read_embeddings,
+from .viz import (dump_embeddings, head_gap, project_2d, read_embeddings,
                   write_projection)
 
 DEFAULT_TAUS = (0.1, 0.3, 0.7, 1.0, 2.0)
@@ -242,13 +242,14 @@ def cmd_dump_embeddings(args) -> int:
     _, prepared = load_prepared(args.out)
     tokenizer = load_tokenizer(Path(args.out) / "tokenizer.json")
     ckpt = args.ckpt or str(Path(args.out) / "align.ckpt")
-    model, _ = load_alignment_model(prepared, ckpt, tokenizer)
+    model, cfg = load_alignment_model(prepared, ckpt, tokenizer)
     dest = args.dest or str(Path(args.out) / "embeddings.csv")
     h_text, h_tab = dump_embeddings(model, prepared.split(args.split),
                                     tokenizer, dest)
-    paired, unpaired, gap = paired_gap(h_text, h_tab)
+    paired, unpaired, gap = head_gap(model, h_text, h_tab)
     print(f"wrote {dest}: {2 * h_tab.shape[0]} records; "
-          f"paired cos {paired:.4f}, unpaired {unpaired:.4f}, gap {gap:.4f}")
+          f"{cfg.align.similarity} gap {gap!r} "
+          f"(paired {paired:.4f}, unpaired {unpaired:.4f})")
     return 0
 
 

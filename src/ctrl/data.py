@@ -256,19 +256,6 @@ def prepare_splits(rows, schema: FeatureSchema, ratios=(8, 1, 1)):
             encode(test_rows, fitted), fitted)
 
 
-@dataclass
-class Batch:
-    cat_ids: dict  # name -> (N,) int64
-    seq_ids: dict  # name -> (N, L) int64
-    seq_mask: dict  # name -> (N, L) float64
-    labels: np.ndarray  # (N,) float64
-    raw_rows: list
-
-    @property
-    def n(self) -> int:
-        return int(self.labels.shape[0])
-
-
 BATCH_MODES = ("align", "train", "eval")
 
 
@@ -278,9 +265,10 @@ def epoch_seed(seed: int, epoch: int) -> int:
 
 
 def batches(split: EncodedSplit, batch_size: int, mode: str,
-            seed: int = 0) -> Iterator[Batch]:
-    """Yield Batches. align: shuffled, partial tail dropped (keeps the in-batch
-    negative count constant). train: shuffled, tail kept. eval: original order."""
+            seed: int = 0) -> Iterator[EncodedSplit]:
+    """Yield each batch as an EncodedSplit of its rows. align: shuffled,
+    partial tail dropped (keeps the in-batch negative count constant). train:
+    shuffled, tail kept. eval: original order."""
     if mode not in BATCH_MODES:
         raise UsageError(f"unknown batch mode '{mode}'")
     if batch_size < 1:
@@ -297,7 +285,8 @@ def batches(split: EncodedSplit, batch_size: int, mode: str,
         idx = order[start:start + batch_size]
         if idx.size == 0:
             break
-        yield Batch(
+        yield EncodedSplit(
+            schema=split.schema,
             cat_ids={k: v[idx] for k, v in split.cat_ids.items()},
             seq_ids={k: v[idx] for k, v in split.seq_ids.items()},
             seq_mask={k: v[idx] for k, v in split.seq_mask.items()},

@@ -20,7 +20,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import DTensor
 from .config import ModelConfig, TextConfig
-from .data import Batch, FeatureSchema
+from .data import EncodedSplit, FeatureSchema
 from .exceptions import NumericError, ShapeError, UsageError
 from .params import ParamStore, xavier_uniform
 
@@ -252,7 +252,7 @@ class CollaborativeEncoder:
                                 self.out_dim, rng)
                          if self.out_dim != self.mlp.d_out else None)
 
-    def field_embeddings(self, batch: Batch) -> list:
+    def field_embeddings(self, batch: EncodedSplit) -> list:
         """One (N, d) tensor per schema field; sequence fields are mean-pooled
         over valid positions (all-padding rows pool to the zero vector)."""
         expected_cat = {f.name for f in self.schema.fields if f.kind == "categorical"}
@@ -276,7 +276,7 @@ class CollaborativeEncoder:
                 out.append(ad.div(summed, DTensor(count)))
         return out
 
-    def __call__(self, batch: Batch, train: bool = False, rng=None) -> DTensor:
+    def __call__(self, batch: EncodedSplit, train: bool = False, rng=None) -> DTensor:
         fields = self.field_embeddings(batch)
         if self.cfg.backbone == "autoint":
             stacked = ad.concat(

@@ -29,7 +29,6 @@ from functools import partial
 from pathlib import Path
 
 from .align import AlignmentModel, align_train
-from .autodiff import DTensor
 from .checkpoint import load_checkpoint, restore_into, save_checkpoint
 from .config import RunConfig, load_config, save_config
 from .data import (EncodedSplit, FeatureSchema, encode, load_schema,
@@ -41,7 +40,7 @@ from .finetune import (CtrHead, end_to_end_train, finetune, predict_scores)
 from .metrics import EvalReport, auc, logloss, relaimpr
 from .params import ParamStore, rng_for
 from .prompt import Tokenizer, build_prompt, template_from
-from .viz import paired_gap, tower_representations
+from .viz import head_gap, tower_representations
 
 ARM_NAMES = ("ctrl", "cosine_sim", "no_align", "end_to_end")
 ENV_THREAD_CAP = "CTRL_ALIGN_THREADS"
@@ -119,16 +118,13 @@ def alignment_gap(model: AlignmentModel, split: EncodedSplit,
                   tokenizer: Tokenizer, batch_size: int = 256):
     """(paired, unpaired, gap) mean cross-tower similarity over a split.
 
-    Scored with the model's own head: plain cosine for the cosine head, and
-    the per-subspace mean of best-match cosines for the late interaction
-    head. Both land in [-1, 1] with normalized sub-representations, so the
+    Scored with the model's own head: the per-subspace mean of best-match
+    cosines, which for the cosine head (one unit sub-space) is plain cosine.
+    It lands in [-1, 1] with normalized sub-representations, so the
     paired-minus-unpaired gap is comparable across the two modes. Nothing is
     taped, and the scoring works in tiles of ``batch_size`` rows."""
     h_text, h_tab = tower_representations(model, split, tokenizer, batch_size)
-    if model.cfg.align.similarity == "maxsim":
-        h_text = model.text_sub(DTensor(h_text)).data
-        h_tab = model.tab_sub(DTensor(h_tab)).data
-    return paired_gap(h_text, h_tab, batch_size)
+    return head_gap(model, h_text, h_tab, batch_size)
 
 
 def align_stage(prepared: Prepared, cfg: RunConfig, out_dir,

@@ -2,7 +2,8 @@
 
 The alignment effect is summarized by one scalar: mean similarity of paired
 (same-row) text/tabular representations minus the mean over unpaired
-combinations, scored by cosine or by late interaction (`paired_gap`).
+combinations, scored by late interaction through the model's own sub-space
+head (`head_gap`). Cosine is late interaction over one unit sub-space.
 Projection to 2-D uses PCA (top-2 singular vectors) with a deterministic sign
 convention so repeated runs produce identical plots.
 """
@@ -14,7 +15,6 @@ import warnings
 
 import numpy as np
 
-from . import autodiff as ad
 from .autodiff import DTensor
 from .data import EncodedSplit, batches
 from .exceptions import DataError, NumericError, UsageError
@@ -70,28 +70,31 @@ def read_embeddings(path):
     return np.array(ids), modalities, np.array(vecs)
 
 
+def head_gap(model, h_text, h_tab, batch_size: int = 256):
+    """`paired_gap` of projected (N, D) representations, scored through the
+    model's own sub-space heads."""
+    return paired_gap(model.text_sub(DTensor(h_text)).data,
+                      model.tab_sub(DTensor(h_tab)).data, batch_size)
+
+
 def paired_gap(text: np.ndarray, tab: np.ndarray, batch_size: int = 256):
     """(paired mean, unpaired mean, gap) of the similarity s(i, j) between
     text row i and tabular row j. Pairs are rows with equal index; unpaired
     averages over all i != j combinations.
 
-    2-D inputs (N, d) score by cosine; rows with zero norm count as the zero
-    vector (with a warning). 3-D inputs (N, M, d) are sub-representations
-    and score by late interaction over M: the mean over text's M
-    sub-representations of the best inner product against the tabular ones
-    (maxsim / M). Cosine is that score with M = 1 on unit rows.
+    Inputs are (N, M, d) sub-representations, scored by late interaction
+    over M: the mean over text's M sub-representations of the best inner
+    product against the tabular ones (maxsim / M). Cosine is that score with
+    M = 1 on unit rows.
 
     Both sides are tiled at ``batch_size`` rows, so the working set is
     O(batch_size^2 M^2) whatever N is."""
     text = np.asarray(text, dtype=np.float64)
     tab = np.asarray(tab, dtype=np.float64)
-    if text.shape != tab.shape or text.ndim not in (2, 3):
-        raise UsageError("towers must produce equal-shaped representations")
+    if text.shape != tab.shape or text.ndim != 3:
+        raise UsageError("sub-representations must be equal (N, M, d) shapes")
     if text.shape[0] < 2:
         raise UsageError("need at least 2 rows to compare paired vs unpaired")
-    if text.ndim == 2:
-        text = ad.l2_normalize(DTensor(text), axis=1).data[:, None, :]
-        tab = ad.l2_normalize(DTensor(tab), axis=1).data[:, None, :]
     n, m, d = text.shape
     # Tab-major, so the best match reduces over a middle axis of each tile.
     tab_major = tab.transpose(1, 0, 2)

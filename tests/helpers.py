@@ -2,7 +2,9 @@
 
 - finite-difference gradient checking (central differences, h=1e-6)
 - brute-force pairwise AUC
-- the alignment gap from the full all-pairs similarity matrix
+- the alignment gap from the full all-pairs similarity matrix, and the
+  all-pairs cosine matrix it uses for the cosine head
+- the reverse sweep as written before leaf adjoints shared one accumulator
 - the single-stage training loop as written before it was merged
 - the engine compositions that attention and the maxsim pair fused:
   one-direction late interaction and masked attention
@@ -112,7 +114,6 @@ def auc_bruteforce(scores, labels) -> float:
 def allpairs_gap(model, h_text, h_tab):
     """(paired, unpaired, gap) from the model head's full (N, N) similarity
     matrix, built through the engine with every row against every row."""
-    from ctrl.align import cosine_matrix
     a = model.cfg.align
     if a.similarity == "maxsim":
         scores = maxsim_matrix(model.text_sub(DTensor(h_text)),
@@ -124,6 +125,41 @@ def allpairs_gap(model, h_text, h_tab):
     paired = float(np.trace(scores) / n)
     unpaired = float((scores.sum() - np.trace(scores)) / (n * (n - 1)))
     return paired, unpaired, paired - unpaired
+
+
+def cosine_matrix(h_a: DTensor, h_b: DTensor) -> DTensor:
+    """All-pairs cosine of (N, d) rows against (Nb, d) rows, (N, Nb)."""
+    a = ad.l2_normalize(h_a, axis=1)
+    b = ad.l2_normalize(h_b, axis=1)
+    return ad.matmul(a, ad.transpose(b, (1, 0)))
+
+
+def reference_backward(tape: Tape, loss: DTensor) -> None:
+    """`Tape.backward` as written before leaf adjoints shared the
+    intermediates' accumulator: leaves are found in a pre-pass, zeroed, and
+    summed into `grad` during the sweep."""
+    produced = {id(n.output) for n in tape.nodes}
+    leaves, seen = [], set()
+    for node in tape.nodes:
+        for t in node.inputs:
+            if t.requires_grad and id(t) not in produced and id(t) not in seen:
+                seen.add(id(t))
+                leaves.append(t)
+    for t in leaves:
+        t.grad = np.zeros_like(t.data)
+    grads = {id(loss): np.ones_like(loss.data)}
+    for node in reversed(tape.nodes):
+        g = grads.pop(id(node.output), None)
+        if g is None:
+            continue
+        for t, ig in zip(node.inputs, node.backward(g)):
+            if ig is None or not t.requires_grad:
+                continue
+            if id(t) in produced:
+                acc = grads.get(id(t))
+                grads[id(t)] = ig if acc is None else acc + ig
+            else:
+                t.grad = t.grad + ig
 
 
 def maxsim_matrix(subs_a: DTensor, subs_b: DTensor) -> DTensor:

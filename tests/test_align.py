@@ -7,15 +7,15 @@ from hypothesis import strategies as st
 
 import ctrl.autodiff as ad
 from ctrl.autodiff import DTensor, Tape
-from ctrl.align import (AlignmentModel, SubspaceHead, align_train,
-                        cosine_matrix, infonce, maxsim_pair, write_curve)
+from ctrl.align import (AlignmentModel, SubspaceHead, align_train, infonce,
+                        maxsim_pair, unit_rows, write_curve)
 from ctrl.data import batches
 from ctrl.exceptions import ShapeError, UsageError
 from ctrl.params import ParamStore, rng_for
 from ctrl.prompt import build_prompt
 
-from helpers import (check_grads, cosine, evaluate_ccl, maxsim, maxsim_matrix,
-                     store_grad_check, tiny_pipeline)
+from helpers import (check_grads, cosine, cosine_matrix, evaluate_ccl, maxsim,
+                     maxsim_matrix, store_grad_check, tiny_pipeline)
 
 LOG_1P_EXP_NEG1 = 0.31326168751822286  # log(1 + e^-1)
 
@@ -246,10 +246,22 @@ def test_cosine_matrix_matches_pairwise_cosine():
             assert abs(mat[i, j] - cosine(a[i], b[j]).item()) < 1e-12
 
 
-def test_cosine_mode_bypasses_subspace_heads():
+def test_cosine_mode_uses_the_parameter_free_unit_row_head():
     model, _, _, _ = tiny_pipeline(seed=7, similarity="cosine")
-    assert model.tab_sub is None and model.text_sub is None
+    assert model.tab_sub is unit_rows and model.text_sub is unit_rows
     assert not any("sub" in n for n in model.store.names())
+
+
+def test_cosine_head_similarity_matrices_are_pairwise_cosine():
+    model, _, _, cfg = tiny_pipeline(seed=7, similarity="cosine")
+    rng = rng_for(7, "h")
+    a = rng.normal(size=(5, cfg.align.d_proj))
+    b = rng.normal(size=(5, cfg.align.d_proj))
+    want = ((a / np.linalg.norm(a, axis=1, keepdims=True))
+            @ (b / np.linalg.norm(b, axis=1, keepdims=True)).T)
+    s_text, s_tab = model.similarity_matrices(DTensor(a), DTensor(b))
+    assert np.abs(s_text.data - want).max() <= 1e-15
+    assert np.abs(s_tab.data - want.T).max() <= 1e-15
 
 
 def test_ccl_gradients_reach_both_towers():

@@ -5,10 +5,13 @@ from hypothesis import strategies as st
 
 import ctrl.autodiff as ad
 from ctrl.autodiff import DTensor, Tape
+from ctrl.data import batches
 from ctrl.exceptions import NumericError, ShapeError, UsageError
+from ctrl.prompt import build_prompt
 
-from helpers import (check_grads, composed_layer_norm, reference_batch_norm,
-                     reference_layer_norm, slice_, softmax)
+from helpers import (check_grads, composed_layer_norm, reference_backward,
+                     reference_batch_norm, reference_layer_norm, slice_,
+                     softmax, tiny_pipeline)
 
 
 def test_dtensor_rejects_nonfinite():
@@ -75,6 +78,59 @@ def test_backward_constant_loss_zeroes_leaves():
         loss = DTensor(5.0)
     tape.backward(loss)
     assert np.array_equal(x.grad, [0.0, 0.0])
+
+
+def test_backward_sums_the_adjoints_of_a_leaf_fed_to_two_ops():
+    x0 = np.array([0.5, -1.5, 2.0])
+    x = DTensor(x0, requires_grad=True)
+    with Tape() as tape:
+        loss = ad.sum_(ad.add(ad.mul(x, DTensor(3.0)), ad.exp(x)))
+    tape.backward(loss)
+    assert np.array_equal(x.grad, np.exp(x0) + 3.0)
+
+
+def test_backward_gives_an_unreached_recorded_leaf_zeros():
+    x = DTensor([1.0, 2.0], requires_grad=True)
+    y = DTensor([[3.0, -1.0]], requires_grad=True)
+    with Tape() as tape:
+        z = ad.exp(y)  # recorded, but not on the loss's path
+        ad.neg(z)
+        u = ad.mul(x, x)
+        loss = ad.sum_(u)
+    tape.backward(loss)
+    assert np.array_equal(x.grad, [2.0, 4.0])
+    assert np.array_equal(y.grad, [[0.0, 0.0]])
+    assert z.grad is None and u.grad is None  # only leaves get a grad
+
+
+def test_backward_leaves_of_one_add_do_not_share_a_grad_array():
+    a = DTensor([1.0, 2.0], requires_grad=True)
+    b = DTensor([3.0, 4.0], requires_grad=True)
+    with Tape() as tape:
+        loss = ad.sum_(ad.add(a, b))
+    tape.backward(loss)
+    assert np.array_equal(a.grad, [1.0, 1.0])
+    assert np.array_equal(b.grad, [1.0, 1.0])
+    assert not np.shares_memory(a.grad, b.grad)
+
+
+@pytest.mark.parametrize("similarity", ["maxsim", "cosine"])
+def test_backward_matches_the_pre_pass_sweep_bit_for_bit(similarity):
+    model, tok, (train, _, _), _ = tiny_pipeline(seed=3, similarity=similarity,
+                                                 dropout=0.1)
+    batch = next(batches(train, 4, "align", seed=0))
+    ids, mask = tok.encode_batch([build_prompt(r, model.collab.schema,
+                                               model.template)
+                                  for r in batch.raw_rows])
+    with Tape() as tape:
+        loss, _, _ = model.ccl(batch, ids, mask, train=True,
+                               rng=np.random.default_rng(0))
+    tape.backward(loss)
+    names = model.store.names()
+    got = {n: model.store[n].grad for n in names}
+    reference_backward(tape, loss)
+    for n in names:
+        assert got[n].tobytes() == model.store[n].grad.tobytes(), n
 
 
 def test_backward_rejects_nonscalar_loss():

@@ -1,4 +1,5 @@
 import json
+import re
 
 import pytest
 
@@ -84,6 +85,24 @@ def test_dump_embeddings_and_project2d(workdir, capsys):
     assert main(["project2d", "--embeddings",
                  str(run / "embeddings.csv")]) == 0
     assert (run / "projection.csv").exists()
+
+
+@pytest.mark.parametrize("head", ["maxsim", "cosine"])
+def test_dump_embeddings_prints_the_checkpoint_heads_gap(workdir, tmp_path,
+                                                         capsys, head):
+    _, _, run = workdir
+    for name in ("config.json", "schema.json", "train.csv", "val.csv",
+                 "test.csv"):
+        (tmp_path / name).write_bytes((run / name).read_bytes())
+    assert main(["align", "--out", str(tmp_path), "--similarity", head]) == 0
+    capsys.readouterr()
+    assert main(["dump-embeddings", "--out", str(tmp_path),
+                 "--split", "val"]) == 0
+    found = re.search(r"; (\w+) gap (\S+) \(paired", capsys.readouterr().out)
+    assert found and found[1] == head
+    post = json.loads((tmp_path / "gap.json").read_text())["post"]["gap"]
+    # align tiles the sums at its batch size, dump-embeddings at 256 rows
+    assert abs(float(found[2]) - post) <= 1e-12
 
 
 @pytest.mark.filterwarnings("ignore:baseline AUC")

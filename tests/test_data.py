@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ctrl.data import (Batch, FeatureSchema, FieldSpec, batches, build_vocab,
-                       canonical_schema_json, encode, load_schema,
+from ctrl.data import (EncodedSplit, FeatureSchema, FieldSpec, batches,
+                       build_vocab, canonical_schema_json, encode, load_schema,
                        prepare_splits, read_csv_rows, save_schema, schema_hash,
                        split_by_time)
 from ctrl.exceptions import DataError, UsageError
@@ -245,7 +245,8 @@ def test_batch_type_shapes():
     fitted = build_vocab(rows, movie_schema())
     split = encode(rows, fitted)
     b = next(batches(split, 8, "eval"))
-    assert isinstance(b, Batch)
+    assert isinstance(b, EncodedSplit)
+    assert b.schema is fitted and b.n == 8
     assert b.cat_ids["gender"].shape == (8,)
     assert b.seq_ids["history"].shape == (8, 10)
     assert b.seq_mask["history"].shape == (8, 10)

@@ -1,5 +1,6 @@
 """scripts/diff_runs.py: verdicts and exit status on small work directories."""
 
+import hashlib
 import importlib.util
 import json
 import shutil
@@ -34,6 +35,29 @@ def write_run(d: Path, loss=LOSS, w=W, head="maxsim", stage="align"):
                     extra={"stage": stage})
     (d / "sub").mkdir()
     (d / "sub" / "note.txt").write_text("same\n")
+
+
+def write_model_ckpt(d: Path, init=None):
+    """A model.ckpt warm-started from d/align.ckpt: `extra.init` is that
+    file's sha256 unless `init` is given."""
+    if init is None:
+        init = hashlib.sha256((d / "align.ckpt").read_bytes()).hexdigest()
+    store = ParamStore()
+    store.add("collab.w", W)
+    save_checkpoint(d / "model.ckpt", store, "hash", config={"seed": 1},
+                    extra={"stage": "finetune", "init": init})
+
+
+def write_drifted_runs(tmp_path):
+    """Two runs whose align.ckpt differ by one ulp in one tensor, each with
+    a model.ckpt warm-started from its own align.ckpt."""
+    w = W.copy()
+    w[1, 0] = np.nextafter(w[1, 0], 4.0)
+    write_run(tmp_path / "a")
+    write_run(tmp_path / "b", w=w)
+    write_model_ckpt(tmp_path / "a")
+    write_model_ckpt(tmp_path / "b")
+    return tmp_path / "a", tmp_path / "b"
 
 
 def run(capsys, *argv):
@@ -106,3 +130,34 @@ def test_rejects_a_missing_directory(tmp_path):
     with pytest.raises(SystemExit) as e:
         diff_runs.main([str(tmp_path), str(tmp_path / "nope")])
     assert e.value.code == 2
+
+
+def test_init_digests_of_drifted_align_ckpts_are_derived_under_rtol(
+        tmp_path, capsys):
+    a, b = write_drifted_runs(tmp_path)
+    code, out = run(capsys, a, b, "--rtol", "1e-15")
+    assert code == 0
+    assert ("within    model.ckpt\n"
+            "    key extra.init: derived from align.ckpt") in out
+    # the align.ckpt pair itself is beyond this tolerance
+    code, out = run(capsys, a, b, "--rtol", "1e-17")
+    assert code == 1
+    assert "DIFFERS   align.ckpt" in out and "DIFFERS   model.ckpt" in out
+    assert "key extra.init: '" in out
+
+
+def test_init_digests_without_rtol_still_fail(tmp_path, capsys):
+    a, b = write_drifted_runs(tmp_path)
+    code, out = run(capsys, a, b)
+    assert code == 1
+    assert "DIFFERS   model.ckpt" in out and "key extra.init: '" in out
+    assert "derived" not in out
+
+
+def test_init_digest_that_is_not_its_siblings_still_fails(tmp_path, capsys):
+    a, b = write_drifted_runs(tmp_path)
+    write_model_ckpt(b, init=hashlib.sha256(b"other").hexdigest())
+    code, out = run(capsys, a, b, "--rtol", "1e-15")
+    assert code == 1
+    assert "DIFFERS   model.ckpt" in out and "key extra.init: '" in out
+    assert "derived" not in out

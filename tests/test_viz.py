@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+from ctrl.align import unit_rows
+from ctrl.autodiff import DTensor
 from ctrl.exceptions import DataError, UsageError
 from ctrl.viz import (dump_embeddings, paired_gap, project_2d,
                       read_embeddings, tower_representations,
@@ -9,23 +11,28 @@ from ctrl.viz import (dump_embeddings, paired_gap, project_2d,
 from helpers import tiny_pipeline
 
 
+def unit(x):
+    """(N, d) rows through the cosine head: (N, 1, d) unit rows."""
+    return unit_rows(DTensor(x)).data
+
+
 def test_paired_gap_orthonormal_match():
-    e = np.eye(3)
+    e = np.eye(3)[:, None, :]
     paired, unpaired, gap = paired_gap(e, e)
     assert paired == 1.0 and unpaired == 0.0 and gap == 1.0
 
 
 def test_paired_gap_swapped_rows():
-    a = np.eye(2)
+    a = np.eye(2)[:, None, :]
     b = a[::-1].copy()
     paired, unpaired, gap = paired_gap(a, b)
     assert paired == 0.0 and unpaired == 1.0 and gap == -1.0
 
 
 def test_paired_gap_hand_value():
-    h_text = np.array([[1.0, 0.0], [1.0, 1.0]])
-    h_tab = np.array([[1.0, 1.0], [0.0, 1.0]])
     r2 = 1.0 / np.sqrt(2.0)
+    h_text = np.array([[1.0, 0.0], [r2, r2]])[:, None, :]
+    h_tab = np.array([[r2, r2], [0.0, 1.0]])[:, None, :]
     # cos matrix: [[r2, 0], [1, r2]]
     paired, unpaired, gap = paired_gap(h_text, h_tab)
     assert abs(paired - r2) < 1e-12
@@ -36,15 +43,17 @@ def test_paired_gap_hand_value():
 def test_paired_gap_scale_invariance():
     rng = np.random.default_rng(0)
     a, b = rng.normal(size=(5, 4)), rng.normal(size=(5, 4))
-    base = paired_gap(a, b)
-    scaled = paired_gap(3.0 * a, 0.25 * b)
+    base = paired_gap(unit(a), unit(b))
+    scaled = paired_gap(unit(3.0 * a), unit(0.25 * b))
     assert np.allclose(base, scaled, atol=1e-12)
 
 
 def test_paired_gap_zero_rows_count_as_zero_cosine():
     a = np.array([[0.0, 0.0], [1.0, 0.0]])
     b = np.array([[1.0, 0.0], [1.0, 0.0]])
-    paired, unpaired, gap = paired_gap(a, b)
+    with pytest.warns(UserWarning, match="l2_normalize"):
+        a = unit(a)
+    paired, unpaired, gap = paired_gap(a, unit(b))
     assert paired == 0.5  # (0 + 1) / 2
 
 
@@ -52,7 +61,12 @@ def test_paired_gap_validation():
     with pytest.raises(UsageError):
         paired_gap(np.zeros((2, 3)), np.zeros((2, 4)))
     with pytest.raises(UsageError):
-        paired_gap(np.zeros((1, 3)), np.zeros((1, 3)))
+        paired_gap(np.zeros((2, 1, 3)), np.zeros((2, 1, 4)))
+    with pytest.raises(UsageError):
+        paired_gap(np.zeros((1, 1, 3)), np.zeros((1, 1, 3)))
+    # (N, d) rows must go through a head first; cosine is the unit-row head
+    with pytest.raises(UsageError, match="sub-representations"):
+        paired_gap(np.eye(3), np.eye(3))
 
 
 def test_project_2d_recovers_planar_geometry():
