@@ -219,8 +219,8 @@ def align_train(model: AlignmentModel, split: EncodedSplit,
             pre_step = store.snapshot()
             try:
                 with Tape() as tape:
-                    loss, l_t2t, l_tab2text = model.ccl(
-                        batch, ids, mask, train=True, rng=drop_rng)
+                    loss, l_t2t, l_tab2text = ad.run_pass(lambda: model.ccl(
+                        batch, ids, mask, train=True, rng=drop_rng), drop_rng)
                 tape.backward(loss)
                 opt.step(lr)
             except NumericError as e:

@@ -6,12 +6,12 @@ recorded; :meth:`Tape.backward` then replays exact analytic adjoints in
 reverse order. The tape is rebuilt from scratch on every training step
 (define-by-run), so conditional model branches need no special casing.
 
-Every op that can create a NaN or infinity checks its output, so one
-surfaces as a :class:`~ctrl.exceptions.NumericError` naming the operation
-that created it instead of silently poisoning the run. Ops that only move,
-select or compare values (reshape, transpose, concat, max, relu, neg,
-embedding lookup) skip the check: from finite inputs they cannot create a
-non-finite value.
+A NaN or infinity raises :class:`~ctrl.exceptions.NumericError` naming the
+op that made it. An op checks its output, except inside :func:`run_pass`
+(training steps, evaluation forward passes): a pass checks only its outputs
+and, if one is not finite, is replayed with every op checked to name the
+op. So a pass does not raise for a non-finite intermediate that a later op
+makes finite (relu or exp of -inf). The optimizer checks its updates.
 
 Fused model ops outside this module (attention, the maxsim pair) record
 themselves with :func:`apply_op`, as the primitives here do.
@@ -57,10 +57,9 @@ class DTensor:
         self.grad: Optional[Array] = None
 
     @classmethod
-    def _from_op(cls, arr: Array, requires_grad: bool, op: str,
-                 check: bool = True) -> "DTensor":
+    def _from_op(cls, arr: Array, requires_grad: bool, op: str) -> "DTensor":
         # Internal fast path for op outputs: no defensive copy.
-        if check and not np.all(np.isfinite(arr)):
+        if op_checks and not np.all(np.isfinite(arr)):
             raise NumericError(f"{op}: produced non-finite values")
         obj = cls.__new__(cls)
         arr = np.asarray(arr, dtype=np.float64)
@@ -100,6 +99,8 @@ class TapeNode:
 
 
 _TAPES: list["Tape"] = []
+# Whether ops check their outputs for NaN and inf; only run_pass sets it.
+op_checks = True
 
 
 class Tape:
@@ -156,15 +157,37 @@ def active_tape() -> Optional[Tape]:
     return _TAPES[-1] if _TAPES else None
 
 
-def apply_op(op: str, inputs: tuple, out_arr: Array, bwd,
-             check: bool = True) -> DTensor:
+def run_pass(fn: Callable, rng: Optional[np.random.Generator] = None):
+    """Return `fn()`, a DTensor or a tuple of them, computed with per-op
+    checks (and numpy warnings) off; only its outputs are checked. If one is
+    not finite, rewind `rng`, the pass's dropout generator, and replay `fn()`
+    untaped with every op checked, to raise the NumericError naming the op."""
+    global op_checks
+    state = None if rng is None else rng.bit_generator.state
+    tapes, checks = _TAPES[:], op_checks
+    try:
+        op_checks = False
+        with np.errstate(all="ignore"):
+            out = fn()
+        if all(np.isfinite(t.data).all()
+               for t in (out if isinstance(out, tuple) else (out,))):
+            return out
+        if rng is not None:
+            rng.bit_generator.state = state
+        op_checks, _TAPES[:] = True, []
+        fn()
+    finally:
+        op_checks, _TAPES[:] = checks, tapes
+    raise NumericError("a pass returned non-finite values its replay did not")
+
+
+def apply_op(op: str, inputs: tuple, out_arr: Array, bwd) -> DTensor:
     """Wrap `out_arr`, which `op` computed from `inputs`, without a copy, and
     record `bwd` on the active tape when an input requires gradients.
     `bwd(g)` returns one adjoint per input, or None for an input that needs
-    none. `check=False` skips the finiteness check, for ops that cannot
-    create a non-finite value from finite inputs."""
+    none."""
     req = any(t.requires_grad for t in inputs)
-    out = DTensor._from_op(out_arr, req, op, check=check)
+    out = DTensor._from_op(out_arr, req, op)
     tape = active_tape()
     if tape is not None and req:
         tape.nodes.append(TapeNode(op, inputs, out, bwd))
@@ -235,7 +258,7 @@ def div(a: DTensor, b: DTensor) -> DTensor:
 
 
 def neg(a: DTensor) -> DTensor:
-    return apply_op("neg", (a,), -a.data, lambda g: (-g,), check=False)
+    return apply_op("neg", (a,), -a.data, lambda g: (-g,))
 
 
 def relu(a: DTensor) -> DTensor:
@@ -244,7 +267,7 @@ def relu(a: DTensor) -> DTensor:
     def bwd(g):
         return (g * (a.data > 0.0),)
 
-    return apply_op("relu", (a,), out, bwd, check=False)
+    return apply_op("relu", (a,), out, bwd)
 
 
 def exp(a: DTensor) -> DTensor:
@@ -302,7 +325,7 @@ def reshape(a: DTensor, shape) -> DTensor:
     def bwd(g):
         return (g.reshape(a.shape),)
 
-    return apply_op("reshape", (a,), out, bwd, check=False)
+    return apply_op("reshape", (a,), out, bwd)
 
 
 def transpose(a: DTensor, axes) -> DTensor:
@@ -313,7 +336,7 @@ def transpose(a: DTensor, axes) -> DTensor:
     def bwd(g):
         return (g.transpose(inv),)
 
-    return apply_op("transpose", (a,), out, bwd, check=False)
+    return apply_op("transpose", (a,), out, bwd)
 
 
 def concat(tensors: Sequence[DTensor], axis: int = 0) -> DTensor:
@@ -327,7 +350,7 @@ def concat(tensors: Sequence[DTensor], axis: int = 0) -> DTensor:
     def bwd(g):
         return tuple(np.split(g, cuts, axis=axis))
 
-    return apply_op("concat", tensors, out, bwd, check=False)
+    return apply_op("concat", tensors, out, bwd)
 
 
 # ---------------------------------------------------------------------------
@@ -369,7 +392,7 @@ def max_(a: DTensor, axis: int, keepdims: bool = False) -> DTensor:
             g = np.expand_dims(g, axis)
         return (first * g,)
 
-    return apply_op("max", (a,), out, bwd, check=False)
+    return apply_op("max", (a,), out, bwd)
 
 
 def logsumexp(a: DTensor, axis: int) -> DTensor:
@@ -434,7 +457,7 @@ def embedding_lookup(table: DTensor, indices) -> DTensor:
         gt = np.bincount(bins, weights=g.reshape(-1), minlength=rows * d)
         return (gt.reshape(rows, d),)
 
-    return apply_op("embedding_lookup", (table,), out, bwd, check=False)
+    return apply_op("embedding_lookup", (table,), out, bwd)
 
 
 def batch_norm(x: DTensor, gamma: DTensor, beta: DTensor,

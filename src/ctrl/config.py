@@ -87,7 +87,7 @@ class AlignConfig:
             raise UsageError(f"similarity must be one of {SIMILARITIES}")
         if self.m_subspaces < 1:
             raise UsageError("m_subspaces must be >= 1")
-        if self.d_proj % self.m_subspaces != 0:
+        if self.similarity == "maxsim" and self.d_proj % self.m_subspaces:
             raise UsageError("m_subspaces must divide d_proj")
         if self.epochs < 1:
             raise UsageError("epochs must be >= 1")

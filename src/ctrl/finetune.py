@@ -62,7 +62,7 @@ def predict_scores(encoder: CollaborativeEncoder, head: CtrHead,
                    split: EncodedSplit, batch_size: int = 4096) -> np.ndarray:
     out = []
     for batch in batches(split, batch_size, "eval"):
-        out.append(head(encoder(batch, train=False)).data)
+        out.append(ad.run_pass(lambda: head(encoder(batch, train=False))).data)
     return np.concatenate(out)
 
 
@@ -103,7 +103,8 @@ def _train(opt: AdamW, batch_loss, encoder, head: CtrHead,
             for batch in batches(train_split, cfg.batch_size, "train",
                                  seed=epoch_seed(seed, epoch)):
                 with Tape() as tape:
-                    loss, supervised = batch_loss(batch, drop_rng)
+                    loss, supervised = ad.run_pass(
+                        lambda: batch_loss(batch, drop_rng), drop_rng)
                 tape.backward(loss)
                 opt.step(cfg.lr)
                 losses.append(supervised.item())

@@ -15,7 +15,7 @@ import warnings
 
 import numpy as np
 
-from .autodiff import DTensor
+from . import autodiff as ad
 from .data import EncodedSplit, batches
 from .exceptions import DataError, NumericError, UsageError
 from .prompt import build_prompt
@@ -29,7 +29,8 @@ def tower_representations(model, split: EncodedSplit, tokenizer,
         prompts = [build_prompt(r, model.collab.schema, model.template)
                    for r in batch.raw_rows]
         ids, mask = tokenizer.encode_batch(prompts)
-        h_text, h_tab = model.projected(batch, ids, mask, train=False)
+        h_text, h_tab = ad.run_pass(
+            lambda: model.projected(batch, ids, mask, train=False))
         texts.append(h_text.data)
         tabs.append(h_tab.data)
     return np.concatenate(texts), np.concatenate(tabs)
@@ -73,8 +74,8 @@ def read_embeddings(path):
 def head_gap(model, h_text, h_tab, batch_size: int = 256):
     """`paired_gap` of projected (N, D) representations, scored through the
     model's own sub-space heads."""
-    return paired_gap(model.text_sub(DTensor(h_text)).data,
-                      model.tab_sub(DTensor(h_tab)).data, batch_size)
+    return paired_gap(model.text_sub(ad.DTensor(h_text)).data,
+                      model.tab_sub(ad.DTensor(h_tab)).data, batch_size)
 
 
 def paired_gap(text: np.ndarray, tab: np.ndarray, batch_size: int = 256):

@@ -272,7 +272,7 @@ def slice_(a: DTensor, key) -> DTensor:
         np.add.at(z, key, g)
         return (z,)
 
-    return ad.apply_op("slice", (a,), out, bwd, check=False)
+    return ad.apply_op("slice", (a,), out, bwd)
 
 
 def field(schema, name: str):

@@ -485,3 +485,79 @@ def test_l2_normalize_property(rows, cols, seed):
     x[np.abs(x).sum(axis=1) == 0] += 1.0
     y = ad.l2_normalize(DTensor(x), axis=1)
     assert np.abs(np.linalg.norm(y.data, axis=1) - 1.0).max() < 1e-12
+
+
+def _overflowing_pass(rng, drawn):
+    """exp overflows, then log keeps the infinity: the pass returns inf.
+    Each call records the dropout draws it made."""
+    keep = ad.dropout(DTensor(np.full(4, 800.0)), 0.5, train=True, rng=rng)
+    drawn.append(keep.data.copy())
+    return ad.log(ad.exp(keep)), ad.neg(keep)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_run_pass_replays_from_the_same_dropout_state_to_name_the_op():
+    rng, drawn = np.random.default_rng(5), []
+    with pytest.raises(NumericError, match="^exp: produced non-finite"):
+        ad.run_pass(lambda: _overflowing_pass(rng, drawn), rng)
+    assert len(drawn) == 2 and np.array_equal(drawn[0], drawn[1])
+    # the generator ends where one pass checked op by op leaves it
+    once = np.random.default_rng(5)
+    with pytest.raises(NumericError, match="^exp"):
+        _overflowing_pass(once, [])
+    assert rng.bit_generator.state == once.bit_generator.state
+    assert ad.op_checks
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_run_pass_replays_untaped_and_leaves_the_tape_active():
+    x = DTensor(np.full(3, 30.0), requires_grad=True)
+    with Tape() as tape:
+        with pytest.raises(NumericError, match="^exp"):
+            ad.run_pass(lambda: ad.log(ad.exp(ad.mul(x, x))))
+        assert ad.active_tape() is tape
+    # the unchecked pass only: the replay records neither mul nor exp
+    assert [n.op for n in tape.nodes] == ["mul", "exp", "log"]
+
+
+def test_run_pass_returns_a_finite_pass_as_is():
+    x = DTensor(np.arange(3.0), requires_grad=True)
+    with Tape() as tape:
+        out = ad.run_pass(lambda: (ad.exp(x), ad.mul(x, x)))
+    assert [n.op for n in tape.nodes] == ["exp", "mul"]
+    assert np.array_equal(out[0].data, np.exp(np.arange(3.0)))
+    assert np.array_equal(out[1].data, np.arange(3.0) ** 2)
+
+
+def test_run_pass_checks_only_what_the_pass_returns():
+    def squashed():  # relu(-inf) is 0: the infinity never leaves the pass
+        return ad.relu(ad.neg(ad.exp(DTensor([800.0]))))
+
+    with np.errstate(over="ignore"):
+        assert ad.run_pass(squashed).data.tolist() == [0.0]
+        with pytest.raises(NumericError, match="^exp"):
+            squashed()
+
+
+def test_run_pass_turns_op_checks_back_on_after_an_error():
+    def fails():
+        assert not ad.op_checks
+        raise ShapeError("inside the pass")
+
+    with pytest.raises(ShapeError):
+        ad.run_pass(fails)
+    assert ad.op_checks
+    with pytest.raises(NumericError, match="log"):
+        ad.log(DTensor([0.0]))
+
+
+def test_run_pass_raises_when_its_replay_comes_out_finite():
+    calls = []
+
+    def unsteady():  # overflows on its first call only
+        calls.append(None)
+        return ad.exp(DTensor(900.0 if len(calls) == 1 else 0.0))
+
+    with pytest.raises(NumericError, match="replay did not"):
+        with np.errstate(over="ignore"):
+            ad.run_pass(unsteady)

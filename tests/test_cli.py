@@ -1,10 +1,12 @@
 import json
 import re
 
+import numpy as np
 import pytest
 
-from ctrl.checkpoint import load_checkpoint
+from ctrl.checkpoint import load_checkpoint, save_checkpoint
 from ctrl.cli import main
+from ctrl.params import ParamStore
 
 pytestmark = pytest.mark.filterwarnings("ignore:l2_normalize")
 
@@ -33,6 +35,25 @@ def workdir(tmp_path_factory):
                  "--schema", str(data / "schema.json"),
                  "--config", str(cfg_path), "--out", str(run)]) == 0
     return root, data, run
+
+
+PREPARED = ("config.json", "schema.json", "train.csv", "val.csv", "test.csv")
+
+
+def _copy(src, dst, names):
+    for name in names:
+        (dst / name).write_bytes((src / name).read_bytes())
+
+
+@pytest.fixture(scope="module")
+def aligned(workdir, tmp_path_factory):
+    """A prepared run directory of its own after `ctrl align`, so a test that
+    reads its align.ckpt and tokenizer.json does not depend on test order."""
+    _, _, run = workdir
+    out = tmp_path_factory.mktemp("aligned")
+    _copy(run, out, PREPARED)
+    assert main(["align", "--out", str(out)]) == 0
+    return out
 
 
 def test_gen_synthetic_writes_files(workdir):
@@ -76,8 +97,8 @@ def test_similarity_override_lands_in_checkpoint(workdir, tmp_path):
     assert not any(n.startswith("heads.tab_sub") for n in ckpt.params)
 
 
-def test_dump_embeddings_and_project2d(workdir, capsys):
-    _, _, run = workdir
+def test_dump_embeddings_and_project2d(aligned, capsys):
+    run = aligned
     assert main(["dump-embeddings", "--out", str(run),
                  "--split", "val"]) == 0
     assert (run / "embeddings.csv").exists()
@@ -160,3 +181,36 @@ def test_prepare_with_default_config(workdir, tmp_path):
     cfg = json.loads((out / "config.json").read_text())
     assert cfg["seed"] == 42
     assert cfg["align"]["temperature"] == 0.7
+
+
+def _poison(ckpt_path, prefix: str) -> None:
+    """Rewrite a checkpoint with every tensor named `prefix`* set to 1e200."""
+    ckpt = load_checkpoint(ckpt_path)
+    store = ParamStore()
+    for name, arr in ckpt.params.items():
+        store.add(name, np.full(arr.shape, 1e200)
+                  if name.startswith(prefix) else arr)
+    for name, arr in ckpt.buffers.items():
+        store.add_buffer(name, arr)
+    save_checkpoint(ckpt_path, store, ckpt.schema_hash, ckpt.config,
+                    ckpt.extra)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_overflowing_tower_exits_3_from_evaluate_and_dump_embeddings(
+        aligned, tmp_path, capsys):
+    _copy(aligned, tmp_path, PREPARED + ("tokenizer.json", "align.ckpt"))
+    assert main(["finetune", "--out", str(tmp_path)]) == 0
+    # 1e200 squared overflows in the tabular tower's first product
+    _poison(tmp_path / "model.ckpt", "collab.")
+    _poison(tmp_path / "align.ckpt", "collab.")
+    capsys.readouterr()
+    assert main(["evaluate", "--out", str(tmp_path)]) == 3
+    assert capsys.readouterr().err == (
+        "error: matmul: produced non-finite values\n")
+    assert main(["dump-embeddings", "--out", str(tmp_path),
+                 "--split", "val"]) == 3
+    assert capsys.readouterr().err == (
+        "error: matmul: produced non-finite values\n")
+    assert not (tmp_path / "report.json").exists()
+    assert not (tmp_path / "embeddings.csv").exists()

@@ -76,3 +76,10 @@ def test_config_typo_exits_with_usage_code(tmp_path, capsys):
                  "--schema", str(data / "schema.json"),
                  "--config", str(cfg_path), "--out", str(tmp_path / "run")]) == 1
     assert "sead" in capsys.readouterr().err
+
+
+def test_only_maxsim_needs_m_subspaces_to_divide_d_proj():
+    # the cosine head has no sub-spaces, so the pair is never used
+    assert AlignConfig(similarity="cosine", d_proj=10, m_subspaces=4).d_proj == 10
+    with pytest.raises(UsageError, match="m_subspaces must divide d_proj"):
+        AlignConfig(similarity="maxsim", d_proj=10, m_subspaces=4)

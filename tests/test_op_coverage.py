@@ -13,6 +13,7 @@ import ctrl.autodiff as ad
 from ctrl.align import maxsim_pair
 from ctrl.autodiff import DTensor, Tape
 from ctrl.data import batches
+from ctrl.exceptions import NumericError
 from ctrl.encoders import scaled_attention
 from ctrl.finetune import CtrHead, bce_loss
 from ctrl.params import rng_for
@@ -114,3 +115,86 @@ def test_every_recorded_op_has_a_finite_difference_case():
             build({k: DTensor(v, requires_grad=True) for k, v in leaves.items()})
         assert op in {n.op for n in tape.nodes}, f"the {op} case records no {op}"
         check_grads(build, leaves)
+
+
+# Replay gate: an op either has a pass that overflows in it, whose replay
+# must name it, or is shown to keep extreme finite inputs finite.
+_MAX = np.finfo(np.float64).max
+_ROOT = np.sqrt(_MAX)
+
+
+def _big(shape=(2, 2), value=_MAX) -> DTensor:
+    return DTensor(np.full(shape, value))
+
+
+# op -> a pass whose first non-finite value is that op's output
+OVERFLOW_CASES = {
+    "add": lambda: ad.add(_big(), _big()),
+    "sub": lambda: ad.sub(_big(), _big(value=-_MAX)),
+    "mul": lambda: ad.mul(_big(), _big()),
+    "div": lambda: ad.div(_big(), _big(value=0.5)),
+    "exp": lambda: ad.exp(_big(value=800.0)),
+    "log": lambda: ad.log(_big(value=0.0)),
+    "matmul": lambda: ad.matmul(_big(), _big()),
+    "sum": lambda: ad.sum_(_big(), axis=1),
+    "mean": lambda: ad.mean(_big()),
+    "dropout": lambda: ad.dropout(_big((4, 4)), 0.5, train=True,
+                                  rng=np.random.default_rng(3)),
+    "batch_norm": lambda: ad.batch_norm(_big((2, 3)), _big(3, 1.0),
+                                        _big(3, 0.0), np.zeros(3),
+                                        np.ones(3), train=True),
+    "layer_norm": lambda: ad.layer_norm(_big(), _big(), _big(2, 1.0),
+                                        _big(2, 0.0)),
+    "attention": lambda: scaled_attention(*(_big((1, 1, 2, 2), 1e200),) * 3),
+    # each product is finite; their sum over the M = 2 sub-spaces is not
+    "maxsim": lambda: maxsim_pair(_big((1, 2, 1), 0.9 * _ROOT),
+                                  _big((1, 2, 1), _ROOT)),
+}
+
+_EXTREMES = np.array([[_MAX, -_MAX, 0.0, 5e-324], [-_MAX, _MAX, 1.0, -1.0]])
+
+# op -> the op on extreme finite inputs; its output must stay finite
+CANNOT_OVERFLOW = {
+    "neg": lambda x: ad.neg(x),
+    "relu": lambda x: ad.relu(x),
+    "sigmoid": lambda x: ad.sigmoid(x),
+    "reshape": lambda x: ad.reshape(x, (4, 2)),
+    "transpose": lambda x: ad.transpose(x, (1, 0)),
+    "concat": lambda x: ad.concat([x, x], axis=1),
+    "max": lambda x: ad.max_(x, axis=1),
+    "embedding_lookup": lambda x: ad.embedding_lookup(x, np.array([1, 0, 1])),
+    "l2_normalize": lambda x: ad.l2_normalize(x, axis=1),
+}
+
+
+def test_every_op_has_an_overflow_case_or_cannot_overflow():
+    assert not set(OVERFLOW_CASES) & set(CANNOT_OVERFLOW)
+    classed = set(OVERFLOW_CASES) | set(CANNOT_OVERFLOW)
+    assert classed == set(FD_CASES), (
+        f"ops with no overflow case: {sorted(set(FD_CASES) - classed)}; "
+        f"cases for ops with no FD case: {sorted(classed - set(FD_CASES))}")
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("op", sorted(OVERFLOW_CASES))
+def test_replay_names_the_op_that_overflowed(op):
+    runs = []
+
+    def overflowing_pass():
+        runs.append(ad.op_checks)
+        out = OVERFLOW_CASES[op]()
+        # a later op carries the non-finite value to the pass's output
+        return tuple(ad.neg(t) for t in
+                     (out if isinstance(out, tuple) else (out,)))
+
+    with pytest.raises(NumericError, match=f"^{op}: "):
+        ad.run_pass(overflowing_pass)
+    assert runs == [False, True]  # the unchecked pass, then its replay
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.filterwarnings("ignore:l2_normalize")
+@pytest.mark.parametrize("op", sorted(CANNOT_OVERFLOW))
+def test_op_keeps_extreme_finite_inputs_finite(op):
+    out = CANNOT_OVERFLOW[op](DTensor(_EXTREMES))
+    assert np.isfinite(out.data).all()
