@@ -13,8 +13,9 @@ and, if one is not finite, is replayed with every op checked to name the
 op. So a pass does not raise for a non-finite intermediate that a later op
 makes finite (relu or exp of -inf). The optimizer checks its updates.
 
-Fused model ops outside this module (attention, the maxsim pair) record
-themselves with :func:`apply_op`, as the primitives here do.
+Fused model ops outside this module (attention, the maxsim pair, the field
+embeddings, binary cross entropy) record themselves with :func:`apply_op`,
+as the primitives here do.
 """
 
 from __future__ import annotations
@@ -57,9 +58,11 @@ class DTensor:
         self.grad: Optional[Array] = None
 
     @classmethod
-    def _from_op(cls, arr: Array, requires_grad: bool, op: str) -> "DTensor":
-        # Internal fast path for op outputs: no defensive copy.
-        if op_checks and not np.all(np.isfinite(arr)):
+    def _from_op(cls, arr: Array, requires_grad: bool,
+                 op: Optional[str]) -> "DTensor":
+        # Internal fast path for op outputs: no defensive copy. `op` is None
+        # when the caller has checked `arr` itself.
+        if op is not None and op_checks and not np.all(np.isfinite(arr)):
             raise NumericError(f"{op}: produced non-finite values")
         obj = cls.__new__(cls)
         arr = np.asarray(arr, dtype=np.float64)
@@ -255,10 +258,6 @@ def div(a: DTensor, b: DTensor) -> DTensor:
                          lambda: -g * a.data / (b.data * b.data))
 
     return apply_op("div", (a, b), out, bwd)
-
-
-def neg(a: DTensor) -> DTensor:
-    return apply_op("neg", (a,), -a.data, lambda g: (-g,))
 
 
 def relu(a: DTensor) -> DTensor:

@@ -64,8 +64,8 @@ class AlignConfig:
 
     Defaults are sized for datasets that fit on one desk machine (hundreds
     to tens of thousands of rows); production-scale corpora want a larger
-    batch, one epoch, and a longer warmup.
-    """
+    batch, one epoch, and a longer warmup. Cosine stores the head it is,
+    `m_subspaces=1, normalize_subreps=True`, whatever was passed."""
     temperature: float = 0.7
     batch_size: int = 64
     similarity: str = "maxsim"
@@ -79,6 +79,9 @@ class AlignConfig:
     weight_decay: float = 0.01
 
     def __post_init__(self):
+        if self.similarity == "cosine":
+            object.__setattr__(self, "m_subspaces", 1)
+            object.__setattr__(self, "normalize_subreps", True)
         if self.temperature <= 0:
             raise UsageError("temperature must be > 0")
         if self.batch_size < 2:
@@ -87,7 +90,7 @@ class AlignConfig:
             raise UsageError(f"similarity must be one of {SIMILARITIES}")
         if self.m_subspaces < 1:
             raise UsageError("m_subspaces must be >= 1")
-        if self.similarity == "maxsim" and self.d_proj % self.m_subspaces:
+        if self.d_proj % self.m_subspaces:
             raise UsageError("m_subspaces must divide d_proj")
         if self.epochs < 1:
             raise UsageError("epochs must be >= 1")

@@ -3,8 +3,9 @@
 CollaborativeEncoder turns per-field integer ids into a dense representation
 via one embedding table per field followed by a feature-interaction backbone
 (autoint: stacked multi-head self-attention over fields; dcn: cross network in
-parallel with an MLP; mlp: plain stack). TextEncoder is a compact transformer
-over prompt token ids with mean pooling of the unmasked last hidden states.
+parallel with an MLP; mlp: plain stack), whose input, all fields' embeddings,
+is one taped op. TextEncoder is a compact transformer over prompt token ids
+with mean pooling of the unmasked last hidden states.
 
 All parameters live in a shared ParamStore under dotted prefixes; layers look
 their tensors up by name at call time so optimizer updates are always visible.
@@ -252,42 +253,57 @@ class CollaborativeEncoder:
                                 self.out_dim, rng)
                          if self.out_dim != self.mlp.d_out else None)
 
-    def field_embeddings(self, batch: EncodedSplit) -> list:
-        """One (N, d) tensor per schema field; sequence fields are mean-pooled
-        over valid positions (all-padding rows pool to the zero vector)."""
-        expected_cat = {f.name for f in self.schema.fields if f.kind == "categorical"}
-        expected_seq = {f.name for f in self.schema.fields if f.kind == "sequence"}
+    def field_embeddings(self, batch: EncodedSplit) -> DTensor:
+        """(N, F * d): each field's (N, d) embedding in schema order, as one
+        taped op over the stacked tables: a sequence field is the mean of its
+        valid positions' rows (all-padding rows pool to the zero vector). Its
+        backward is one bincount over the tables' disjoint bins, each summed
+        in batch row order, as one scatter-add per table sums it."""
+        fields = self.schema.fields
+        expected_cat = {f.name for f in fields if f.kind == "categorical"}
+        expected_seq = {f.name for f in fields if f.kind == "sequence"}
         if set(batch.cat_ids) != expected_cat or set(batch.seq_ids) != expected_seq:
             raise ShapeError("batch fields do not match the encoder's schema")
-        out = []
-        for f in self.schema.fields:
-            table = self.store[f"{self.prefix}.emb.{f.name}"]
-            if f.kind == "categorical":
-                out.append(ad.embedding_lookup(table, batch.cat_ids[f.name]))
-            else:
-                ids = batch.seq_ids[f.name]
-                mask = batch.seq_mask[f.name]
-                n, length = ids.shape
-                rows = ad.embedding_lookup(table, ids.reshape(-1))
-                rows = ad.reshape(rows, (n, length, self.cfg.d))
-                masked = ad.mul(rows, DTensor(mask[:, :, None]))
-                summed = ad.sum_(masked, axis=1)
+        cols = [batch.cat_ids[f.name][:, None] if f.kind == "categorical"
+                else batch.seq_ids[f.name] for f in fields]
+        widths = [c.shape[1] for c in cols]
+        first = np.cumsum([0] + widths[:-1])  # each field's first id column
+        tables = tuple(self.store[f"{self.prefix}.emb.{f.name}"] for f in fields)
+        rows = [t.shape[0] for t in tables]
+        ids = np.concatenate(cols, axis=1)  # (N, K)
+        if ids.size and ((ids < 0).any() or (ids >= np.repeat(rows, widths)).any()):
+            raise ShapeError("field_embeddings: index out of range for its table")
+        ids += np.repeat(np.cumsum([0] + rows[:-1]), widths)
+        stacked = np.concatenate([t.data for t in tables])
+        out = stacked[ids[:, first]]  # (N, F, d)
+        pools = []
+        for i, f in enumerate(fields):
+            if f.kind == "sequence":
+                k, mask = first[i], batch.seq_mask[f.name]
                 count = np.maximum(mask.sum(axis=1, keepdims=True), 1.0)
-                out.append(ad.div(summed, DTensor(count)))
-        return out
+                masked = stacked[ids[:, k:k + widths[i]]] * mask[:, :, None]
+                out[:, i] = masked.sum(axis=1) / count
+                pools.append((i, k, mask, count))
+
+        def bwd(g):
+            g = g.reshape(out.shape)
+            w = np.empty(ids.shape + (self.cfg.d,))
+            w[:, first] = g
+            for i, k, mask, count in pools:
+                w[:, k:k + mask.shape[1]] = (g[:, i] / count)[:, None, :] * mask[:, :, None]
+            bins = (ids[..., None] * self.cfg.d + np.arange(self.cfg.d)).reshape(-1)
+            gt = np.bincount(bins, weights=w.reshape(-1), minlength=stacked.size)
+            return tuple(np.split(gt.reshape(stacked.shape), np.cumsum(rows)[:-1]))
+
+        return ad.apply_op("field_embeddings", tables, out.reshape(len(ids), -1), bwd)
 
     def __call__(self, batch: EncodedSplit, train: bool = False, rng=None) -> DTensor:
-        fields = self.field_embeddings(batch)
+        flat = self.field_embeddings(batch)
         if self.cfg.backbone == "autoint":
-            stacked = ad.concat(
-                [ad.reshape(e, (e.shape[0], 1, self.cfg.d)) for e in fields], axis=1)
-            x = stacked
+            x = ad.reshape(flat, (flat.shape[0], self.n_fields, self.cfg.d))
             for layer in self.attn:
                 x = layer(x)
-            n = x.shape[0]
-            flat = ad.reshape(x, (n, x.shape[1] * x.shape[2]))
-            return self.head(flat)
-        flat = ad.concat(fields, axis=1)
+            return self.head(ad.reshape(x, (x.shape[0], -1)))
         if self.cfg.backbone == "dcn":
             x = flat
             for layer in self.cross:

@@ -41,7 +41,8 @@ class CtrHead:
 
 def bce_loss(preds: DTensor, labels) -> DTensor:
     """Mean binary cross entropy. Probabilities are clamped away from 0 and 1
-    by 1e-12 using relu (gradients are exact inside the clamp range)."""
+    by 1e-12 using relu (gradients are exact inside the clamp range). One
+    taped op, with the float operations of the composed primitives' chain."""
     y = np.asarray(labels, dtype=np.float64)
     if preds.shape != y.shape:
         raise UsageError(f"preds shape {preds.shape} != labels shape {y.shape}")
@@ -49,13 +50,17 @@ def bce_loss(preds: DTensor, labels) -> DTensor:
         raise UsageError("labels must be 0 or 1")
     if preds.data.min() < 0.0 or preds.data.max() > 1.0:
         raise UsageError("predictions must lie in [0, 1]")
-    eps = DTensor(LOG_EPS)
-    log_p = ad.log(ad.add(ad.relu(ad.sub(preds, eps)), eps))
-    one_minus = ad.sub(DTensor(1.0), preds)
-    log_q = ad.log(ad.add(ad.relu(ad.sub(one_minus, eps)), eps))
-    terms = ad.add(ad.mul(DTensor(y), log_p),
-                   ad.mul(DTensor(1.0 - y), log_q))
-    return ad.neg(ad.mean(terms))
+    p_in, q_in = preds.data - LOG_EPS, (1.0 - preds.data) - LOG_EPS
+    p_clamped, q_clamped = (np.maximum(p_in, 0.0) + LOG_EPS,
+                            np.maximum(q_in, 0.0) + LOG_EPS)
+    terms = y * np.log(p_clamped) + (1.0 - y) * np.log(q_clamped)
+
+    def bwd(g):
+        g = np.broadcast_to(-g, y.shape) / y.size
+        return ((g * y / p_clamped) * (p_in > 0.0)
+                - (g * (1.0 - y) / q_clamped) * (q_in > 0.0),)
+
+    return ad.apply_op("bce", (preds,), -terms.mean(), bwd)
 
 
 def predict_scores(encoder: CollaborativeEncoder, head: CtrHead,

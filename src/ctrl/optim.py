@@ -1,9 +1,10 @@
 """AdamW with decoupled weight decay, plus the linear warm-up schedule.
 
 Plain Adam is AdamW with weight_decay=0; the fine-tuning stage uses it
-that way. Parameters are replaced with successor tensors on each step,
-never mutated, and the update order is the sorted name order so runs are
-reproducible.
+that way. The moments are flat vectors over the parameters in sorted name
+order, and each step is one elementwise pass over the concatenated
+gradients and parameters. Parameters are replaced, never mutated: the
+successor tensors are read-only views of the step's new flat array.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .autodiff import DTensor
-from .exceptions import UsageError
+from .exceptions import NumericError, UsageError
 from .params import ParamStore
 
 # AdamW's moment decay rates and denominator floor.
@@ -52,7 +53,8 @@ class AdamW:
     """Bias-corrected AdamW over a subset of a ParamStore.
 
     The step counter is shared across parameters and increases by exactly
-    one per :meth:`step` call.
+    one per :meth:`step` call. A step that would make a parameter non-finite
+    raises NumericError before it replaces any.
     """
 
     def __init__(self, store: ParamStore, names: Optional[Sequence[str]] = None,
@@ -63,28 +65,44 @@ class AdamW:
             store[n]  # raises for unknown names
         self.weight_decay = weight_decay
         self.t = 0
-        self._m = {n: np.zeros(store[n].shape) for n in self.names}
-        self._v = {n: np.zeros(store[n].shape) for n in self.names}
+        self._cuts = np.cumsum([store[n].size for n in self.names])[:-1]
+        self._m = np.zeros(sum(store[n].size for n in self.names))
+        self._v = np.zeros_like(self._m)
 
     def step(self, lr: float) -> None:
         self.t += 1
         b1, b2 = _BETA1, _BETA2
         bc1 = 1.0 - b1 ** self.t
         bc2 = 1.0 - b2 ** self.t
-        for name in self.names:
-            p = self.store[name]
-            g = p.grad
-            if g is None:
+        params = [self.store[n] for n in self.names]
+        for name, p in zip(self.names, params):
+            if p.grad is None:
                 raise UsageError(f"adamw step: parameter '{name}' has no gradient")
-            m = self._m[name]
-            v = self._v[name]
-            m *= b1
-            m += (1.0 - b1) * g
-            v *= b2
-            v += (1.0 - b2) * (g * g)
-            mhat = m / bc1
-            vhat = v / bc2
-            new = p.data - lr * (mhat / (np.sqrt(vhat) + _EPS))
-            if self.weight_decay:
-                new = new - lr * self.weight_decay * p.data
-            self.store.replace(name, DTensor(new, requires_grad=True))
+        # The per-tensor update's operations in their order, on all tensors
+        # at once, in two flat arrays. `new` outlives the step and is made
+        # first: above freed transients on the heap it would keep them mapped.
+        new = np.empty_like(self._m)
+        g = np.concatenate([p.grad.reshape(-1) for p in params])
+        self._v *= b2
+        np.multiply(g, g, out=new)
+        new *= 1.0 - b2
+        self._v += new
+        self._m *= b1
+        g *= 1.0 - b1
+        self._m += g
+        np.sqrt(np.divide(self._v, bc2, out=new), out=new)
+        new += _EPS
+        np.divide(self._m, bc1, out=g)
+        g /= new
+        g *= lr  # the Adam step
+        np.concatenate([p.data.reshape(-1) for p in params], out=new)
+        if self.weight_decay:
+            np.subtract(new, g, out=g)
+            new *= lr * self.weight_decay
+            np.subtract(g, new, out=new)
+        else:
+            new -= g
+        if not np.isfinite(new).all():
+            raise NumericError("DTensor created with non-finite values")
+        for name, p, flat in zip(self.names, params, np.split(new, self._cuts)):
+            self.store.replace(name, DTensor._from_op(flat.reshape(p.shape), True, None))

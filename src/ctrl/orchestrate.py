@@ -256,10 +256,9 @@ def evaluate_ckpt(prepared: Prepared, ckpt_path, split: str = "test",
     restore_into(store, ckpt, "")
     data = prepared.split(split)
     scores = predict_scores(enc, head, data)
-    rel = None
-    if base_auc is not None:
-        rel = relaimpr(auc(scores, data.labels), base_auc)
-    report = EvalReport(auc=auc(scores, data.labels),
+    score_auc = auc(scores, data.labels)
+    rel = None if base_auc is None else relaimpr(score_auc, base_auc)
+    report = EvalReport(auc=score_auc,
                         logloss=logloss(scores, data.labels),
                         n_examples=data.n, seed=cfg.seed,
                         relaimpr_pct=rel, base_name=base_name)

@@ -14,8 +14,13 @@
 - the residual add and layer norm as two taped ops, as written before they
   were fused
 - the mean contrastive loss over a split, in eval mode
-- ops no model path records: softmax and slicing, each one taped op
+- ops no model path records: softmax, slicing and negation, each one taped
+  op
 - a schema's field by name
+- the field embeddings as one lookup per field and a taped masked mean per
+  sequence field, binary cross entropy composed from taped primitives, and
+  AdamW updating one parameter at a time, each as written before it was
+  fused into one op or one pass
 """
 
 from __future__ import annotations
@@ -273,6 +278,78 @@ def slice_(a: DTensor, key) -> DTensor:
         return (z,)
 
     return ad.apply_op("slice", (a,), out, bwd)
+
+
+def neg(a: DTensor) -> DTensor:
+    """`-a` as one taped op."""
+    return ad.apply_op("neg", (a,), -a.data, lambda g: (-g,))
+
+
+def composed_field_embeddings(encoder, batch) -> DTensor:
+    """`CollaborativeEncoder.field_embeddings` from the engine's primitives:
+    one embedding lookup per field, a taped masked mean per sequence field,
+    and a concat of the (N, d) fields into (N, F * d)."""
+    out = []
+    for f in encoder.schema.fields:
+        table = encoder.store[f"{encoder.prefix}.emb.{f.name}"]
+        if f.kind == "categorical":
+            out.append(ad.embedding_lookup(table, batch.cat_ids[f.name]))
+        else:
+            ids = batch.seq_ids[f.name]
+            mask = batch.seq_mask[f.name]
+            n, length = ids.shape
+            rows = ad.embedding_lookup(table, ids.reshape(-1))
+            rows = ad.reshape(rows, (n, length, encoder.cfg.d))
+            masked = ad.mul(rows, DTensor(mask[:, :, None]))
+            summed = ad.sum_(masked, axis=1)
+            count = np.maximum(mask.sum(axis=1, keepdims=True), 1.0)
+            out.append(ad.div(summed, DTensor(count)))
+    return ad.concat(out, axis=1)
+
+
+def composed_bce(preds: DTensor, labels) -> DTensor:
+    """Mean binary cross entropy clamped by 1e-12 through relu, as 14 taped
+    primitives."""
+    y = np.asarray(labels, dtype=np.float64)
+    eps = DTensor(1e-12)
+    log_p = ad.log(ad.add(ad.relu(ad.sub(preds, eps)), eps))
+    one_minus = ad.sub(DTensor(1.0), preds)
+    log_q = ad.log(ad.add(ad.relu(ad.sub(one_minus, eps)), eps))
+    terms = ad.add(ad.mul(DTensor(y), log_p),
+                   ad.mul(DTensor(1.0 - y), log_q))
+    return neg(ad.mean(terms))
+
+
+class ReferenceAdamW:
+    """AdamW updating each parameter of `store` in sorted name order with its
+    own moment arrays, replacing it with a new DTensor as it goes."""
+
+    def __init__(self, store, weight_decay: float):
+        self.store, self.weight_decay, self.t = store, weight_decay, 0
+        self.names = store.names()
+        self._m = {n: np.zeros(store[n].shape) for n in self.names}
+        self._v = {n: np.zeros(store[n].shape) for n in self.names}
+
+    def step(self, lr: float) -> None:
+        self.t += 1
+        b1, b2 = 0.9, 0.999
+        bc1 = 1.0 - b1 ** self.t
+        bc2 = 1.0 - b2 ** self.t
+        for name in self.names:
+            p = self.store[name]
+            g = p.grad
+            m = self._m[name]
+            v = self._v[name]
+            m *= b1
+            m += (1.0 - b1) * g
+            v *= b2
+            v += (1.0 - b2) * (g * g)
+            mhat = m / bc1
+            vhat = v / bc2
+            new = p.data - lr * (mhat / (np.sqrt(vhat) + 1e-8))
+            if self.weight_decay:
+                new = new - lr * self.weight_decay * p.data
+            self.store.replace(name, DTensor(new, requires_grad=True))
 
 
 def field(schema, name: str):

@@ -9,9 +9,9 @@ from ctrl.data import batches
 from ctrl.exceptions import NumericError, ShapeError, UsageError
 from ctrl.prompt import build_prompt
 
-from helpers import (check_grads, composed_layer_norm, reference_backward,
-                     reference_batch_norm, reference_layer_norm, slice_,
-                     softmax, tiny_pipeline)
+from helpers import (check_grads, composed_layer_norm, neg,
+                     reference_backward, reference_batch_norm,
+                     reference_layer_norm, slice_, softmax, tiny_pipeline)
 
 
 def test_dtensor_rejects_nonfinite():
@@ -94,7 +94,7 @@ def test_backward_gives_an_unreached_recorded_leaf_zeros():
     y = DTensor([[3.0, -1.0]], requires_grad=True)
     with Tape() as tape:
         z = ad.exp(y)  # recorded, but not on the loss's path
-        ad.neg(z)
+        neg(z)
         u = ad.mul(x, x)
         loss = ad.sum_(u)
     tape.backward(loss)
@@ -492,7 +492,7 @@ def _overflowing_pass(rng, drawn):
     Each call records the dropout draws it made."""
     keep = ad.dropout(DTensor(np.full(4, 800.0)), 0.5, train=True, rng=rng)
     drawn.append(keep.data.copy())
-    return ad.log(ad.exp(keep)), ad.neg(keep)
+    return ad.log(ad.exp(keep)), neg(keep)
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -531,7 +531,7 @@ def test_run_pass_returns_a_finite_pass_as_is():
 
 def test_run_pass_checks_only_what_the_pass_returns():
     def squashed():  # relu(-inf) is 0: the infinity never leaves the pass
-        return ad.relu(ad.neg(ad.exp(DTensor([800.0]))))
+        return ad.relu(neg(ad.exp(DTensor([800.0]))))
 
     with np.errstate(over="ignore"):
         assert ad.run_pass(squashed).data.tolist() == [0.0]

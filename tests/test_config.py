@@ -5,11 +5,13 @@ import pytest
 
 from ctrl.cli import main
 from ctrl.config import (AlignConfig, FinetuneConfig, ModelConfig, RunConfig,
-                         TextConfig, load_config)
+                         TextConfig, config_json, load_config)
 from ctrl.exceptions import UsageError
 
-# Every field away from its default, except `version`, which has one valid
-# value.
+# Every field away from its default in NO_DEFAULTS or in its maxsim twin,
+# except `version`, which has one valid value. Under cosine the sub-space
+# pair is stored as the cosine head's values, (1, True), so only the maxsim
+# twin can keep `normalize_subreps` away from its default.
 NO_DEFAULTS = RunConfig(
     seed=7, prompt_variant=3, user_prefix="A user", item_prefix="An item",
     split_ratios=(6, 2, 2),
@@ -25,6 +27,9 @@ NO_DEFAULTS = RunConfig(
     finetune=FinetuneConfig(lr=5e-3, batch_size=100, epochs=6, patience=2,
                             lambda_ccl=0.5),
 )
+NO_DEFAULTS_MAXSIM = dataclasses.replace(NO_DEFAULTS, align=dataclasses.replace(
+    NO_DEFAULTS.align, similarity="maxsim", m_subspaces=3,
+    normalize_subreps=False))
 
 
 def test_no_defaults_config_differs_from_every_default():
@@ -32,19 +37,31 @@ def test_no_defaults_config_differs_from_every_default():
     for f in dataclasses.fields(RunConfig):
         if f.name == "version":
             continue
-        ours, theirs = getattr(NO_DEFAULTS, f.name), getattr(default, f.name)
-        if dataclasses.is_dataclass(ours):
-            for g in dataclasses.fields(ours):
-                assert getattr(ours, g.name) != getattr(theirs, g.name), \
-                    f"{f.name}.{g.name}"
+        theirs = getattr(default, f.name)
+        ours = [getattr(c, f.name) for c in (NO_DEFAULTS, NO_DEFAULTS_MAXSIM)]
+        if dataclasses.is_dataclass(theirs):
+            for g in dataclasses.fields(theirs):
+                assert any(getattr(o, g.name) != getattr(theirs, g.name)
+                           for o in ours), f"{f.name}.{g.name}"
         else:
-            assert ours != theirs, f.name
+            assert all(o != theirs for o in ours), f.name
 
 
 def test_from_dict_inverts_to_dict_through_json():
-    blob = json.loads(json.dumps(NO_DEFAULTS.to_dict()))
-    assert RunConfig.from_dict(blob) == NO_DEFAULTS
-    assert RunConfig.from_dict(NO_DEFAULTS.to_dict()) == NO_DEFAULTS
+    for cfg in (NO_DEFAULTS, NO_DEFAULTS_MAXSIM):
+        blob = json.loads(json.dumps(cfg.to_dict()))
+        assert RunConfig.from_dict(blob) == cfg
+        assert RunConfig.from_dict(cfg.to_dict()) == cfg
+
+
+def test_cosine_configs_store_the_cosine_head_and_write_equal_bytes():
+    a = RunConfig(align=AlignConfig(similarity="cosine", m_subspaces=4,
+                                    normalize_subreps=False, d_proj=10))
+    b = RunConfig(align=AlignConfig(similarity="cosine", m_subspaces=2,
+                                    d_proj=10))
+    assert (a.align.m_subspaces, a.align.normalize_subreps) == (1, True)
+    assert a == b and config_json(a) == config_json(b)
+    assert RunConfig.from_dict(json.loads(config_json(a))) == a
 
 
 def test_from_dict_missing_keys_take_defaults():

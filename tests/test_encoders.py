@@ -10,7 +10,8 @@ from ctrl.encoders import (CollaborativeEncoder, CrossLayer, TextEncoder,
 from ctrl.exceptions import NumericError, ShapeError
 from ctrl.params import ParamStore, rng_for
 
-from helpers import check_grads, composed_attention, store_grad_check
+from helpers import (check_grads, composed_attention,
+                     composed_field_embeddings, store_grad_check)
 
 
 def cat_schema(n_fields, vocab=4):
@@ -71,8 +72,7 @@ def test_autoint_default_dims_flatten_to_256():
     enc = CollaborativeEncoder(store, schema, ModelConfig(backbone="autoint"),
                                rng_for(0, "collab"))
     fields = enc.field_embeddings(batch_for(schema, n=3))
-    assert len(fields) == 8
-    assert all(e.shape == (3, 32) for e in fields)
+    assert fields.shape == (3, 8 * 32)
     assert enc.store["collab.out.w"].shape[0] == 256
     assert enc(batch_for(schema, n=3)).shape == (3, 256)
 
@@ -115,10 +115,44 @@ def test_sequence_field_mean_pooling():
     ]
     split = encode(rows, schema)
     batch = next(batches(split, 2, "eval"))
-    pooled = enc.field_embeddings(batch)[1]
+    pooled = enc.field_embeddings(batch).data[:, 4:8]  # field 1 of d = 4
     table = store["collab.emb.hist"].data
-    assert np.allclose(pooled.data[0], (table[1] + table[3]) / 2.0, atol=1e-12)
-    assert np.array_equal(pooled.data[1], np.zeros(4))  # empty -> zero vector
+    assert np.allclose(pooled[0], (table[1] + table[3]) / 2.0, atol=1e-12)
+    assert np.array_equal(pooled[1], np.zeros(4))  # empty -> zero vector
+
+
+@pytest.mark.parametrize("backbone", ["autoint", "dcn", "mlp"])
+def test_field_embeddings_match_the_composed_oracle_bit_for_bit(backbone):
+    # a sequence field between two categorical ones, with an all-padding
+    # row, a full row and repeated ids, so table rows take several terms
+    schema = FeatureSchema(fields=(
+        FieldSpec("u", "categorical", "user", vocab={"a": 1, "b": 2}),
+        FieldSpec("hist", "sequence", "item", vocab={"x": 1, "y": 2, "z": 3}),
+        FieldSpec("i", "categorical", "item", vocab={"p": 1, "q": 2}),
+    ), max_seq_len=3)
+    rows = [{"u": "a", "hist": "x|z", "i": "p"}, {"u": "b", "hist": "", "i": "q"},
+            {"u": "a", "hist": "y|y|x", "i": ""}, {"u": "c", "hist": "z", "i": "p"},
+            {"u": "b", "hist": "x|x", "i": "q"}]
+    split = encode([dict(r, label=k % 2, timestamp=k) for k, r in enumerate(rows)],
+                   schema)
+    runs = []
+    for fused in (True, False):
+        store = ParamStore()
+        enc = CollaborativeEncoder(store, schema,
+                                   ModelConfig(backbone=backbone, **TINY),
+                                   rng_for(0, "collab"))
+        w = DTensor(rng_for(1, "w").normal(size=(len(rows), enc.out_dim)))
+        fields = (enc.field_embeddings(split) if fused
+                  else composed_field_embeddings(enc, split))
+        if not fused:
+            enc.field_embeddings = lambda b, enc=enc: composed_field_embeddings(enc, b)
+        with Tape() as tape:
+            out = enc(split, train=True)
+            loss = ad.sum_(ad.mul(out, w))
+        tape.backward(loss)
+        runs.append([fields.data.tobytes(), out.data.tobytes()]
+                    + [store[n].grad.tobytes() for n in store.names()])
+    assert runs[0] == runs[1]
 
 
 def test_schema_mismatch_rejected():

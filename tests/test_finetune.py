@@ -15,7 +15,8 @@ from ctrl.metrics import auc
 from ctrl.params import ParamStore, rng_for
 from ctrl.synthetic import SyntheticSpec, generate
 
-from helpers import check_grads, reference_end_to_end_train, tiny_pipeline
+from helpers import (check_grads, composed_bce, reference_end_to_end_train,
+                     tiny_pipeline)
 
 LN2 = 0.6931471805599453
 
@@ -55,6 +56,25 @@ def test_bce_gradient_is_p_minus_y_over_n():
     tape.backward(loss)
     want = (p.data - y) / 6.0
     assert np.allclose(x.grad, want, atol=1e-12)
+
+
+def test_bce_matches_the_composed_oracle_bit_for_bit():
+    eps = 1e-12
+    # 0 and 1, the clamp edges at eps and 1 - eps and the floats beside
+    # them, the smallest positive float, and interior values
+    p = np.array([0.0, 1.0, 0.0, 1.0, eps, eps, 1.0 - eps, 1.0 - eps,
+                  np.nextafter(eps, 0.0), np.nextafter(eps, 1.0),
+                  np.nextafter(1.0 - eps, 0.0), np.nextafter(1.0 - eps, 1.0),
+                  5e-324, 0.3, 0.7, 0.5])
+    y = np.array([0, 1, 1, 0, 0, 1, 0, 1, 1, 0, 1, 0, 1, 0, 1, 1])
+    results = []
+    for bce in (bce_loss, composed_bce):
+        x = DTensor(p, requires_grad=True)
+        with Tape() as tape:
+            loss = ad.mul(bce(x, y), DTensor(0.37))  # an adjoint other than 1
+        tape.backward(loss)
+        results.append((loss.data.tobytes(), x.grad.tobytes()))
+    assert results[0] == results[1]
 
 
 def test_bce_fd():

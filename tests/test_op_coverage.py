@@ -12,14 +12,15 @@ import pytest
 import ctrl.autodiff as ad
 from ctrl.align import maxsim_pair
 from ctrl.autodiff import DTensor, Tape
-from ctrl.data import batches
+from ctrl.config import ModelConfig
+from ctrl.data import FeatureSchema, FieldSpec, batches, encode
 from ctrl.exceptions import NumericError
-from ctrl.encoders import scaled_attention
+from ctrl.encoders import CollaborativeEncoder, scaled_attention
 from ctrl.finetune import CtrHead, bce_loss
-from ctrl.params import rng_for
+from ctrl.params import ParamStore, rng_for
 from ctrl.prompt import build_prompt
 
-from helpers import check_grads, tiny_pipeline
+from helpers import check_grads, neg, tiny_pipeline
 
 # zero-norm sub-representations are routine right after initialization
 pytestmark = pytest.mark.filterwarnings("ignore:l2_normalize")
@@ -41,6 +42,28 @@ def _batch_norm(t):
                          train=True)
 
 
+# A categorical field and a sequence field; the second row's history is all
+# padding and the first's has two valid positions.
+_SCHEMA = FeatureSchema(fields=(
+    FieldSpec("u", "categorical", "user", vocab={"a": 1, "b": 2}),
+    FieldSpec("hist", "sequence", "item", vocab={"x": 1, "y": 2, "z": 3}),
+), max_seq_len=3)
+_FIELDS = encode([{"u": "a", "hist": "x|z", "label": 0, "timestamp": 0},
+                  {"u": "b", "hist": "", "label": 1, "timestamp": 1},
+                  {"u": "", "hist": "y|y|x", "label": 0, "timestamp": 2}],
+                 _SCHEMA)
+
+
+def _field_embeddings(tables: dict) -> DTensor:
+    """The field embeddings of _FIELDS with the tables given by name."""
+    enc = CollaborativeEncoder(ParamStore(), _SCHEMA,
+                               ModelConfig(backbone="mlp", d=2, hidden=(3,)),
+                               rng_for(0, "collab"))
+    for name, table in tables.items():
+        enc.store.replace(name, table)
+    return enc.field_embeddings(_FIELDS)
+
+
 _MASK = (np.array([[1.0, 1.0, 0.0], [1.0, 1.0, 1.0]])[:, None, :] - 1.0) * 1e9
 
 # op name -> (scalar loss over the leaves, leaves)
@@ -49,7 +72,6 @@ FD_CASES = {
     "sub": (lambda t: _weighted(ad.sub(t["a"], t["c"])), {"a": A, "c": C}),
     "mul": (lambda t: _weighted(ad.mul(t["a"], t["c"])), {"a": A, "c": C}),
     "div": (lambda t: _weighted(ad.div(t["a"], t["p"])), {"a": A, "p": P}),
-    "neg": (lambda t: _weighted(ad.neg(t["a"])), {"a": A}),
     "relu": (lambda t: _weighted(ad.relu(t["a"])), {"a": A}),
     "exp": (lambda t: _weighted(ad.exp(t["a"])), {"a": A}),
     "log": (lambda t: _weighted(ad.log(t["p"])), {"p": P}),
@@ -83,6 +105,11 @@ FD_CASES = {
         {n: _r.normal(size=(2, 2, 3, 4)) for n in ("q", "k", "v")}),
     "maxsim": (lambda t: ad.add(*map(_weighted, maxsim_pair(t["a"], t["b"]))),
                {"a": _r.normal(size=(3, 2, 4)), "b": _r.normal(size=(4, 2, 4))}),
+    "field_embeddings": (lambda t: _weighted(_field_embeddings(t)),
+                         {"collab.emb.u": _r.normal(size=(3, 2)),
+                          "collab.emb.hist": _r.normal(size=(4, 2))}),
+    "bce": (lambda t: bce_loss(t["p"], np.array([0, 1, 1, 0, 1, 0])),
+            {"p": _r.uniform(0.2, 0.8, size=6)}),
 }
 
 
@@ -149,13 +176,16 @@ OVERFLOW_CASES = {
     # each product is finite; their sum over the M = 2 sub-spaces is not
     "maxsim": lambda: maxsim_pair(_big((1, 2, 1), 0.9 * _ROOT),
                                   _big((1, 2, 1), _ROOT)),
+    # each row is finite; the first row's sum over its two valid positions
+    # is not
+    "field_embeddings": lambda: _field_embeddings(
+        {"collab.emb.u": _big((3, 2), 1.0), "collab.emb.hist": _big((4, 2))}),
 }
 
 _EXTREMES = np.array([[_MAX, -_MAX, 0.0, 5e-324], [-_MAX, _MAX, 1.0, -1.0]])
 
 # op -> the op on extreme finite inputs; its output must stay finite
 CANNOT_OVERFLOW = {
-    "neg": lambda x: ad.neg(x),
     "relu": lambda x: ad.relu(x),
     "sigmoid": lambda x: ad.sigmoid(x),
     "reshape": lambda x: ad.reshape(x, (4, 2)),
@@ -164,6 +194,10 @@ CANNOT_OVERFLOW = {
     "max": lambda x: ad.max_(x, axis=1),
     "embedding_lookup": lambda x: ad.embedding_lookup(x, np.array([1, 0, 1])),
     "l2_normalize": lambda x: ad.l2_normalize(x, axis=1),
+    # probabilities must lie in [0, 1]: its extremes, and the smallest
+    # positive float, against both labels
+    "bce": lambda x: bce_loss(DTensor(np.clip(x.data, 0.0, 1.0)),
+                              np.array([[1, 0, 1, 0], [0, 1, 0, 1]])),
 }
 
 
@@ -184,7 +218,7 @@ def test_replay_names_the_op_that_overflowed(op):
         runs.append(ad.op_checks)
         out = OVERFLOW_CASES[op]()
         # a later op carries the non-finite value to the pass's output
-        return tuple(ad.neg(t) for t in
+        return tuple(neg(t) for t in
                      (out if isinstance(out, tuple) else (out,)))
 
     with pytest.raises(NumericError, match=f"^{op}: "):

@@ -5,9 +5,11 @@ from hypothesis import strategies as st
 
 import ctrl.autodiff as ad
 from ctrl.autodiff import DTensor, Tape
-from ctrl.exceptions import UsageError
+from ctrl.exceptions import NumericError, UsageError
 from ctrl.optim import AdamW, WarmupSchedule
 from ctrl.params import ParamStore, rng_for, xavier_uniform
+
+from helpers import ReferenceAdamW
 
 
 def test_rng_for_streams_are_stable_and_distinct():
@@ -90,6 +92,55 @@ def test_adamw_lr_zero_is_noop():
     store["x"].grad = np.array([1.0, 1.0])
     opt.step(lr=0.0)
     assert np.array_equal(store["x"].data, [1.0, 2.0])
+
+
+@pytest.mark.parametrize("weight_decay", [0.0, 0.01])
+def test_adamw_matches_the_per_parameter_oracle_bit_for_bit(weight_decay):
+    rng = np.random.default_rng(7)
+    stores = ParamStore(), ParamStore()
+    for name, shape in (("tower.w", (3, 4)), ("tower.b", (4,)),
+                        ("emb", (2, 2, 2)), ("head", (1,))):
+        value = rng.normal(size=shape)
+        for store in stores:
+            store.add(name, value)
+    opt = AdamW(stores[0], weight_decay=weight_decay)
+    ref = ReferenceAdamW(stores[1], weight_decay=weight_decay)
+    for step in range(4):
+        for name in stores[0].names():
+            g = rng.normal(size=stores[0][name].shape) * 10.0 ** (step - 2)
+            stores[0][name].grad, stores[1][name].grad = g.copy(), g.copy()
+        lr = 1e-2 * (step + 1)
+        opt.step(lr)
+        ref.step(lr)
+        for name in stores[0].names():
+            assert (stores[0][name].data.tobytes()
+                    == stores[1][name].data.tobytes()), (step, name)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_adamw_non_finite_update_replaces_no_parameter():
+    store = ParamStore()
+    store.add("a", np.ones(2))
+    store.add("b", np.ones(2))
+    before = {n: store[n] for n in store.names()}
+    store["a"].grad = np.ones(2)
+    store["b"].grad = np.array([np.inf, 1.0])
+    with pytest.raises(NumericError, match="DTensor created with non-finite"):
+        AdamW(store).step(lr=0.1)
+    assert all(store[n] is before[n] for n in store.names())
+
+
+def test_adamw_successors_are_read_only_views_of_one_array():
+    store = ParamStore()
+    store.add("a", np.ones((2, 3)))
+    store.add("b", np.ones(4))
+    for n in store.names():
+        store[n].grad = np.ones(store[n].shape)
+    AdamW(store).step(lr=0.1)
+    a, b = store["a"].data, store["b"].data
+    assert a.shape == (2, 3) and b.shape == (4,)
+    assert a.base is not None and a.base is b.base
+    assert not a.flags.writeable and not b.flags.writeable
 
 
 def test_adamw_missing_grad_names_parameter():

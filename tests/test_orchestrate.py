@@ -1,5 +1,10 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -167,6 +172,53 @@ def test_evaluate_is_deterministic(workdir, tmp_path):
     r1 = evaluate_ckpt(prepared, d / "model.ckpt")
     r2 = evaluate_ckpt(prepared, d / "model.ckpt")
     assert r1 == r2
+
+
+EVAL_CHILD = textwrap.dedent("""
+    import resource
+    import sys
+
+    from ctrl.checkpoint import save_checkpoint
+    from ctrl.config import ModelConfig, RunConfig
+    from ctrl.data import build_vocab, encode
+    from ctrl.orchestrate import Prepared, _fresh_ctr_model, evaluate_ckpt
+    from ctrl.synthetic import SyntheticSpec, generate
+
+    rows, schema, _ = generate(SyntheticSpec(
+        n_rows=60000, n_fields=10, vocab_size=50, rule="logistic",
+        flip_noise=0.1, seed=0, history_len=3))
+    fitted = build_vocab(rows, schema)
+    split = encode(rows, fitted)
+    del rows
+    prepared = Prepared(fitted, split, split, split)
+    cfg = RunConfig(model=ModelConfig(backbone="dcn", d=8, hidden=(64, 32),
+                                      cross_layers=3))
+    store, _, _ = _fresh_ctr_model(prepared, cfg)
+    save_checkpoint(sys.argv[1], store, prepared.hash, cfg.to_dict(), extra={})
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    report = evaluate_ckpt(prepared, sys.argv[1])
+    after = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    assert report.n_examples == 60000
+    print((after - before) / 1024.0)
+""")
+
+
+def test_evaluate_memory_is_bounded_by_the_batch(tmp_path):
+    # The perfbench tower (dcn, d = 8, hidden (64, 32), 3 cross layers) on
+    # 60,000 rows of 11 fields. Scored in batches of 4,096 rows, as
+    # evaluate_ckpt does, peak RSS grew by ~24 MB; one forward pass over the
+    # whole split grew it by ~271 MB (both measured on 2 vCPUs, numpy 2.4).
+    tests = Path(__file__).resolve().parent
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(tests.parent / "src")]
+        + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    proc = subprocess.run([sys.executable, "-W", "ignore", "-c", EVAL_CHILD,
+                           str(tmp_path / "model.ckpt")], env=env,
+                          capture_output=True, text=True, timeout=600)
+    assert proc.returncode == 0, proc.stderr
+    growth_mb = float(proc.stdout.strip().splitlines()[-1])
+    assert growth_mb < 100.0, f"peak RSS grew by {growth_mb:.1f} MB"
 
 
 def test_load_alignment_model_restores_tensors(workdir, tmp_path):

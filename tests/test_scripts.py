@@ -11,7 +11,8 @@ ROOT = Path(__file__).resolve().parent.parent
 
 
 @pytest.mark.parametrize("script", ["run_two_stage.py", "run_ablation.py",
-                                    "sweep_alignment.py", "diff_runs.py"])
+                                    "sweep_alignment.py", "diff_runs.py",
+                                    "identity_runs.py"])
 def test_script_help_exits_zero(script):
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     proc = subprocess.run([sys.executable, str(ROOT / "scripts" / script),
