@@ -10,14 +10,16 @@ Layout:
     payload   the blobs, concatenated in manifest order, each raw float64
               little-endian
 
-Loading verifies the magic, version, payload length, and payload digest, and
-refuses a schema-hash mismatch when the caller states an expectation.
+Loading verifies the magic, the header's fields and types, the version, each
+blob's size against its shape, the payload length and the payload digest,
+and refuses a schema-hash mismatch when the caller states an expectation.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import math
 import struct
 from dataclasses import dataclass
 
@@ -28,6 +30,10 @@ from .params import ParamStore
 
 MAGIC = b"CTRLCKP1"
 FORMAT_VERSION = 1
+# The header fields every version-1 checkpoint has, typed as json.loads reads
+# them.
+_HEADER_FIELDS = {"schema_hash": str, "config": dict, "params": list,
+                  "buffers": list, "optimizer": list, "payload_sha256": str}
 
 
 @dataclass
@@ -77,6 +83,38 @@ def save_checkpoint(path, store: ParamStore, schema_hash: str, config: dict,
         fh.write(payload)
 
 
+def _is_count(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool) and v >= 0
+
+
+def _check_header(path, header) -> None:
+    """Raise CheckpointError unless the parsed header is a version-1 object
+    with the fields of _HEADER_FIELDS and manifest entries whose `bytes` hold
+    exactly their `shape` of float64 values."""
+    def malformed(what):
+        return CheckpointError(f"{path}: malformed header: {what}")
+    if not isinstance(header, dict):
+        raise malformed(f"a JSON {type(header).__name__}, not an object")
+    if header.get("version") != FORMAT_VERSION:
+        raise CheckpointError(f"{path}: unsupported checkpoint version "
+                              f"{header.get('version')}")
+    for key, kind in _HEADER_FIELDS.items():
+        if not isinstance(header.get(key), kind):
+            raise malformed(f"'{key}' is missing or not a {kind.__name__}")
+    if not isinstance(header.get("extra", {}), dict):
+        raise malformed("'extra' is not a dict")
+    for entry in header["params"] + header["buffers"] + header["optimizer"]:
+        if not (isinstance(entry, dict) and isinstance(entry.get("name"), str)
+                and _is_count(entry.get("bytes"))
+                and isinstance(entry.get("shape"), list)
+                and all(_is_count(n) for n in entry["shape"])):
+            raise malformed(f"manifest entry {json.dumps(entry)[:80]} is not "
+                            "a name, a shape and a byte count")
+        if entry["bytes"] != 8 * math.prod(entry["shape"]):
+            raise malformed(f"'{entry['name']}' has shape {entry['shape']} "
+                            f"but {entry['bytes']} bytes")
+
+
 def _read_section(manifest, payload: bytes, offset: int):
     out = {}
     for entry in manifest:
@@ -107,9 +145,7 @@ def load_checkpoint(path, expect_schema_hash: str = None) -> Checkpoint:
         header = json.loads(header_bytes.decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as e:
         raise CheckpointError(f"{path}: corrupt header: {e}") from e
-    if header.get("version") != FORMAT_VERSION:
-        raise CheckpointError(f"{path}: unsupported checkpoint version "
-                              f"{header.get('version')}")
+    _check_header(path, header)
     if expect_schema_hash is not None and header["schema_hash"] != expect_schema_hash:
         raise CheckpointError(
             f"{path}: schema hash mismatch (checkpoint "

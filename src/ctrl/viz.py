@@ -61,9 +61,17 @@ def read_embeddings(path):
             if header is None or header[:2] != ["row_id", "modality"]:
                 raise DataError(f"{path}: not an embedding dump")
             for row in reader:
-                ids.append(int(row[0]))
+                if len(row) != len(header):
+                    raise DataError(f"{path}: line {reader.line_num} has "
+                                    f"{len(row)} fields, the header "
+                                    f"{len(header)}")
+                try:
+                    ids.append(int(row[0]))
+                    vecs.append([float(v) for v in row[2:]])
+                except ValueError as e:
+                    raise DataError(f"{path}: line {reader.line_num}: "
+                                    f"{e}") from e
                 modalities.append(row[1])
-                vecs.append([float(v) for v in row[2:]])
     except OSError as e:
         raise DataError(f"cannot read embeddings: {e}") from e
     if not vecs:

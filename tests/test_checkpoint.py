@@ -72,12 +72,19 @@ def test_rejects_corrupt_header_json(tmp_path):
         load_checkpoint(path)
 
 
-def _raw_with_version(version: int) -> bytes:
-    header = {"version": version, "schema_hash": "h", "config": {},
-              "params": [], "buffers": [], "optimizer": [], "extra": {},
-              "payload_sha256": hashlib.sha256(b"").hexdigest()}
+def _raw_with_header(header) -> bytes:
     body = json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
     return MAGIC + struct.pack("<Q", len(body)) + body
+
+
+def _valid_header(payload: bytes = b"") -> dict:
+    return {"version": FORMAT_VERSION, "schema_hash": "h", "config": {},
+            "params": [], "buffers": [], "optimizer": [], "extra": {},
+            "payload_sha256": hashlib.sha256(payload).hexdigest()}
+
+
+def _raw_with_version(version: int) -> bytes:
+    return _raw_with_header(_valid_header() | {"version": version})
 
 
 def test_rejects_unknown_version(tmp_path):
@@ -88,6 +95,46 @@ def test_rejects_unknown_version(tmp_path):
     ok = tmp_path / "v1.ckpt"
     ok.write_bytes(_raw_with_version(FORMAT_VERSION))
     assert load_checkpoint(ok).params == {}
+
+
+def test_rejects_a_header_that_is_not_an_object(tmp_path):
+    path = tmp_path / "list.ckpt"
+    path.write_bytes(_raw_with_header([1, 2]))
+    with pytest.raises(CheckpointError,
+                       match="malformed header: a JSON list, not an object"):
+        load_checkpoint(path)
+
+
+def test_rejects_a_header_without_manifests(tmp_path):
+    path = tmp_path / "bare.ckpt"
+    path.write_bytes(_raw_with_header({"version": FORMAT_VERSION}))
+    with pytest.raises(CheckpointError, match="malformed header: '.*' is "
+                                              "missing or not a"):
+        load_checkpoint(path)
+
+
+@pytest.mark.parametrize("entry,why", [
+    ({"name": "w", "shape": [2], "bytes": "16"}, "is not a name"),
+    ({"name": "w", "shape": [2]}, "is not a name"),
+    ({"name": "w", "shape": "2", "bytes": 16}, "is not a name"),
+    ({"name": "w", "shape": [-2], "bytes": 16}, "is not a name"),
+    ({"name": 7, "shape": [2], "bytes": 16}, "is not a name"),
+    ("w", "is not a name"),
+    ({"name": "w", "shape": [3], "bytes": 16}, "'w' has shape"),
+], ids=["bytes-a-string", "no-bytes", "shape-a-string", "negative-dim",
+        "name-a-number", "not-an-object", "shape-disagrees"])
+def test_rejects_a_manifest_entry_that_does_not_describe_its_blob(
+        tmp_path, entry, why):
+    payload = np.arange(2.0).astype("<f8").tobytes()
+    path = tmp_path / "entry.ckpt"
+    path.write_bytes(_raw_with_header(_valid_header(payload)
+                                      | {"params": [entry]}) + payload)
+    with pytest.raises(CheckpointError, match=f"malformed header: .*{why}"):
+        load_checkpoint(path)
+    ok = tmp_path / "ok.ckpt"
+    ok.write_bytes(_raw_with_header(_valid_header(payload) | {
+        "params": [{"name": "w", "shape": [2], "bytes": 16}]}) + payload)
+    assert np.array_equal(load_checkpoint(ok).params["w"], [0.0, 1.0])
 
 
 def test_rejects_payload_corruption(tmp_path):

@@ -1,5 +1,6 @@
 import json
 import re
+import struct
 
 import numpy as np
 import pytest
@@ -170,6 +171,35 @@ def test_exit_code_mapping(workdir, tmp_path, capsys):
     bad.write_bytes(b"garbage")
     assert main(["evaluate", "--out", str(run), "--ckpt", str(bad)]) == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("header", [
+    [1, 2],
+    {"version": 1},
+    {"version": 1, "schema_hash": "h", "config": {}, "buffers": [],
+     "optimizer": [], "payload_sha256": "",
+     "params": [{"name": "w", "shape": [2], "bytes": "16"}]},
+])
+def test_malformed_checkpoint_header_exits_2(workdir, tmp_path, capsys,
+                                             header):
+    _, _, run = workdir
+    body = json.dumps(header).encode()
+    bad = tmp_path / "bad.ckpt"
+    bad.write_bytes(b"CTRLCKP1" + struct.pack("<Q", len(body)) + body)
+    capsys.readouterr()
+    assert main(["evaluate", "--out", str(run), "--ckpt", str(bad)]) == 2
+    err = capsys.readouterr().err
+    assert re.search(r"^error: .*bad\.ckpt: malformed header: ", err,
+                     re.MULTILINE), err
+
+
+def test_malformed_embedding_dump_exits_2(tmp_path, capsys):
+    dump = tmp_path / "embeddings.csv"
+    dump.write_text("row_id,modality,v0,v1\n0,tab,0.5,nan?\n",
+                    encoding="utf-8")
+    assert main(["project2d", "--embeddings", str(dump)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not (tmp_path / "projection.csv").exists()
 
 
 def test_prepare_with_default_config(workdir, tmp_path):

@@ -161,3 +161,20 @@ def test_read_embeddings_errors(tmp_path):
     empty.write_text("row_id,modality,v0\n", encoding="utf-8")
     with pytest.raises(DataError):
         read_embeddings(empty)
+
+
+def test_read_embeddings_rejects_a_non_numeric_coordinate(tmp_path):
+    path = tmp_path / "emb.csv"
+    path.write_text("row_id,modality,v0,v1\n0,tab,0.5,1.5\n0,text,0.5,x\n",
+                    encoding="utf-8")
+    with pytest.raises(DataError, match=r"emb\.csv: line 3: .*'x'"):
+        read_embeddings(path)
+
+
+def test_read_embeddings_rejects_a_short_row(tmp_path):
+    path = tmp_path / "emb.csv"
+    path.write_text("row_id,modality,v0,v1\n0,tab,0.5,1.5\n0,text,0.5\n",
+                    encoding="utf-8")
+    with pytest.raises(DataError, match=r"emb\.csv: line 3 has 3 fields, "
+                                        r"the header 4"):
+        read_embeddings(path)
