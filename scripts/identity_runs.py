@@ -6,7 +6,13 @@ Every run uses the data and config of the determinism criterion
 
 - autoint-maxsim/, dcn-maxsim/, mlp-maxsim/, mlp-cosine/: prepare, align,
   fine-tune warm-started from align.ckpt, evaluate on test (report.json);
-- end-to-end/: prepare, the single-stage arm at lambda_ccl = 0.5, evaluate.
+- end-to-end/: prepare, the single-stage arm at lambda_ccl = 0.5, evaluate;
+- cli/: the same config through the `ctrl` command line, in process:
+  gen-synthetic, prepare, align, ablate (no_align and cosine_sim), a 2 x 2
+  sweep whose batch size of 1000 is larger than the train split, so two
+  cells fail, dump-embeddings and project2d. This covers the files only the
+  command line writes: meta.json, data.csv, ablation.csv/.json, sweep.csv,
+  sweep_failures.json, embeddings.csv and projection.csv.
 
 Run it at two commits into two directories, then compare them:
 
@@ -20,8 +26,9 @@ import time
 from dataclasses import replace
 from pathlib import Path
 
+from ctrl.cli import main as ctrl_main
 from ctrl.config import (AlignConfig, FinetuneConfig, ModelConfig, RunConfig,
-                         TextConfig)
+                         TextConfig, save_config)
 from ctrl.orchestrate import (align_stage, end_to_end_stage, evaluate_ckpt,
                               finetune_stage, prepare_workdir)
 from ctrl.synthetic import SyntheticSpec, generate
@@ -42,6 +49,29 @@ def criterion_8_config() -> RunConfig:
                           d_proj=16),
         finetune=FinetuneConfig(lr=1e-2, batch_size=32, epochs=3, patience=3),
     )
+
+
+def cli_runs(out: Path, cfg: RunConfig) -> None:
+    data, work = out / "data", out / "work"
+    out.mkdir(parents=True, exist_ok=True)
+    save_config(cfg, out / "config.json")
+    commands = [
+        ["gen-synthetic", "--out", data, "--rows", "200", "--fields", "4",
+         "--vocab", "6", "--noise", "0.1", "--history", "2", "--seed", "3"],
+        ["prepare", "--data", data / "data.csv", "--schema",
+         data / "schema.json", "--config", out / "config.json",
+         "--out", work],
+        ["align", "--out", work],
+        ["ablate", "--out", work, "--arms", "no_align,cosine_sim"],
+        ["sweep", "--out", work, "--taus", "0.5,1.0",
+         "--batch-sizes", "32,1000"],
+        ["dump-embeddings", "--out", work],
+        ["project2d", "--embeddings", work / "embeddings.csv"],
+    ]
+    for argv in commands:
+        code = ctrl_main([str(a) for a in argv])
+        if code != 0:
+            raise SystemExit(f"ctrl {argv[0]} exited {code}")
 
 
 def main() -> int:
@@ -70,6 +100,9 @@ def main() -> int:
     end_to_end_stage(prepared, cfg, d)
     evaluate_ckpt(prepared, d / "model.ckpt", report_path=d / "report.json")
     print(f"{d.name}: {time.perf_counter() - t0:.1f} s")
+    t0 = time.perf_counter()
+    cli_runs(args.out / "cli", base)
+    print(f"cli: {time.perf_counter() - t0:.1f} s")
     return 0
 
 

@@ -12,13 +12,13 @@ similarity matrix, diagonal = positive pairs.
 
 from __future__ import annotations
 
-import csv
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import autodiff as ad
+from .artifacts import write_csv
 from .autodiff import DTensor, Tape
 from .config import AlignConfig, RunConfig
 from .data import EncodedSplit, batches, epoch_seed
@@ -187,11 +187,8 @@ class AlignResult:
 
 
 def write_curve(curve, path) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(["step", "lr", "loss", "l_t2t", "l_tab2text"])
-        for row in curve:
-            w.writerow([row[0]] + [repr(float(v)) for v in row[1:]])
+    write_csv(path, ["step", "lr", "loss", "l_t2t", "l_tab2text"],
+              ([row[0]] + [repr(float(v)) for v in row[1:]] for row in curve))
 
 
 def align_train(model: AlignmentModel, split: EncodedSplit,

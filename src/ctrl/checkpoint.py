@@ -25,6 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .artifacts import replacing
 from .exceptions import CheckpointError
 from .params import ParamStore
 
@@ -76,7 +77,7 @@ def save_checkpoint(path, store: ParamStore, schema_hash: str, config: dict,
     }
     header_bytes = json.dumps(header, sort_keys=True,
                               separators=(",", ":")).encode("utf-8")
-    with open(path, "wb") as fh:
+    with replacing(path, binary=True) as fh:
         fh.write(MAGIC)
         fh.write(struct.pack("<Q", len(header_bytes)))
         fh.write(header_bytes)

@@ -21,6 +21,7 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
+from .artifacts import write_json
 from .config import (BACKBONES, SIMILARITIES, RunConfig, load_config)
 from .data import load_schema, read_csv_rows, save_schema, write_csv_rows
 from .exceptions import (CheckpointError, DataError, NumericError, UsageError)
@@ -274,9 +275,7 @@ def cmd_gen_synthetic(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     write_csv_rows(rows, schema, out / "data.csv")
     save_schema(schema, out / "schema.json")
-    with open(out / "meta.json", "w", encoding="utf-8") as fh:
-        json.dump(meta, fh, sort_keys=True)
-        fh.write("\n")
+    write_json(out / "meta.json", json.dumps(meta, sort_keys=True))
     print(f"wrote {out / 'data.csv'}: {meta['n_rows']} rows, "
           f"positive rate {meta['positive_rate']:.3f}, "
           f"best AUC {meta['best_auc']:g}")

@@ -10,7 +10,8 @@ import dataclasses
 import json
 from dataclasses import dataclass, field
 
-from .exceptions import DataError, UsageError
+from .artifacts import read_json, write_json
+from .exceptions import UsageError
 
 BACKBONES = ("autoint", "dcn", "mlp")
 SIMILARITIES = ("maxsim", "cosine")
@@ -142,6 +143,9 @@ class RunConfig:
     def from_dict(d: dict) -> "RunConfig":
         """Inverse of to_dict. Missing keys keep their defaults; an unknown
         key at any level raises UsageError."""
+        if not isinstance(d, dict):
+            raise UsageError(f"malformed config: a JSON {type(d).__name__}, "
+                             "not an object")
         fields = {f.name: f for f in dataclasses.fields(RunConfig)}
         unknown = sorted(set(d) - set(fields))
         if unknown:
@@ -168,16 +172,8 @@ def config_json(cfg: RunConfig) -> str:
 
 
 def load_config(path) -> RunConfig:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return RunConfig.from_dict(json.load(fh))
-    except OSError as e:
-        raise DataError(f"cannot read config file: {e}") from e
-    except json.JSONDecodeError as e:
-        raise DataError(f"config file is not valid JSON: {e}") from e
+    return RunConfig.from_dict(read_json(path))
 
 
 def save_config(cfg: RunConfig, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(config_json(cfg))
-        fh.write("\n")
+    write_json(path, config_json(cfg))

@@ -15,6 +15,7 @@ from typing import Iterator, Optional
 
 import numpy as np
 
+from .artifacts import read_json, write_csv, write_json
 from .exceptions import DataError, UsageError
 from .params import rng_for
 
@@ -109,19 +110,11 @@ def schema_hash(schema: FeatureSchema) -> str:
 
 
 def load_schema(path) -> FeatureSchema:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return FeatureSchema.from_dict(json.load(fh))
-    except OSError as e:
-        raise DataError(f"cannot read schema file: {e}") from e
-    except json.JSONDecodeError as e:
-        raise DataError(f"schema file is not valid JSON: {e}") from e
+    return FeatureSchema.from_dict(read_json(path))
 
 
 def save_schema(schema: FeatureSchema, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(canonical_schema_json(schema))
-        fh.write("\n")
+    write_json(path, canonical_schema_json(schema))
 
 
 def read_csv_rows(path, schema: FeatureSchema) -> list:
@@ -141,6 +134,13 @@ def read_csv_rows(path, schema: FeatureSchema) -> list:
             raise DataError(f"{path}: missing columns {missing}")
         rows = []
         for lineno, row in enumerate(reader, start=2):
+            # DictReader keys a long row's extra cells by None and fills a
+            # short row's missing ones with None
+            if None in row or None in row.values():
+                raise DataError(f"{path}: row {lineno}: "
+                                f"{'more' if None in row else 'fewer'} cells "
+                                f"than the {len(reader.fieldnames)} columns "
+                                "of the header")
             if row.get("label") not in ("0", "1"):
                 raise DataError(f"{path}: row {lineno}: label must be 0 or 1, "
                                 f"got {row.get('label')!r}")
@@ -160,11 +160,7 @@ def write_csv_rows(rows, schema: FeatureSchema, path) -> None:
     """Inverse of read_csv_rows with deterministic bytes: fixed column order,
     \\n line endings."""
     names = [f.name for f in schema.fields] + ["label", "timestamp"]
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(names)
-        for row in rows:
-            w.writerow([row.get(n, "") for n in names])
+    write_csv(path, names, ([row.get(n, "") for n in names] for row in rows))
 
 
 def split_cell(cell: str) -> list:

@@ -8,13 +8,13 @@ weighted contrastive term with the text tower attached.
 
 from __future__ import annotations
 
-import csv
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import autodiff as ad
+from .artifacts import write_csv
 from .autodiff import DTensor, Tape
 from .config import FinetuneConfig
 from .data import EncodedSplit, batches, epoch_seed
@@ -80,11 +80,8 @@ class FinetuneResult:
 
 
 def write_history(history, path) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(["epoch", "train_loss", "val_auc", "val_logloss"])
-        for row in history:
-            w.writerow([row[0]] + [repr(float(v)) for v in row[1:]])
+    write_csv(path, ["epoch", "train_loss", "val_auc", "val_logloss"],
+              ([row[0]] + [repr(float(v)) for v in row[1:]] for row in history))
 
 
 def _train(opt: AdamW, batch_loss, encoder, head: CtrHead,

@@ -9,7 +9,8 @@
 so every stage can resume from disk. Stage outputs land in the same
 directory: tokenizer.json, align.ckpt, curve.csv, gap.json (stage 1),
 model.ckpt, history.csv (stage 2), report.json, ablation.csv/.json,
-sweep.csv, embeddings.csv, projection.csv.
+sweep.csv, embeddings.csv, projection.csv. Each is written through
+`ctrl.artifacts`, so an interrupted stage leaves every file as it was or whole.
 
 Checkpoints embed their own RunConfig, and loaders rebuild model topology
 from that embedded copy, so a checkpoint remains readable after the
@@ -29,6 +30,7 @@ from functools import partial
 from pathlib import Path
 
 from .align import AlignmentModel, align_train
+from .artifacts import read_json, write_csv, write_json
 from .checkpoint import load_checkpoint, restore_into, save_checkpoint
 from .config import RunConfig, load_config, save_config
 from .data import (EncodedSplit, FeatureSchema, encode, load_schema,
@@ -92,18 +94,14 @@ def load_prepared(work_dir) -> tuple[RunConfig, Prepared]:
 
 
 def save_tokenizer(tok: Tokenizer, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(tok.to_dict(), fh, sort_keys=True)
-        fh.write("\n")
+    write_json(path, json.dumps(tok.to_dict(), sort_keys=True))
 
 
 def load_tokenizer(path) -> Tokenizer:
+    blob = read_json(path)
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return Tokenizer.from_dict(json.load(fh))
-    except OSError as e:
-        raise DataError(f"cannot read tokenizer file: {e}") from e
-    except (json.JSONDecodeError, KeyError, TypeError) as e:
+        return Tokenizer.from_dict(blob)
+    except (KeyError, TypeError) as e:
         raise DataError(f"malformed tokenizer file: {e}") from e
 
 
@@ -154,12 +152,10 @@ def align_stage(prepared: Prepared, cfg: RunConfig, out_dir,
         "post_gap": post[2],
         "gap_split": gap_split,
     }
-    with open(out / "gap.json", "w", encoding="utf-8") as fh:
-        json.dump({"pre": {"paired": pre[0], "unpaired": pre[1], "gap": pre[2]},
-                   "post": {"paired": post[0], "unpaired": post[1], "gap": post[2]},
-                   "head": cfg.align.similarity, "split": gap_split},
-                  fh, sort_keys=True)
-        fh.write("\n")
+    write_json(out / "gap.json", json.dumps(
+        {"pre": {"paired": pre[0], "unpaired": pre[1], "gap": pre[2]},
+         "post": {"paired": post[0], "unpaired": post[1], "gap": post[2]},
+         "head": cfg.align.similarity, "split": gap_split}, sort_keys=True))
     save_checkpoint(out / "align.ckpt", store, prepared.hash, cfg.to_dict(),
                     extra={"stage": "align", **summary})
     return summary
@@ -263,9 +259,7 @@ def evaluate_ckpt(prepared: Prepared, ckpt_path, split: str = "test",
                         n_examples=data.n, seed=cfg.seed,
                         relaimpr_pct=rel, base_name=base_name)
     if report_path is not None:
-        with open(report_path, "w", encoding="utf-8") as fh:
-            fh.write(report.to_json())
-            fh.write("\n")
+        write_json(report_path, report.to_json())
     return report
 
 
@@ -320,16 +314,13 @@ def run_ablation(prepared: Prepared, cfg: RunConfig, out_dir,
         rows.append({"arm": arm, "auc": rep.auc, "logloss": rep.logloss,
                      "relaimpr_vs_no_align_pct": rel})
 
-    with open(out / "ablation.csv", "w", encoding="utf-8", newline="") as fh:
-        fh.write("arm,auc,logloss,relaimpr_vs_no_align_pct\n")
-        for r in rows:
-            rel = "" if r["relaimpr_vs_no_align_pct"] is None \
-                else repr(r["relaimpr_vs_no_align_pct"])
-            fh.write(f"{r['arm']},{r['auc']!r},{r['logloss']!r},{rel}\n")
+    write_csv(out / "ablation.csv",
+              ["arm", "auc", "logloss", "relaimpr_vs_no_align_pct"],
+              ([r["arm"], repr(r["auc"]), repr(r["logloss"]),
+                "" if r["relaimpr_vs_no_align_pct"] is None
+                else repr(r["relaimpr_vs_no_align_pct"])] for r in rows))
     blob = {"seed": cfg.seed, "arms": rows}
-    with open(out / "ablation.json", "w", encoding="utf-8") as fh:
-        json.dump(blob, fh, sort_keys=True, indent=2)
-        fh.write("\n")
+    write_json(out / "ablation.json", json.dumps(blob, sort_keys=True, indent=2))
     return blob
 
 
@@ -409,15 +400,11 @@ def run_sweep(work_dir, cfg: RunConfig, taus, batch_sizes, out_dir,
                 failures.append({"tau": tau, "batch": batch,
                                  "error": f"{type(e).__name__}: {e}"})
 
-    with open(out / "sweep.csv", "w", encoding="utf-8", newline="") as fh:
-        fh.write("tau,batch,auc,logloss\n")
-        for r in rows:
-            fh.write(f"{r['tau']:g},{r['batch']},{r['auc']!r},"
-                     f"{r['logloss']!r}\n")
+    write_csv(out / "sweep.csv", ["tau", "batch", "auc", "logloss"],
+              ([f"{r['tau']:g}", r["batch"], repr(r["auc"]),
+                repr(r["logloss"])] for r in rows))
     if failures:
         warnings.warn(f"{len(failures)} sweep cell(s) failed; see "
                       f"{out / 'sweep_failures.json'}")
-        with open(out / "sweep_failures.json", "w", encoding="utf-8") as fh:
-            json.dump(failures, fh, indent=2)
-            fh.write("\n")
+        write_json(out / "sweep_failures.json", json.dumps(failures, indent=2))
     return rows, failures

@@ -16,6 +16,7 @@ import warnings
 import numpy as np
 
 from . import autodiff as ad
+from .artifacts import write_csv
 from .data import EncodedSplit, batches
 from .exceptions import DataError, NumericError, UsageError
 from .prompt import build_prompt
@@ -42,13 +43,10 @@ def dump_embeddings(model, split: EncodedSplit, tokenizer, path,
     modality (tab|text), then the representation coordinates."""
     h_text, h_tab = tower_representations(model, split, tokenizer, batch_size)
     d = h_text.shape[1]
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(["row_id", "modality"] + [f"v{i}" for i in range(d)])
-        for i in range(h_tab.shape[0]):
-            w.writerow([i, "tab"] + [repr(float(v)) for v in h_tab[i]])
-        for i in range(h_text.shape[0]):
-            w.writerow([i, "text"] + [repr(float(v)) for v in h_text[i]])
+    write_csv(path, ["row_id", "modality"] + [f"v{i}" for i in range(d)],
+              ([i, modality] + [repr(float(v)) for v in h[i]]
+               for modality, h in (("tab", h_tab), ("text", h_text))
+               for i in range(h.shape[0])))
     return h_text, h_tab
 
 
@@ -160,10 +158,7 @@ def project_2d(x: np.ndarray):
 
 
 def write_projection(coords, ratios, path) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(["x", "y"])
-        for row in coords:
-            w.writerow([repr(float(row[0])), repr(float(row[1]))])
-        w.writerow(["# explained_variance_ratio",
-                    " ".join(repr(float(r)) for r in ratios)])
+    rows = [[repr(float(row[0])), repr(float(row[1]))] for row in coords]
+    rows.append(["# explained_variance_ratio",
+                 " ".join(repr(float(r)) for r in ratios)])
+    write_csv(path, ["x", "y"], rows)

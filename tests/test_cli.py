@@ -202,6 +202,43 @@ def test_malformed_embedding_dump_exits_2(tmp_path, capsys):
     assert not (tmp_path / "projection.csv").exists()
 
 
+@pytest.mark.parametrize("command, name, content", [
+    ("align", "config.json", b'{"truncated": '),
+    ("align", "config.json", b"\xff\xfe{}"),  # not UTF-8
+    ("align", "schema.json", b'{"truncated": '),
+    ("dump-embeddings", "tokenizer.json", b'{"truncated": '),
+])
+def test_unparsable_json_artifact_exits_2_naming_it(workdir, tmp_path, capsys,
+                                                    command, name, content):
+    _, _, run = workdir
+    _copy(run, tmp_path, PREPARED)
+    (tmp_path / name).write_bytes(content)
+    capsys.readouterr()
+    assert main([command, "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert re.search(rf"^error: .*{re.escape(str(tmp_path / name))}", err,
+                     re.MULTILINE), err
+
+
+def test_prepare_refuses_a_row_without_its_sequence_cell(workdir, tmp_path,
+                                                         capsys):
+    """With the sequence column last, a short row used to crash `prepare`
+    with an AttributeError traceback."""
+    _, data, _ = workdir
+    header, *rows = (data / "data.csv").read_text().splitlines()
+    assert header == "f0,f1,f2,f3,history,label,timestamp"
+    # label,timestamp,f0,...,f3,history; row 4 loses its history cell
+    lines = [",".join(cells[5:] + cells[:5])
+             for cells in (line.split(",") for line in [header] + rows)]
+    lines[3] = lines[3].rsplit(",", 1)[0]
+    (tmp_path / "data.csv").write_text("\n".join(lines) + "\n")
+    assert main(["prepare", "--data", str(tmp_path / "data.csv"),
+                 "--schema", str(data / "schema.json"),
+                 "--out", str(tmp_path / "run")]) == 2
+    assert re.search(r"^error: .*data\.csv: row 4: fewer cells",
+                     capsys.readouterr().err, re.MULTILINE)
+
+
 def test_prepare_with_default_config(workdir, tmp_path):
     _, data, _ = workdir
     out = tmp_path / "defrun"

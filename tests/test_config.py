@@ -95,6 +95,21 @@ def test_config_typo_exits_with_usage_code(tmp_path, capsys):
     assert "sead" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("text", ["5", "null"])
+def test_a_config_that_is_not_an_object_exits_with_usage_code(tmp_path, capsys,
+                                                              text):
+    data = tmp_path / "data"
+    assert main(["gen-synthetic", "--out", str(data), "--rows", "20"]) == 0
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(text, encoding="utf-8")
+    with pytest.raises(UsageError, match="malformed config"):
+        load_config(cfg_path)
+    assert main(["prepare", "--data", str(data / "data.csv"),
+                 "--schema", str(data / "schema.json"),
+                 "--config", str(cfg_path), "--out", str(tmp_path / "run")]) == 1
+    assert "error: malformed config" in capsys.readouterr().err
+
+
 def test_only_maxsim_needs_m_subspaces_to_divide_d_proj():
     # the cosine head has no sub-spaces, so the pair is never used
     assert AlignConfig(similarity="cosine", d_proj=10, m_subspaces=4).d_proj == 10

@@ -209,6 +209,25 @@ def test_read_csv_rows_errors(tmp_path):
         read_csv_rows(p, schema)
 
 
+@pytest.mark.parametrize("last, line, what", [
+    # label and timestamp come first, so a short row loses a feature cell
+    ("history", "1,5,f,18,doc,T,S,C", "fewer cells"),
+    ("director", "1,5,f,18,doc,T,S,Alien", "fewer cells"),
+    ("history", "1,5,f,18,doc,T,S,C,Alien,extra", "more cells"),
+])
+def test_read_csv_rows_rejects_ragged_rows(tmp_path, last, line, what):
+    """A short row used to read its missing categorical cell as OOV and to
+    crash on a missing sequence cell; a long row lost its extra cells."""
+    cols = ["gender", "age", "occupation", "title", "genre", "director",
+            "history"]
+    cols.remove(last)
+    p = tmp_path / "d.csv"
+    p.write_text(",".join(["label", "timestamp", *cols, last])
+                 + f"\n1,4,f,18,doc,T,S,C,Alien\n{line}\n")
+    with pytest.raises(DataError, match=f"d.csv: row 3: {what}"):
+        read_csv_rows(p, movie_schema())
+
+
 def test_read_csv_rows_parses(tmp_path):
     schema = movie_schema()
     p = tmp_path / "d.csv"
