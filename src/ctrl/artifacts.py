@@ -1,6 +1,7 @@
 """Artifact I/O. Every file the package writes goes through `replacing`, so an
-artifact is its previous version or complete, never truncated; the JSON
-artifacts are read through `read_json`. Text is UTF-8 with "\\n" line ends."""
+artifact is its previous version or complete, never truncated; every file it
+reads as text is opened through `reading`. Text is UTF-8 with "\\n" line
+ends."""
 
 import csv
 import json
@@ -48,12 +49,22 @@ def write_csv(path, header, rows) -> None:
         w.writerows(rows)
 
 
+@contextmanager
+def reading(path):
+    """Yield `path` open for reading as UTF-8 text, with newlines left as
+    they are (what `csv` needs). A file that cannot be opened or read raises
+    DataError naming it."""
+    try:
+        with open(path, "r", encoding="utf-8", newline="") as fh:
+            yield fh
+    except OSError as e:
+        raise DataError(f"cannot read {path}: {e.strerror}") from e
+
+
 def read_json(path):
     """Parse a JSON file; an unreadable or non-JSON file raises DataError."""
     try:
-        with open(path, "r", encoding="utf-8") as fh:
+        with reading(path) as fh:
             return json.load(fh)
-    except OSError as e:
-        raise DataError(f"cannot read {path}: {e.strerror}") from e
     except (json.JSONDecodeError, UnicodeDecodeError) as e:
         raise DataError(f"{path}: not valid JSON: {e}") from e

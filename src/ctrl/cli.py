@@ -113,7 +113,7 @@ def build_parser() -> argparse.ArgumentParser:
                     default=",".join(str(b) for b in DEFAULT_SWEEP_BATCHES),
                     help="comma list of stage-1 batch sizes")
     sp.add_argument("--parallel", type=int, default=1,
-                    help="worker processes (capped by CTRL_ALIGN_THREADS)")
+                    help="worker processes, at most one per grid cell")
     _add_overrides(sp)
 
     sp = sub.add_parser("dump-embeddings",
@@ -165,8 +165,9 @@ def cmd_prepare(args) -> int:
 def cmd_align(args) -> int:
     cfg, prepared = _load_workdir(args)
     summary = align_stage(prepared, cfg, args.out, gap_split=args.gap_split)
-    print(f"aligned in {summary['steps']} steps; "
-          f"final loss {summary['final_loss']:.4f}; "
+    loss = summary["final_loss"]
+    loss_s = f"{loss:.4f}" if loss is not None else "-"
+    print(f"aligned in {summary['steps']} steps; final loss {loss_s}; "
           f"{cfg.align.similarity} gap "
           f"{summary['pre_gap']:.4f} -> {summary['post_gap']:.4f}")
     if summary["diverged"]:

@@ -97,6 +97,8 @@ class AlignConfig:
             raise UsageError("epochs must be >= 1")
         if self.start_lr < 0 or self.peak_lr < self.start_lr:
             raise UsageError("need 0 <= start_lr <= peak_lr")
+        if self.warmup_steps < 0:
+            raise UsageError("warmup_steps must be >= 0")
 
 
 @dataclass(frozen=True)

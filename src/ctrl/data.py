@@ -15,7 +15,7 @@ from typing import Iterator, Optional
 
 import numpy as np
 
-from .artifacts import read_json, write_csv, write_json
+from .artifacts import read_json, reading, write_csv, write_json
 from .exceptions import DataError, UsageError
 from .params import rng_for
 
@@ -119,11 +119,7 @@ def save_schema(schema: FeatureSchema, path) -> None:
 
 def read_csv_rows(path, schema: FeatureSchema) -> list:
     """Read a UTF-8 CSV into raw row dicts, validating header and label/timestamp."""
-    try:
-        fh = open(path, "r", encoding="utf-8", newline="")
-    except OSError as e:
-        raise DataError(f"cannot read data file: {e}") from e
-    with fh:
+    with reading(path) as fh:
         reader = csv.DictReader(fh)
         if reader.fieldnames is None:
             raise DataError(f"{path}: empty file")

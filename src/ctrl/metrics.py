@@ -5,7 +5,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -53,12 +52,12 @@ def logloss(scores, labels) -> float:
     return float(-np.mean(labels * np.log(p) + (1.0 - labels) * np.log(1.0 - p)))
 
 
-def relaimpr(measured_auc: float, base_auc: float) -> float:
-    """Relative improvement in percent over a base run, with 0.5 (random
+def relaimpr(measured_auc: float, baseline_auc: float) -> float:
+    """Relative improvement in percent over a baseline run, with 0.5 (random
     ranking) as the floor of both."""
-    if base_auc <= 0.5:
-        raise UsageError(f"base AUC must exceed 0.5, got {base_auc}")
-    return ((measured_auc - 0.5) / (base_auc - 0.5) - 1.0) * 100.0
+    if baseline_auc <= 0.5:
+        raise UsageError(f"base AUC must exceed 0.5, got {baseline_auc}")
+    return ((measured_auc - 0.5) / (baseline_auc - 0.5) - 1.0) * 100.0
 
 
 @dataclass(frozen=True)
@@ -67,8 +66,6 @@ class EvalReport:
     logloss: float
     n_examples: int
     seed: int
-    relaimpr_pct: Optional[float] = None
-    base_name: Optional[str] = None
 
     def __post_init__(self):
         if not (0.0 <= self.auc <= 1.0):
@@ -79,9 +76,6 @@ class EvalReport:
     def to_json(self) -> str:
         payload = {"auc": self.auc, "logloss": self.logloss,
                    "n_examples": self.n_examples, "seed": self.seed}
-        if self.relaimpr_pct is not None:
-            payload["relaimpr_pct"] = self.relaimpr_pct
-            payload["base_name"] = self.base_name
         return json.dumps(payload, sort_keys=True, separators=(",", ":"))
 
     def table(self) -> str:
@@ -89,8 +83,5 @@ class EvalReport:
                 ("logloss", f"{self.logloss:.6f}"),
                 ("n_examples", str(self.n_examples)),
                 ("seed", str(self.seed))]
-        if self.relaimpr_pct is not None:
-            rows.append((f"relaimpr vs {self.base_name}",
-                         f"{self.relaimpr_pct:+.2f}%"))
         width = max(len(k) for k, _ in rows)
         return "\n".join(f"{k.ljust(width)}  {v}" for k, v in rows)

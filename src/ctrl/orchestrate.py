@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import os
 import warnings
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
@@ -45,7 +44,6 @@ from .prompt import Tokenizer, build_prompt, template_from
 from .viz import head_gap, tower_representations
 
 ARM_NAMES = ("ctrl", "cosine_sim", "no_align", "end_to_end")
-ENV_THREAD_CAP = "CTRL_ALIGN_THREADS"
 
 SPLIT_FILES = ("train", "val", "test")
 
@@ -129,20 +127,21 @@ def align_stage(prepared: Prepared, cfg: RunConfig, out_dir,
                 gap_split: str = "val") -> dict:
     """Stage 1: fit the tokenizer, contrastively train both towers, measure the
     paired-vs-unpaired gap under the model's similarity head before and
-    after, checkpoint everything."""
+    after, checkpoint everything. A divergence at the first step leaves
+    the initial state checkpointed, with no final loss."""
+    if prepared.train.n < cfg.align.batch_size:
+        raise UsageError("train split is smaller than one alignment batch; "
+                         "lower align.batch_size")
+    split = prepared.split(gap_split)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     tokenizer = fit_tokenizer(prepared, cfg)
     save_tokenizer(tokenizer, out / "tokenizer.json")
     store = ParamStore()
     model = AlignmentModel(store, prepared.schema, tokenizer.vocab_size, cfg)
-    split = prepared.split(gap_split)
     pre = alignment_gap(model, split, tokenizer, cfg.align.batch_size)
     result = align_train(model, prepared.train, tokenizer, cfg.align,
                          cfg.seed, curve_path=out / "curve.csv")
-    if result.steps == 0:
-        raise UsageError("train split is smaller than one alignment batch; "
-                         "lower align.batch_size")
     post = alignment_gap(model, split, tokenizer, cfg.align.batch_size)
     summary = {
         "steps": result.steps,
@@ -237,7 +236,6 @@ def end_to_end_stage(prepared: Prepared, cfg: RunConfig,
 
 
 def evaluate_ckpt(prepared: Prepared, ckpt_path, split: str = "test",
-                  base_auc: float = None, base_name: str = None,
                   report_path=None) -> EvalReport:
     """Deployment-style evaluation: only the collaborative tower and CTR head
     are rebuilt from the checkpoint; text-tower tensors are ignored."""
@@ -252,12 +250,9 @@ def evaluate_ckpt(prepared: Prepared, ckpt_path, split: str = "test",
     restore_into(store, ckpt, "")
     data = prepared.split(split)
     scores = predict_scores(enc, head, data)
-    score_auc = auc(scores, data.labels)
-    rel = None if base_auc is None else relaimpr(score_auc, base_auc)
-    report = EvalReport(auc=score_auc,
+    report = EvalReport(auc=auc(scores, data.labels),
                         logloss=logloss(scores, data.labels),
-                        n_examples=data.n, seed=cfg.seed,
-                        relaimpr_pct=rel, base_name=base_name)
+                        n_examples=data.n, seed=cfg.seed)
     if report_path is not None:
         write_json(report_path, report.to_json())
     return report
@@ -324,20 +319,6 @@ def run_ablation(prepared: Prepared, cfg: RunConfig, out_dir,
     return blob
 
 
-def _worker_cap(requested: int) -> int:
-    cap = os.environ.get(ENV_THREAD_CAP)
-    if cap is None or cap == "":
-        return requested
-    try:
-        cap = int(cap)
-    except ValueError:
-        raise UsageError(f"{ENV_THREAD_CAP} must be an integer, got {cap!r}") \
-            from None
-    if cap < 1:
-        raise UsageError(f"{ENV_THREAD_CAP} must be >= 1, got {cap}")
-    return min(requested, cap)
-
-
 def _sweep_cell(work_dir: str, cell_dir: str, cfg_dict: dict,
                 tau: float, batch: int) -> dict:
     """One sweep cell, self-contained so it can run in a child process."""
@@ -383,7 +364,7 @@ def run_sweep(work_dir, cfg: RunConfig, taus, batch_sizes, out_dir,
         raise UsageError("sweep grid is empty")
 
     rows, failures = [], []
-    workers = _worker_cap(min(parallel, len(grid)))
+    workers = min(parallel, len(grid))
     with (ProcessPoolExecutor(max_workers=workers) if workers > 1
           else nullcontext()) as pool:
         # Calling an entry returns its cell's row: a worker's future result,

@@ -16,7 +16,7 @@ import warnings
 import numpy as np
 
 from . import autodiff as ad
-from .artifacts import write_csv
+from .artifacts import reading, write_csv
 from .data import EncodedSplit, batches
 from .exceptions import DataError, NumericError, UsageError
 from .prompt import build_prompt
@@ -52,26 +52,23 @@ def dump_embeddings(model, split: EncodedSplit, tokenizer, path,
 
 def read_embeddings(path):
     ids, modalities, vecs = [], [], []
-    try:
-        with open(path, "r", encoding="utf-8", newline="") as fh:
-            reader = csv.reader(fh)
-            header = next(reader, None)
-            if header is None or header[:2] != ["row_id", "modality"]:
-                raise DataError(f"{path}: not an embedding dump")
-            for row in reader:
-                if len(row) != len(header):
-                    raise DataError(f"{path}: line {reader.line_num} has "
-                                    f"{len(row)} fields, the header "
-                                    f"{len(header)}")
-                try:
-                    ids.append(int(row[0]))
-                    vecs.append([float(v) for v in row[2:]])
-                except ValueError as e:
-                    raise DataError(f"{path}: line {reader.line_num}: "
-                                    f"{e}") from e
-                modalities.append(row[1])
-    except OSError as e:
-        raise DataError(f"cannot read embeddings: {e}") from e
+    with reading(path) as fh:
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header is None or header[:2] != ["row_id", "modality"]:
+            raise DataError(f"{path}: not an embedding dump")
+        for row in reader:
+            if len(row) != len(header):
+                raise DataError(f"{path}: line {reader.line_num} has "
+                                f"{len(row)} fields, the header "
+                                f"{len(header)}")
+            try:
+                ids.append(int(row[0]))
+                vecs.append([float(v) for v in row[2:]])
+            except ValueError as e:
+                raise DataError(f"{path}: line {reader.line_num}: "
+                                f"{e}") from e
+            modalities.append(row[1])
     if not vecs:
         raise DataError(f"{path}: no embedding records")
     return np.array(ids), modalities, np.array(vecs)

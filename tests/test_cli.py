@@ -281,3 +281,31 @@ def test_overflowing_tower_exits_3_from_evaluate_and_dump_embeddings(
         "error: matmul: produced non-finite values\n")
     assert not (tmp_path / "report.json").exists()
     assert not (tmp_path / "embeddings.csv").exists()
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_alignment_diverging_at_its_first_step_exits_3_with_a_checkpoint(
+        workdir, tmp_path, capsys):
+    """A temperature of 1e-308 overflows the first InfoNCE, so no step is
+    taken: the stage still writes gap.json and checkpoints the initial state,
+    and exits 3, not 1 with the message of a split smaller than a batch."""
+    _, _, run = workdir
+    _copy(run, tmp_path, PREPARED)
+    cfg = json.loads((tmp_path / "config.json").read_text())
+    cfg["align"]["temperature"] = 1e-308
+    (tmp_path / "config.json").write_text(json.dumps(cfg), encoding="utf-8")
+    capsys.readouterr()
+    with pytest.warns(UserWarning, match="alignment diverged at step 0"):
+        assert main(["align", "--out", str(tmp_path)]) == 3
+    out, err = capsys.readouterr()
+    assert out.startswith("aligned in 0 steps; final loss -; maxsim gap ")
+    assert err == "alignment diverged; last good state was checkpointed\n"
+    assert (tmp_path / "curve.csv").read_text() == \
+        "step,lr,loss,l_t2t,l_tab2text\n"
+    gap = json.loads((tmp_path / "gap.json").read_text())
+    assert gap["post"] == gap["pre"]  # the initial state, restored
+    ckpt = load_checkpoint(tmp_path / "align.ckpt")
+    assert ckpt.extra["steps"] == 0 and ckpt.extra["diverged"]
+    assert ckpt.extra["final_loss"] is None
+    assert main(["dump-embeddings", "--out", str(tmp_path)]) == 0
+    assert (tmp_path / "embeddings.csv").exists()

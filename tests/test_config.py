@@ -115,3 +115,20 @@ def test_only_maxsim_needs_m_subspaces_to_divide_d_proj():
     assert AlignConfig(similarity="cosine", d_proj=10, m_subspaces=4).d_proj == 10
     with pytest.raises(UsageError, match="m_subspaces must divide d_proj"):
         AlignConfig(similarity="maxsim", d_proj=10, m_subspaces=4)
+
+
+def test_negative_warmup_steps_are_refused_before_prepare_writes(tmp_path,
+                                                                  capsys):
+    with pytest.raises(UsageError, match="warmup_steps must be >= 0"):
+        AlignConfig(warmup_steps=-1)
+    assert AlignConfig(warmup_steps=0).warmup_steps == 0
+    data = tmp_path / "data"
+    assert main(["gen-synthetic", "--out", str(data), "--rows", "20"]) == 0
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"align": {"warmup_steps": -1}}),
+                        encoding="utf-8")
+    assert main(["prepare", "--data", str(data / "data.csv"),
+                 "--schema", str(data / "schema.json"),
+                 "--config", str(cfg_path), "--out", str(tmp_path / "run")]) == 1
+    assert "warmup_steps must be >= 0" in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()

@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -186,6 +187,12 @@ def test_batches_align_requires_two():
 
 def test_read_csv_rows_errors(tmp_path):
     schema = movie_schema()
+    missing = tmp_path / "missing.csv"
+    want = (f"^cannot read {re.escape(str(missing))}: "
+            "No such file or directory$")
+    with pytest.raises(DataError, match=want):
+        read_csv_rows(missing, schema)
+
     p = tmp_path / "d.csv"
     p.write_text("gender,label\nf,1\n")
     with pytest.raises(DataError, match="missing columns"):

@@ -84,11 +84,9 @@ def test_relaimpr_identity_and_guard():
 
 
 def test_eval_report_round_trip_and_validation():
-    rep = EvalReport(auc=0.71, logloss=0.62, n_examples=100, seed=3,
-                     relaimpr_pct=2.5, base_name="no_align")
+    rep = EvalReport(auc=0.71, logloss=0.62, n_examples=100, seed=3)
     assert json.loads(rep.to_json()) == {
-        "auc": 0.71, "logloss": 0.62, "n_examples": 100, "seed": 3,
-        "relaimpr_pct": 2.5, "base_name": "no_align"}
+        "auc": 0.71, "logloss": 0.62, "n_examples": 100, "seed": 3}
     with pytest.raises(UsageError):
         EvalReport(auc=1.2, logloss=0.5, n_examples=1, seed=0)
     with pytest.raises(UsageError):
@@ -96,12 +94,10 @@ def test_eval_report_round_trip_and_validation():
 
 
 def test_eval_report_table_alignment():
-    rep = EvalReport(auc=0.75, logloss=0.6, n_examples=10, seed=1,
-                     relaimpr_pct=-1.25, base_name="base")
+    rep = EvalReport(auc=0.75, logloss=0.6, n_examples=10, seed=1)
     lines = rep.table().splitlines()
-    assert len(lines) == 5
-    # one aligned value column
-    starts = {line.index("  ") for line in lines}
-    assert len({len(line[:line.index("  ")]) for line in lines}) > 0
+    assert len(lines) == 4
+    # one aligned value column, two spaces after the longest key
+    assert {len(line) - len(line.split()[-1]) for line in lines} == {12}
     assert lines[0].startswith("auc")
-    assert "-1.25%" in lines[-1]
+    assert lines[-1].split() == ["seed", "1"]

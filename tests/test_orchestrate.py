@@ -19,8 +19,7 @@ from ctrl.orchestrate import (align_stage, evaluate_ckpt, end_to_end_stage,
                               finetune_stage, fit_tokenizer,
                               load_alignment_model, load_prepared,
                               load_tokenizer, prepare_workdir, run_ablation,
-                              run_arm, run_sweep, save_tokenizer,
-                              _worker_cap)
+                              run_arm, run_sweep, save_tokenizer)
 from ctrl.synthetic import SyntheticSpec, generate
 
 # zero-norm sub-representations are routine right after initialization
@@ -104,11 +103,15 @@ def test_align_stage_artifacts_and_determinism(workdir, tmp_path):
 
 
 def test_align_stage_rejects_oversized_batch(workdir, tmp_path):
+    """The batch size is checked before any work, so a refused stage (a
+    failed sweep cell) leaves no directory, tokenizer or curve behind."""
     out, cfg, prepared = workdir
     from dataclasses import replace
-    big = replace(cfg, align=replace(cfg.align, batch_size=4096))
-    with pytest.raises(UsageError, match="alignment batch"):
-        align_stage(prepared, big, tmp_path / "oversized")
+    for batch in (prepared.train.n + 1, 4096):
+        big = replace(cfg, align=replace(cfg.align, batch_size=batch))
+        with pytest.raises(UsageError, match="alignment batch"):
+            align_stage(prepared, big, tmp_path / "oversized")
+        assert not (tmp_path / "oversized").exists()
 
 
 def test_warm_start_checkpoint_does_not_depend_on_directory(workdir,
@@ -285,6 +288,8 @@ def test_run_sweep_grid_dedup_and_failures(workdir, tmp_path):
     assert lines[0] == "tau,batch,auc,logloss"
     assert len(lines) == 2
     assert json.loads((sweep_dir / "sweep_failures.json").read_text())
+    assert sorted(p.name for p in sweep_dir.iterdir()) == [
+        "cell_tau0.7_bs16", "sweep.csv", "sweep_failures.json"]
 
 
 def test_run_sweep_rejects_temperatures_that_share_a_cell_directory(
@@ -301,9 +306,8 @@ def test_run_sweep_rejects_temperatures_that_share_a_cell_directory(
 
 
 @pytest.mark.filterwarnings("ignore:2 sweep cell")
-def test_run_sweep_parallel_matches_serial(workdir, tmp_path, monkeypatch):
+def test_run_sweep_parallel_matches_serial(workdir, tmp_path):
     out, cfg, _ = workdir
-    monkeypatch.delenv("CTRL_ALIGN_THREADS", raising=False)
     results = []
     for parallel in (1, 2):
         sweep_dir = tmp_path / f"parallel{parallel}"
@@ -320,17 +324,3 @@ def test_run_sweep_parallel_matches_serial(workdir, tmp_path, monkeypatch):
     assert csv2 == csv1
     assert rows2 == rows1
     assert failures2 == failures1
-
-
-def test_worker_cap(monkeypatch):
-    monkeypatch.delenv("CTRL_ALIGN_THREADS", raising=False)
-    assert _worker_cap(4) == 4
-    monkeypatch.setenv("CTRL_ALIGN_THREADS", "2")
-    assert _worker_cap(4) == 2
-    assert _worker_cap(1) == 1
-    monkeypatch.setenv("CTRL_ALIGN_THREADS", "zero")
-    with pytest.raises(UsageError):
-        _worker_cap(4)
-    monkeypatch.setenv("CTRL_ALIGN_THREADS", "0")
-    with pytest.raises(UsageError):
-        _worker_cap(4)

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -151,8 +153,11 @@ def test_tower_representations_batching_invariance():
 
 
 def test_read_embeddings_errors(tmp_path):
-    with pytest.raises(DataError):
-        read_embeddings(tmp_path / "missing.csv")
+    missing = tmp_path / "missing.csv"
+    want = (f"^cannot read {re.escape(str(missing))}: "
+            "No such file or directory$")
+    with pytest.raises(DataError, match=want):
+        read_embeddings(missing)
     bad = tmp_path / "bad.csv"
     bad.write_text("nope,really\n1,2\n", encoding="utf-8")
     with pytest.raises(DataError):
