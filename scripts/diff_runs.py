@@ -3,7 +3,8 @@
 Every file under either directory is matched by its relative path. Each
 pair is reported as identical or as differing; for a differing pair:
 
-- a CSV file: the largest absolute and relative difference in each column;
+- a CSV file: the largest absolute and relative difference in each column,
+  comparing a cell of whitespace-separated numbers number by number;
 - a checkpoint (.ckpt, read with load_checkpoint): the config and extra keys
   that differ and the largest absolute difference in each tensor;
 - a JSON file: the keys whose values differ.
@@ -59,9 +60,11 @@ class Report:
             self.ok = False
 
 
-def _as_float(cell):
+def _as_numbers(cell):
+    """The numbers of a cell holding one or more whitespace-separated
+    numbers, else None."""
     try:
-        return float(cell)
+        return [float(v) for v in cell.split()] or None
     except ValueError:
         return None
 
@@ -78,22 +81,23 @@ def compare_csv(a: Path, b: Path, rep: Report):
         return
     header = ra[0]
     for j, col in enumerate(header):
-        xs, ys, text = [], [], 0
+        xs, ys, text, cells = [], [], 0, 0
         for row_a, row_b in zip(ra[1:], rb[1:]):
             ca = row_a[j] if j < len(row_a) else None
             cb = row_b[j] if j < len(row_b) else None
             if ca == cb:
                 continue
-            fa, fb = (_as_float(ca), _as_float(cb)) if ca and cb else (None, None)
-            if fa is None or fb is None:
+            fa, fb = (_as_numbers(ca), _as_numbers(cb)) if ca and cb else (None, None)
+            if fa is None or fb is None or len(fa) != len(fb):
                 text += 1
             else:
-                xs.append(fa)
-                ys.append(fb)
+                xs.extend(fa)
+                ys.extend(fb)
+                cells += 1
         if text:
             rep.text(f"column {col}: {text} non-numeric cells differ")
         if xs:
-            rep.number(f"column {col} ({len(xs)} cells)", xs, ys)
+            rep.number(f"column {col} ({cells} cells)", xs, ys)
 
 
 def _leaves(obj, key=""):

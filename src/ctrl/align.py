@@ -52,49 +52,47 @@ class SubspaceHead:
         return z
 
 
-def _summed_best(sims: DTensor, axes: tuple) -> DTensor:
-    """Late interaction scores from one view of the sub-space similarities.
-
-    With x = sims.data.transpose(axes), shaped (rows, M, cols, M'), returns
-    the (rows, cols) sum over x's axis 1 of its max over axis 3. The max is
-    the elementwise max of the M' slices, which is far cheaper than a
-    reduction over a short last axis. The backward pass routes each adjoint
-    to the first maximal slice, the entry argmax would pick, so ties match
-    `ad.max_`."""
-    x = sims.data.transpose(axes)
-    best = x[..., 0].copy()
-    for r in range(1, x.shape[3]):
-        np.maximum(best, x[..., r], out=best)
-
-    def bwd(g):
-        gx = np.empty_like(sims.data)
-        view = gx.transpose(axes)
-        g = g[:, None, :]
-        free = np.ones(best.shape, dtype=bool)
-        for r in range(x.shape[3]):
-            hit = x[..., r] == best
-            hit &= free
-            free ^= hit
-            np.multiply(g, hit, out=view[..., r])
-        return (gx,)
-
-    return ad.apply_op("maxsim", (sims,), best.sum(axis=1), bwd)
+def late_interaction(a: np.ndarray, b_major: np.ndarray, mb: int):
+    """The maxsim forward kernel on plain arrays. a: (N, M, d); b_major:
+    (Mb·Nb, d), the other side laid out sub-space-major (row r·Nb + j is its
+    row j's r-th sub-representation). Returns the (N, Nb) scores, the sum
+    over M of the best inner product over Mb, with the (N, M, Mb, Nb)
+    similarities and the (N, M, Nb) best matches. The max over Mb is over a
+    middle axis, which numpy runs as an elementwise max of the Mb
+    contiguous slices, far cheaper than a reduction over a short last
+    axis."""
+    n, m, d = a.shape
+    sims = (a.reshape(n * m, d) @ b_major.T).reshape(n, m, mb, -1)
+    best = sims.max(axis=2)
+    return best.sum(axis=1), sims, best
 
 
-def maxsim_pair(subs_a: DTensor, subs_b: DTensor):
-    """All-pairs late interaction scores in both directions from one
-    product. subs_a: (N, M, d), subs_b: (Nb, Mb, d). Returns the (N, Nb)
-    scores with rows indexed by subs_a and the (Nb, N) scores with rows
-    indexed by subs_b."""
+def maxsim(subs_a: DTensor, subs_b: DTensor) -> DTensor:
+    """All-pairs late interaction scores of subs_a: (N, M, d) against
+    subs_b: (Nb, Mb, d), (N, Nb) with rows indexed by subs_a. The backward
+    pass routes each adjoint to the first maximal partner, the entry argmax
+    would pick, so ties match `ad.max_`."""
     n, m, d = subs_a.shape
     nb, mb, db = subs_b.shape
     if d != db:
         raise ShapeError("sub-representation widths differ")
-    flat_a = ad.reshape(subs_a, (n * m, d))
-    flat_b = ad.reshape(subs_b, (nb * mb, d))
-    sims = ad.matmul(flat_a, ad.transpose(flat_b, (1, 0)))  # (n*m, nb*mb)
-    sims = ad.reshape(sims, (n, m, nb, mb))
-    return _summed_best(sims, (0, 1, 2, 3)), _summed_best(sims, (2, 3, 0, 1))
+    b_major = subs_b.data.transpose(1, 0, 2).reshape(mb * nb, d)
+    scores, sims, best = late_interaction(subs_a.data, b_major, mb)
+
+    def bwd(g):
+        gs = np.empty_like(sims)
+        g = g[:, None, :]
+        free = np.ones(best.shape, dtype=bool)
+        for r in range(mb):
+            hit = sims[:, :, r] == best
+            hit &= free
+            free ^= hit
+            np.multiply(g, hit, out=gs[:, :, r])
+        gs = gs.reshape(n * m, mb * nb)
+        gb = (gs.T @ subs_a.data.reshape(n * m, d)).reshape(mb, nb, d)
+        return (gs @ b_major).reshape(n, m, d), gb.transpose(1, 0, 2)
+
+    return ad.apply_op("maxsim", (subs_a, subs_b), scores, bwd)
 
 
 def unit_rows(h: DTensor) -> DTensor:
@@ -162,7 +160,8 @@ class AlignmentModel:
 
     def similarity_matrices(self, h_text: DTensor, h_tab: DTensor):
         """Returns (rows=text matrix, rows=tabular matrix)."""
-        return maxsim_pair(self.text_sub(h_text), self.tab_sub(h_tab))
+        text, tab = self.text_sub(h_text), self.tab_sub(h_tab)
+        return maxsim(text, tab), maxsim(tab, text)
 
     def ccl(self, batch, token_ids, mask, train: bool = False, rng=None,
             h_col: DTensor = None):

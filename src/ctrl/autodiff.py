@@ -13,9 +13,9 @@ and, if one is not finite, is replayed with every op checked to name the
 op. So a pass does not raise for a non-finite intermediate that a later op
 makes finite (relu or exp of -inf). The optimizer checks its updates.
 
-Fused model ops outside this module (attention, the maxsim pair, the field
-embeddings, binary cross entropy) record themselves with :func:`apply_op`,
-as the primitives here do.
+Fused model ops outside this module (attention, one direction of late
+interaction, the field embeddings, binary cross entropy) record themselves
+with :func:`apply_op`, as the primitives here do.
 """
 
 from __future__ import annotations
@@ -162,9 +162,10 @@ def active_tape() -> Optional[Tape]:
 
 def run_pass(fn: Callable, rng: Optional[np.random.Generator] = None):
     """Return `fn()`, a DTensor or a tuple of them, computed with per-op
-    checks (and numpy warnings) off; only its outputs are checked. If one is
-    not finite, rewind `rng`, the pass's dropout generator, and replay `fn()`
-    untaped with every op checked, to raise the NumericError naming the op."""
+    checks off; only its outputs are checked. If one is not finite, rewind
+    `rng`, the pass's dropout generator, and replay `fn()` untaped with every
+    op checked, to raise the NumericError naming the op. numpy's warnings
+    are off in both runs, so that NumericError is the one report."""
     global op_checks
     state = None if rng is None else rng.bit_generator.state
     tapes, checks = _TAPES[:], op_checks
@@ -172,13 +173,13 @@ def run_pass(fn: Callable, rng: Optional[np.random.Generator] = None):
         op_checks = False
         with np.errstate(all="ignore"):
             out = fn()
-        if all(np.isfinite(t.data).all()
-               for t in (out if isinstance(out, tuple) else (out,))):
-            return out
-        if rng is not None:
-            rng.bit_generator.state = state
-        op_checks, _TAPES[:] = True, []
-        fn()
+            if all(np.isfinite(t.data).all()
+                   for t in (out if isinstance(out, tuple) else (out,))):
+                return out
+            if rng is not None:
+                rng.bit_generator.state = state
+            op_checks, _TAPES[:] = True, []
+            fn()
     finally:
         op_checks, _TAPES[:] = checks, tapes
     raise NumericError("a pass returned non-finite values its replay did not")

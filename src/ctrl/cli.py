@@ -225,7 +225,7 @@ def _parse_list(text: str, cast, flag: str) -> list:
 
 
 def cmd_sweep(args) -> int:
-    cfg, prepared = _load_workdir(args)
+    cfg = apply_overrides(load_config(Path(args.out) / "config.json"), args)
     taus = _parse_list(args.taus, float, "--taus")
     batches = _parse_list(args.batch_sizes, int, "--batch-sizes")
     rows, failures = run_sweep(args.out, cfg, taus, batches,

@@ -319,13 +319,12 @@ def run_ablation(prepared: Prepared, cfg: RunConfig, out_dir,
     return blob
 
 
-def _sweep_cell(work_dir: str, cell_dir: str, cfg_dict: dict,
+def _sweep_cell(prepared: Prepared, cell_dir: str, cfg_dict: dict,
                 tau: float, batch: int) -> dict:
     """One sweep cell, self-contained so it can run in a child process."""
     cfg = RunConfig.from_dict(cfg_dict)
     cfg = replace(cfg, align=replace(cfg.align, temperature=tau,
                                      batch_size=batch))
-    _, prepared = load_prepared(work_dir)
     cell = Path(cell_dir)
     align_stage(prepared, cfg, cell)
     finetune_stage(prepared, cfg, cell, init_ckpt=cell / "align.ckpt")
@@ -363,6 +362,7 @@ def run_sweep(work_dir, cfg: RunConfig, taus, batch_sizes, out_dir,
     if not grid:
         raise UsageError("sweep grid is empty")
 
+    _, prepared = load_prepared(work_dir)  # once, shared by every cell
     rows, failures = [], []
     workers = min(parallel, len(grid))
     with (ProcessPoolExecutor(max_workers=workers) if workers > 1
@@ -371,7 +371,7 @@ def run_sweep(work_dir, cfg: RunConfig, taus, batch_sizes, out_dir,
         # or the cell run here when there is no pool.
         results = []
         for name, (tau, batch) in grid.items():
-            args = (str(work_dir), str(out / name), cfg.to_dict(), tau, batch)
+            args = (prepared, str(out / name), cfg.to_dict(), tau, batch)
             results.append(pool.submit(_sweep_cell, *args).result if pool
                            else partial(_sweep_cell, *args))
         for (tau, batch), result in zip(grid.values(), results):

@@ -16,6 +16,7 @@ import warnings
 import numpy as np
 
 from . import autodiff as ad
+from .align import late_interaction
 from .artifacts import reading, write_csv
 from .data import EncodedSplit, batches
 from .exceptions import DataError, NumericError, UsageError
@@ -87,9 +88,9 @@ def paired_gap(text: np.ndarray, tab: np.ndarray, batch_size: int = 256):
     averages over all i != j combinations.
 
     Inputs are (N, M, d) sub-representations, scored by late interaction
-    over M: the mean over text's M sub-representations of the best inner
-    product against the tabular ones (maxsim / M). Cosine is that score with
-    M = 1 on unit rows.
+    over M with stage 1's kernel, `align.late_interaction`: the mean over
+    text's M sub-representations of the best inner product against the
+    tabular ones (maxsim / M). Cosine is that score with M = 1 on unit rows.
 
     Both sides are tiled at ``batch_size`` rows, so the working set is
     O(batch_size^2 M^2) whatever N is."""
@@ -100,17 +101,12 @@ def paired_gap(text: np.ndarray, tab: np.ndarray, batch_size: int = 256):
     if text.shape[0] < 2:
         raise UsageError("need at least 2 rows to compare paired vs unpaired")
     n, m, d = text.shape
-    # Tab-major, so the best match reduces over a middle axis of each tile.
-    tab_major = tab.transpose(1, 0, 2)
     trace = total = 0.0
     for j0 in range(0, n, batch_size):
-        cols = tab_major[:, j0:j0 + batch_size].reshape(-1, d).T  # (d, M*nb)
-        nb = cols.shape[1] // m
+        # sub-space-major, as late_interaction takes it, once per column tile
+        cols = tab[j0:j0 + batch_size].transpose(1, 0, 2).reshape(-1, d)
         for i0 in range(0, n, batch_size):
-            rows = text[i0:i0 + batch_size]
-            k = rows.shape[0]
-            s = (rows.reshape(k * m, d) @ cols).reshape(k, m, m, nb)
-            s = s.max(axis=2).sum(axis=1) / m  # (k, nb)
+            s = late_interaction(text[i0:i0 + batch_size], cols, m)[0] / m
             total += s.sum()
             if i0 == j0:
                 trace += np.trace(s)

@@ -6,7 +6,7 @@
   all-pairs cosine matrix it uses for the cosine head
 - the reverse sweep as written before leaf adjoints shared one accumulator
 - the single-stage training loop as written before it was merged
-- the engine compositions that attention and the maxsim pair fused:
+- the engine compositions that attention and the maxsim op fused:
   one-direction late interaction and masked attention
 - the pairwise late interaction and cosine scores of one row against one row
 - layer and batch normalization forward passes as written before they

@@ -8,7 +8,8 @@ from hypothesis import strategies as st
 import ctrl.autodiff as ad
 from ctrl.autodiff import DTensor, Tape
 from ctrl.align import (AlignmentModel, SubspaceHead, align_train, infonce,
-                        maxsim_pair, unit_rows, write_curve)
+                        unit_rows, write_curve)
+from ctrl.align import maxsim as maxsim_op
 from ctrl.data import batches
 from ctrl.exceptions import ShapeError, UsageError
 from ctrl.params import ParamStore, rng_for
@@ -74,16 +75,15 @@ def _pair_loss(s_a, s_b):
 
 
 @pytest.mark.parametrize("ties", [False, True])
-def test_maxsim_pair_matches_both_one_direction_matrices(ties):
+def test_maxsim_op_matches_the_composed_oracle(ties):
+    """Both directions, as the model scores a batch: the scores keep the
+    oracle's bytes and the adjoints agree within 1e-12, ties included."""
     a, b = _maxsim_inputs(ties)
     grads = []
-    for fused in (True, False):
+    for score in (maxsim_op, maxsim_matrix):
         ta, tb = DTensor(a, requires_grad=True), DTensor(b, requires_grad=True)
         with Tape() as tape:
-            if fused:
-                s_a, s_b = maxsim_pair(ta, tb)
-            else:
-                s_a, s_b = maxsim_matrix(ta, tb), maxsim_matrix(tb, ta)
+            s_a, s_b = score(ta, tb), score(tb, ta)
             tape.backward(_pair_loss(s_a, s_b))
         grads.append((s_a.data, s_b.data, ta.grad, tb.grad))
     (fa, fb, fga, fgb), (ra, rb, rga, rgb) = grads
@@ -93,15 +93,16 @@ def test_maxsim_pair_matches_both_one_direction_matrices(ties):
     np.testing.assert_allclose(fgb, rgb, rtol=0, atol=1e-12)
 
 
-def test_maxsim_pair_gradients_match_finite_differences():
+def test_maxsim_op_gradients_match_finite_differences():
     a, b = _maxsim_inputs(ties=False)
-    check_grads(lambda t: _pair_loss(*maxsim_pair(t["a"], t["b"])),
+    check_grads(lambda t: _pair_loss(maxsim_op(t["a"], t["b"]),
+                                     maxsim_op(t["b"], t["a"])),
                 {"a": a, "b": b})
 
 
-def test_maxsim_pair_shape_check():
+def test_maxsim_op_shape_check():
     with pytest.raises(ShapeError):
-        maxsim_pair(DTensor(np.zeros((2, 2, 3))), DTensor(np.zeros((2, 2, 4))))
+        maxsim_op(DTensor(np.zeros((2, 2, 3))), DTensor(np.zeros((2, 2, 4))))
 
 
 def test_maxsim_self_score_is_m_when_normalized():

@@ -295,8 +295,10 @@ def test_alignment_diverging_at_its_first_step_exits_3_with_a_checkpoint(
     cfg["align"]["temperature"] = 1e-308
     (tmp_path / "config.json").write_text(json.dumps(cfg), encoding="utf-8")
     capsys.readouterr()
-    with pytest.warns(UserWarning, match="alignment diverged at step 0"):
+    with pytest.warns(UserWarning, match="alignment diverged at step 0") as rec:
         assert main(["align", "--out", str(tmp_path)]) == 3
+    # the NumericError in that warning is the one report of the overflow
+    assert not [w for w in rec if issubclass(w.category, RuntimeWarning)]
     out, err = capsys.readouterr()
     assert out.startswith("aligned in 0 steps; final loss -; maxsim gap ")
     assert err == "alignment diverged; last good state was checkpointed\n"

@@ -91,6 +91,27 @@ def test_one_ulp_in_a_csv_cell_is_flagged(tmp_path, capsys):
     assert "within    curve.csv" in out
 
 
+def test_a_cell_of_numbers_is_compared_number_by_number(tmp_path, capsys):
+    """projection.csv keeps its explained variance ratios in one cell."""
+    ratios = [0.75, 0.25]
+    for name, r in (("a", ratios[1]), ("b", float(np.nextafter(ratios[1], 1.0)))):
+        (tmp_path / name).mkdir()
+        (tmp_path / name / "projection.csv").write_text(
+            f"x,y\n1.0,2.0\n# explained_variance_ratio,{ratios[0]!r} {r!r}\n")
+    code, out = run(capsys, tmp_path / "a", tmp_path / "b")
+    assert code == 1
+    assert "column y (1 cells): max abs 5.55e-17" in out
+    code, out = run(capsys, tmp_path / "a", tmp_path / "b", "--rtol", "1e-15")
+    assert code == 0
+    assert "within    projection.csv" in out
+    # a cell whose count of numbers differs is not comparable
+    (tmp_path / "b" / "projection.csv").write_text(
+        "x,y\n1.0,2.0\n# explained_variance_ratio,0.75\n")
+    code, out = run(capsys, tmp_path / "a", tmp_path / "b", "--rtol", "1.0")
+    assert code == 1
+    assert "column y: 1 non-numeric cells differ" in out
+
+
 def test_one_ulp_in_a_checkpoint_tensor_is_flagged(tmp_path, capsys):
     write_run(tmp_path / "a")
     w = W.copy()

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import ctrl.autodiff as ad
-from ctrl.align import maxsim_pair
+from ctrl.align import maxsim
 from ctrl.autodiff import DTensor, Tape
 from ctrl.config import ModelConfig
 from ctrl.data import FeatureSchema, FieldSpec, batches, encode
@@ -103,7 +103,7 @@ FD_CASES = {
     "attention": (lambda t: _weighted(scaled_attention(
         t["q"], t["k"], t["v"], additive_mask=_MASK[:, None])[0]),
         {n: _r.normal(size=(2, 2, 3, 4)) for n in ("q", "k", "v")}),
-    "maxsim": (lambda t: ad.add(*map(_weighted, maxsim_pair(t["a"], t["b"]))),
+    "maxsim": (lambda t: _weighted(maxsim(t["a"], t["b"])),
                {"a": _r.normal(size=(3, 2, 4)), "b": _r.normal(size=(4, 2, 4))}),
     "field_embeddings": (lambda t: _weighted(_field_embeddings(t)),
                          {"collab.emb.u": _r.normal(size=(3, 2)),
@@ -174,8 +174,8 @@ OVERFLOW_CASES = {
                                         _big(2, 0.0)),
     "attention": lambda: scaled_attention(*(_big((1, 1, 2, 2), 1e200),) * 3),
     # each product is finite; their sum over the M = 2 sub-spaces is not
-    "maxsim": lambda: maxsim_pair(_big((1, 2, 1), 0.9 * _ROOT),
-                                  _big((1, 2, 1), _ROOT)),
+    "maxsim": lambda: maxsim(_big((1, 2, 1), 0.9 * _ROOT),
+                             _big((1, 2, 1), _ROOT)),
     # each row is finite; the first row's sum over its two valid positions
     # is not
     "field_embeddings": lambda: _field_embeddings(

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import shutil
 import subprocess
 import sys
 import textwrap
@@ -9,6 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from ctrl import orchestrate
 from ctrl.checkpoint import load_checkpoint
 from ctrl.cli import main
 from ctrl.config import (AlignConfig, FinetuneConfig, ModelConfig, RunConfig,
@@ -303,6 +305,24 @@ def test_run_sweep_rejects_temperatures_that_share_a_cell_directory(
     assert not list(sweep_dir.glob("cell_*"))
     assert main(["sweep", "--out", str(out), "--taus", "0.1,0.1000001",
                  "--batch-sizes", "16"]) == 1
+
+
+@pytest.mark.filterwarnings("ignore:1 sweep cell")
+def test_a_serial_sweep_reads_each_split_once(workdir, tmp_path, monkeypatch):
+    out, _, _ = workdir
+    work = tmp_path / "work"
+    work.mkdir()
+    for name in ("config.json", "schema.json", "train.csv", "val.csv",
+                 "test.csv"):
+        shutil.copy(out / name, work / name)
+    reads, read_csv_rows = [], orchestrate.read_csv_rows
+    monkeypatch.setattr(orchestrate, "read_csv_rows", lambda path, schema: (
+        reads.append(Path(path).name) or read_csv_rows(path, schema)))
+    # batch 4096 exceeds the train split, so that cell fails
+    assert main(["sweep", "--out", str(work), "--taus", "0.7",
+                 "--batch-sizes", "16,4096"]) == 0
+    assert sorted(reads) == ["test.csv", "train.csv", "val.csv"]
+    assert (work / "sweep" / "cell_tau0.7_bs16" / "report.json").is_file()
 
 
 @pytest.mark.filterwarnings("ignore:2 sweep cell")

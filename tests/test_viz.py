@@ -3,7 +3,7 @@ import re
 import numpy as np
 import pytest
 
-from ctrl.align import unit_rows
+from ctrl.align import maxsim, unit_rows
 from ctrl.autodiff import DTensor
 from ctrl.exceptions import DataError, UsageError
 from ctrl.viz import (dump_embeddings, paired_gap, project_2d,
@@ -57,6 +57,18 @@ def test_paired_gap_zero_rows_count_as_zero_cosine():
         a = unit(a)
     paired, unpaired, gap = paired_gap(a, unit(b))
     assert paired == 0.5  # (0 + 1) / 2
+
+
+def test_paired_gap_scores_through_the_training_op():
+    """On one tile the gap is the trace and the sum of the training op's
+    scores over M, to the byte."""
+    text, tab = np.random.default_rng(7).normal(size=(2, 9, 3, 4))
+    s = maxsim(DTensor(text), DTensor(tab)).data / 3
+    paired = float(np.trace(s) / 9)
+    unpaired = float((s.sum() - np.trace(s)) / (9 * 8))
+    got = paired_gap(text, tab, batch_size=9)
+    assert [x.hex() for x in got] == [x.hex() for x in (
+        paired, unpaired, paired - unpaired)]
 
 
 def test_paired_gap_validation():
