@@ -2,9 +2,14 @@
 
 Operations execute eagerly on numpy arrays. While a :class:`Tape` is
 active, every operation that touches a gradient-requiring tensor is
-recorded; :meth:`Tape.backward` then replays exact analytic adjoints in
-reverse order. The tape is rebuilt from scratch on every training step
-(define-by-run), so conditional model branches need no special casing.
+recorded as a node: its adjoint closure, its output's shape, and per input
+the index of the node on this tape that produced it, or the input itself
+when it is a leaf. A closure keeps only the arrays its adjoint reads, so an
+intermediate that no adjoint reads is freed when the forward lets it go.
+:meth:`Tape.backward` runs the adjoints in reverse order and pops each node
+as it goes: it consumes the tape and runs once. The tape is rebuilt from
+scratch on every training step (define-by-run), so conditional model
+branches need no special casing.
 
 A NaN or infinity raises :class:`~ctrl.exceptions.NumericError` naming the
 op that made it. An op checks its output, except inside :func:`run_pass`
@@ -43,10 +48,11 @@ class DTensor:
 
     ``data`` is read-only after construction; optimizers produce successor
     parameter tensors rather than mutating in place. ``grad`` is populated
-    by :meth:`Tape.backward` for gradient-requiring leaves.
+    by :meth:`Tape.backward` for gradient-requiring leaves. ``_node`` is
+    (tape mark, node index) when a tape recorded the op that made it.
     """
 
-    __slots__ = ("data", "requires_grad", "grad")
+    __slots__ = ("data", "requires_grad", "grad", "_node")
 
     def __init__(self, data, requires_grad: bool = False):
         arr = np.array(data, dtype=np.float64)
@@ -56,6 +62,7 @@ class DTensor:
         self.data = arr
         self.requires_grad = bool(requires_grad)
         self.grad: Optional[Array] = None
+        self._node = None
 
     @classmethod
     def _from_op(cls, arr: Array, requires_grad: bool,
@@ -69,7 +76,7 @@ class DTensor:
         arr.setflags(write=False)
         obj.data = arr
         obj.requires_grad = requires_grad
-        obj.grad = None
+        obj.grad = obj._node = None
         return obj
 
     @property
@@ -95,10 +102,17 @@ class DTensor:
 
 @dataclass
 class TapeNode:
+    """Per input: the index of its node on this tape, the leaf itself, or
+    None for an input that needs no gradient."""
     op: str
     inputs: tuple
-    output: DTensor
+    shape: tuple
     backward: Callable[[Array], Sequence[Optional[Array]]]
+
+    @property
+    def output(self) -> DTensor:
+        """A zero-strided stand-in of the output, whose values are not kept."""
+        return DTensor._from_op(np.broadcast_to(0.0, self.shape), False, None)
 
 
 _TAPES: list["Tape"] = []
@@ -110,11 +124,19 @@ class Tape:
     """Ordered record of primitive operations for one forward pass.
 
     Nodes are appended in execution order, which is already a topological
-    order, so the reverse sweep visits each node exactly once.
+    order, so the reverse sweep visits each node exactly once. A tensor
+    made on another tape, or before the last backward, is a leaf here.
     """
 
     def __init__(self):
         self.nodes: list[TapeNode] = []
+        # stamped on the outputs recorded here; a tensor never holds its tape
+        self._mark = object()
+
+    def key(self, t: DTensor):
+        """The index of the node on this tape that made `t`, else `t`."""
+        node = t._node
+        return node[1] if node is not None and node[0] is self._mark else t
 
     def __enter__(self) -> "Tape":
         _TAPES.append(self)
@@ -128,30 +150,32 @@ class Tape:
         """Populate ``grad`` on every gradient-requiring leaf of this tape.
 
         Leaves reachable from ``loss`` get their accumulated adjoint;
-        recorded leaves that do not influence ``loss`` get zeros.
+        recorded leaves that do not influence ``loss`` get zeros. Each node
+        is popped as it runs, freeing what its adjoint kept: the tape is
+        consumed, and a second call raises UsageError.
         """
         if loss.size != 1:
             raise ShapeError(f"backward: loss must be scalar, got shape {loss.shape}")
         if not self.nodes:
-            raise UsageError("backward: tape is empty")
+            raise UsageError("backward: tape is empty or already consumed")
 
-        # Every adjoint, of an intermediate or a leaf, accumulates in
-        # `grads`. A node runs after all its consumers in the reverse sweep,
-        # so popping its output from `leaves` there leaves only the leaves.
-        grads: dict[int, Array] = {id(loss): np.ones_like(loss.data)}
-        leaves: dict[int, DTensor] = {}
-        for node in reversed(self.nodes):
-            leaves.pop(id(node.output), None)
-            leaves.update((id(t), t) for t in node.inputs if t.requires_grad)
-            g = grads.pop(id(node.output), None)
+        # Adjoints accumulate in `grads`, keyed as node inputs are: by node
+        # index for an intermediate, by the tensor for a leaf.
+        grads: dict = {self.key(loss): np.ones_like(loss.data)}
+        leaves: dict = {}
+        self._mark = object()  # indices restart: what was made here is a leaf
+        while self.nodes:
+            node = self.nodes.pop()
+            leaves.update((k, None) for k in node.inputs if isinstance(k, DTensor))
+            g = grads.pop(len(self.nodes), None)
             if g is None:
                 continue
-            for t, ig in zip(node.inputs, node.backward(g)):
-                if ig is not None and t.requires_grad:
-                    acc = grads.get(id(t))
-                    grads[id(t)] = ig if acc is None else acc + ig
-        for key, t in leaves.items():
-            g = grads.get(key)
+            for key, ig in zip(node.inputs, node.backward(g)):
+                if ig is not None and key is not None:
+                    acc = grads.get(key)
+                    grads[key] = ig if acc is None else acc + ig
+        for t in leaves:
+            g = grads.get(t)
             # a copy: one adjoint array may reach several leaves (add)
             t.grad = np.zeros_like(t.data) if g is None else g.copy()
 
@@ -189,12 +213,14 @@ def apply_op(op: str, inputs: tuple, out_arr: Array, bwd) -> DTensor:
     """Wrap `out_arr`, which `op` computed from `inputs`, without a copy, and
     record `bwd` on the active tape when an input requires gradients.
     `bwd(g)` returns one adjoint per input, or None for an input that needs
-    none."""
+    none. The tape keeps no input's values: `bwd` holds what it reads."""
     req = any(t.requires_grad for t in inputs)
     out = DTensor._from_op(out_arr, req, op)
     tape = active_tape()
     if tape is not None and req:
-        tape.nodes.append(TapeNode(op, inputs, out, bwd))
+        keys = tuple([tape.key(t) if t.requires_grad else None for t in inputs])
+        out._node = (tape._mark, len(tape.nodes))
+        tape.nodes.append(TapeNode(op, keys, out.shape, bwd))
     return out
 
 
@@ -211,12 +237,23 @@ def _unbroadcast(g: Array, shape: tuple) -> Array:
     return g.reshape(shape)
 
 
-def _adjoints(a: DTensor, b: DTensor, ga, gb) -> tuple:
-    """Both adjoints of a binary op, unbroadcast to each input's shape.
-    `ga`/`gb` compute them; neither runs for an input that requires no
-    gradient (a constant such as a scale or a mask), whose adjoint is None."""
-    return (_unbroadcast(ga(), a.shape) if a.requires_grad else None,
-            _unbroadcast(gb(), b.shape) if b.requires_grad else None)
+def _binary(op: str, a: DTensor, b: DTensor, out: Array, ga, gb) -> DTensor:
+    """Record binary `op`. `ga(g)`/`gb(g)` compute the adjoints before they
+    are unbroadcast to each input's shape. Only those of the inputs that
+    require gradients are kept, with the operand data they read; a constant
+    (a scale, a mask) gets None."""
+    fa = (ga, a.shape) if a.requires_grad else None
+    fb = (gb, b.shape) if b.requires_grad else None
+
+    def bwd(g):
+        return tuple(None if f is None else _unbroadcast(f[0](g), f[1])
+                     for f in (fa, fb))
+
+    return apply_op(op, (a, b), out, bwd)
+
+
+def _same(g: Array) -> Array:
+    return g
 
 
 # ---------------------------------------------------------------------------
@@ -224,48 +261,31 @@ def _adjoints(a: DTensor, b: DTensor, ga, gb) -> tuple:
 
 
 def add(a: DTensor, b: DTensor) -> DTensor:
-    out = a.data + b.data
-
-    def bwd(g):
-        return _adjoints(a, b, lambda: g, lambda: g)
-
-    return apply_op("add", (a, b), out, bwd)
+    return _binary("add", a, b, a.data + b.data, _same, _same)
 
 
 def sub(a: DTensor, b: DTensor) -> DTensor:
-    out = a.data - b.data
-
-    def bwd(g):
-        return _adjoints(a, b, lambda: g, lambda: -g)
-
-    return apply_op("sub", (a, b), out, bwd)
+    return _binary("sub", a, b, a.data - b.data, _same, np.negative)
 
 
 def mul(a: DTensor, b: DTensor) -> DTensor:
-    out = a.data * b.data
-
-    def bwd(g):
-        return _adjoints(a, b, lambda: g * b.data, lambda: g * a.data)
-
-    return apply_op("mul", (a, b), out, bwd)
+    x, y = a.data, b.data
+    return _binary("mul", a, b, x * y, lambda g: g * y, lambda g: g * x)
 
 
 def div(a: DTensor, b: DTensor) -> DTensor:
+    x, y = a.data, b.data
     with np.errstate(divide="ignore", invalid="ignore"):
-        out = a.data / b.data
-
-    def bwd(g):
-        return _adjoints(a, b, lambda: g / b.data,
-                         lambda: -g * a.data / (b.data * b.data))
-
-    return apply_op("div", (a, b), out, bwd)
+        out = x / y
+    return _binary("div", a, b, out, lambda g: g / y,
+                   lambda g: -g * x / (y * y))
 
 
 def relu(a: DTensor) -> DTensor:
     out = np.maximum(a.data, 0.0)
 
     def bwd(g):
-        return (g * (a.data > 0.0),)
+        return (g * (out > 0.0),)
 
     return apply_op("relu", (a,), out, bwd)
 
@@ -320,10 +340,10 @@ def matmul(a: DTensor, b: DTensor) -> DTensor:
 
 
 def reshape(a: DTensor, shape) -> DTensor:
-    out = a.data.reshape(shape)
+    out, shape = a.data.reshape(shape), a.shape
 
     def bwd(g):
-        return (g.reshape(a.shape),)
+        return (g.reshape(shape),)
 
     return apply_op("reshape", (a,), out, bwd)
 
@@ -358,23 +378,23 @@ def concat(tensors: Sequence[DTensor], axis: int = 0) -> DTensor:
 
 
 def sum_(a: DTensor, axis=None, keepdims: bool = False) -> DTensor:
-    out = a.data.sum(axis=axis, keepdims=keepdims)
+    out, shape = a.data.sum(axis=axis, keepdims=keepdims), a.shape
 
     def bwd(g):
         if axis is not None and not keepdims:
             g = np.expand_dims(g, axis)
-        return (np.broadcast_to(g, a.shape).copy(),)
+        return (np.broadcast_to(g, shape).copy(),)
 
     return apply_op("sum", (a,), out, bwd)
 
 
 def mean(a: DTensor) -> DTensor:
     """Mean over every element."""
-    n = a.size
+    n, shape = a.size, a.shape
     out = a.data.mean()
 
     def bwd(g):
-        return (np.broadcast_to(g, a.shape) / n,)
+        return (np.broadcast_to(g, shape) / n,)
 
     return apply_op("mean", (a,), out, bwd)
 

@@ -337,7 +337,8 @@ class TransformerBlock:
         self.ln2 = LayerNorm(store, f"{prefix}.ln2", d_model)
 
     def __call__(self, x: DTensor, mask: np.ndarray) -> DTensor:
-        additive = (mask[:, None, None, :] - 1.0) * 1e9  # (N,1,1,L) over keys
+        # (N,1,1,L) over keys; none when no key is padded: +0 moves no weight
+        additive = None if mask.all() else (mask[:, None, None, :] - 1.0) * 1e9
         q = _split_heads(self.q(x), self.n_heads, self.d_head)
         k = _split_heads(self.k(x), self.n_heads, self.d_head)
         v = _split_heads(self.v(x), self.n_heads, self.d_head)

@@ -36,7 +36,7 @@ from .data import (EncodedSplit, FeatureSchema, encode, load_schema,
                    prepare_splits, read_csv_rows, save_schema, schema_hash,
                    write_csv_rows)
 from .encoders import CollaborativeEncoder
-from .exceptions import DataError, UsageError
+from .exceptions import CheckpointError, DataError, UsageError
 from .finetune import (CtrHead, end_to_end_train, finetune, predict_scores)
 from .metrics import EvalReport, auc, logloss, relaimpr
 from .params import ParamStore, rng_for
@@ -247,6 +247,9 @@ def evaluate_ckpt(prepared: Prepared, ckpt_path, split: str = "test",
         raise UsageError(f"{ckpt_path}: checkpoint does not cover the full "
                          f"tower + head (missing {missing[0]}, ...); "
                          "is this a stage-1 checkpoint?")
+    absent = [n for n in store.buffer_names() if n not in ckpt.buffers]
+    if absent:
+        raise CheckpointError(f"{ckpt_path}: checkpoint lacks buffer {absent[0]}")
     restore_into(store, ckpt, "")
     data = prepared.split(split)
     scores = predict_scores(enc, head, data)

@@ -142,29 +142,30 @@ def cosine_matrix(h_a: DTensor, h_b: DTensor) -> DTensor:
 def reference_backward(tape: Tape, loss: DTensor) -> None:
     """`Tape.backward` as written before leaf adjoints shared the
     intermediates' accumulator: leaves are found in a pre-pass, zeroed, and
-    summed into `grad` during the sweep."""
-    produced = {id(n.output) for n in tape.nodes}
+    summed into `grad` during the sweep. It reads the tape and leaves it
+    whole. A node input is the index of the node that made it, the leaf
+    itself, or None."""
     leaves, seen = [], set()
     for node in tape.nodes:
-        for t in node.inputs:
-            if t.requires_grad and id(t) not in produced and id(t) not in seen:
-                seen.add(id(t))
-                leaves.append(t)
+        for k in node.inputs:
+            if isinstance(k, DTensor) and id(k) not in seen:
+                seen.add(id(k))
+                leaves.append(k)
     for t in leaves:
         t.grad = np.zeros_like(t.data)
-    grads = {id(loss): np.ones_like(loss.data)}
-    for node in reversed(tape.nodes):
-        g = grads.pop(id(node.output), None)
+    grads = {tape.key(loss): np.ones_like(loss.data)}
+    for i in reversed(range(len(tape.nodes))):
+        g = grads.pop(i, None)
         if g is None:
             continue
-        for t, ig in zip(node.inputs, node.backward(g)):
-            if ig is None or not t.requires_grad:
+        for k, ig in zip(tape.nodes[i].inputs, tape.nodes[i].backward(g)):
+            if ig is None or k is None:
                 continue
-            if id(t) in produced:
-                acc = grads.get(id(t))
-                grads[id(t)] = ig if acc is None else acc + ig
+            if isinstance(k, DTensor):
+                k.grad = k.grad + ig
             else:
-                t.grad = t.grad + ig
+                acc = grads.get(k)
+                grads[k] = ig if acc is None else acc + ig
 
 
 def maxsim_matrix(subs_a: DTensor, subs_b: DTensor) -> DTensor:

@@ -193,6 +193,29 @@ def test_malformed_checkpoint_header_exits_2(workdir, tmp_path, capsys,
                      re.MULTILINE), err
 
 
+def test_a_checkpoint_without_a_buffer_of_the_tower_exits_2(workdir,
+                                                             tmp_path, capsys):
+    # one bit flipped in a buffer's name in the header: the payload digest
+    # covers only the tensors, so the file loads, under another name
+    _, _, run = workdir
+    out = tmp_path / "run"
+    out.mkdir()
+    _copy(run, out, PREPARED)
+    assert main(["finetune", "--out", str(out)]) == 0
+    ckpt = out / "model.ckpt"
+    raw = bytearray(ckpt.read_bytes())
+    name = b"collab.mlp.bn0.running_mean"
+    at = raw.index(name) + len(name) - 2  # its last "a"
+    raw[at] ^= 1
+    ckpt.write_bytes(bytes(raw))
+    assert "collab.mlp.bn0.running_me`n" in load_checkpoint(ckpt).buffers
+    capsys.readouterr()
+    assert main(["evaluate", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert re.search(r"model\.ckpt: .*collab\.mlp\.bn0\.running_mean", err), err
+    assert not (out / "report.json").exists()
+
+
 def test_malformed_embedding_dump_exits_2(tmp_path, capsys):
     dump = tmp_path / "embeddings.csv"
     dump.write_text("row_id,modality,v0,v1\n0,tab,0.5,nan?\n",

@@ -229,6 +229,21 @@ def test_fused_attention_is_byte_identical_to_composed(padded):
     _assert_fused_equals_composed(*_attention_leaves(padded))
 
 
+def test_a_mask_of_zeros_moves_no_attention_byte():
+    # a block with no padded key passes no mask; adding +0.0 would only
+    # turn a -0.0 score into +0.0, which exp maps to the same weight
+    leaves, _ = _attention_leaves(False, n=4, length=60, width=32)
+    out = []
+    for additive in (np.zeros((4, 1, 1, 60)), None):
+        t = {n: DTensor(x, requires_grad=True) for n, x in leaves.items()}
+        with Tape() as tape:
+            loss, ctx, w = _attention_loss(scaled_attention, t, additive)
+        tape.backward(loss)
+        out.append([ctx.data, w.data] + [t[n].grad for n in ("q", "k", "v")])
+    for masked, bare in zip(*out):
+        assert masked.tobytes() == bare.tobytes()
+
+
 # rows per tile at L = 60 and H = 2, the benchmark's text tower
 ROWS = _ATTENTION_TILE_BYTES // (2 * 60 * 60 * 8)
 
