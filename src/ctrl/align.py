@@ -71,7 +71,7 @@ def maxsim(subs_a: DTensor, subs_b: DTensor) -> DTensor:
     """All-pairs late interaction scores of subs_a: (N, M, d) against
     subs_b: (Nb, Mb, d), (N, Nb) with rows indexed by subs_a. The backward
     pass routes each adjoint to the first maximal partner, the entry argmax
-    would pick, so ties match `ad.max_`."""
+    would pick."""
     n, m, d = subs_a.shape
     nb, mb, db = subs_b.shape
     if d != db:
@@ -102,9 +102,11 @@ def unit_rows(h: DTensor) -> DTensor:
 
 
 def infonce(s: DTensor, temperature: float) -> DTensor:
-    """Softmax cross-entropy over one direction of the similarity matrix.
-    Rows are anchors, the diagonal holds the positive pairs. Stabilized by
-    row-max subtraction inside logsumexp."""
+    """Softmax cross-entropy over one direction of the similarity matrix, as
+    one op. Rows are anchors; the diagonal holds the positive pairs. Forward
+    and adjoint (softmax minus identity, over N·τ) repeat in order the float
+    operations of the chain mean(logsumexp(s/τ) - diag(s/τ)), whose
+    logsumexp shifts each row by its first maximum, and keep its bits."""
     if temperature <= 0:
         raise UsageError("temperature must be > 0")
     if s.data.ndim != 2 or s.shape[0] != s.shape[1]:
@@ -112,10 +114,26 @@ def infonce(s: DTensor, temperature: float) -> DTensor:
     n = s.shape[0]
     if n == 1:
         return DTensor(np.zeros(()))
-    logits = ad.mul(s, DTensor(1.0 / temperature))
-    lse = ad.logsumexp(logits, axis=1)  # (N,)
-    diag = ad.sum_(ad.mul(logits, DTensor(np.eye(n))), axis=1)
-    return ad.mean(ad.sub(lse, diag))
+    scale = 1.0 / temperature
+    logits = s.data * scale
+    first = logits.argmax(axis=1)[:, None]
+    m = np.take_along_axis(logits, first, axis=1)
+    e = np.exp(logits - m)
+    total = e.sum(axis=1, keepdims=True)
+    loss = ((np.log(total) + m).reshape(n) - logits.diagonal()).mean()
+
+    def bwd(g):
+        gd = np.broadcast_to(g, (n,)) / n  # mean
+        gl = e * (gd[:, None] / total)  # log, sum, exp
+        gm = gd[:, None] - gl.sum(axis=1, keepdims=True)  # into the row max
+        # the diagonal term; off the diagonal the chain adds (-g/n)·0, which
+        # changes no bit when g >= 0, as a loss's adjoint is
+        gl.flat[::n + 1] -= gd
+        gl[np.arange(n)[:, None], first] += gm  # ties: the first maximum
+        gl *= scale
+        return (gl,)
+
+    return ad.apply_op("infonce", (s,), loss, bwd)
 
 
 class AlignmentModel:

@@ -16,11 +16,11 @@ op that made it. An op checks its output, except inside :func:`run_pass`
 (training steps, evaluation forward passes): a pass checks only its outputs
 and, if one is not finite, is replayed with every op checked to name the
 op. So a pass does not raise for a non-finite intermediate that a later op
-makes finite (relu or exp of -inf). The optimizer checks its updates.
+makes finite (relu of -inf). The optimizer checks its updates.
 
 Fused model ops outside this module (attention, one direction of late
-interaction, the field embeddings, binary cross entropy) record themselves
-with :func:`apply_op`, as the primitives here do.
+interaction, the field embeddings, InfoNCE, binary cross entropy) record
+themselves with :func:`apply_op`, as the primitives here do.
 """
 
 from __future__ import annotations
@@ -264,10 +264,6 @@ def add(a: DTensor, b: DTensor) -> DTensor:
     return _binary("add", a, b, a.data + b.data, _same, _same)
 
 
-def sub(a: DTensor, b: DTensor) -> DTensor:
-    return _binary("sub", a, b, a.data - b.data, _same, np.negative)
-
-
 def mul(a: DTensor, b: DTensor) -> DTensor:
     x, y = a.data, b.data
     return _binary("mul", a, b, x * y, lambda g: g * y, lambda g: g * x)
@@ -290,25 +286,6 @@ def relu(a: DTensor) -> DTensor:
     return apply_op("relu", (a,), out, bwd)
 
 
-def exp(a: DTensor) -> DTensor:
-    out = np.exp(a.data)
-
-    def bwd(g):
-        return (g * out,)
-
-    return apply_op("exp", (a,), out, bwd)
-
-
-def log(a: DTensor) -> DTensor:
-    with np.errstate(divide="ignore", invalid="ignore"):
-        out = np.log(a.data)
-
-    def bwd(g):
-        return (g / a.data,)
-
-    return apply_op("log", (a,), out, bwd)
-
-
 def sigmoid(a: DTensor) -> DTensor:
     x = a.data
     out = np.where(x >= 0.0, 1.0 / (1.0 + np.exp(-np.abs(x))),
@@ -321,7 +298,7 @@ def sigmoid(a: DTensor) -> DTensor:
 
 
 # ---------------------------------------------------------------------------
-# Linear algebra and structure
+# Linear algebra, structure and reduction
 
 
 def matmul(a: DTensor, b: DTensor) -> DTensor:
@@ -373,10 +350,6 @@ def concat(tensors: Sequence[DTensor], axis: int = 0) -> DTensor:
     return apply_op("concat", tensors, out, bwd)
 
 
-# ---------------------------------------------------------------------------
-# Reductions
-
-
 def sum_(a: DTensor, axis=None, keepdims: bool = False) -> DTensor:
     out, shape = a.data.sum(axis=axis, keepdims=keepdims), a.shape
 
@@ -386,41 +359,6 @@ def sum_(a: DTensor, axis=None, keepdims: bool = False) -> DTensor:
         return (np.broadcast_to(g, shape).copy(),)
 
     return apply_op("sum", (a,), out, bwd)
-
-
-def mean(a: DTensor) -> DTensor:
-    """Mean over every element."""
-    n, shape = a.size, a.shape
-    out = a.data.mean()
-
-    def bwd(g):
-        return (np.broadcast_to(g, shape) / n,)
-
-    return apply_op("mean", (a,), out, bwd)
-
-
-def max_(a: DTensor, axis: int, keepdims: bool = False) -> DTensor:
-    out = a.data.max(axis=axis, keepdims=keepdims)
-
-    def bwd(g):
-        # Ties route the full gradient to the first maximal entry, which is
-        # the one argmax picks. Built here so an untaped max never pays.
-        first = np.zeros(a.shape, dtype=bool)
-        np.put_along_axis(first, np.expand_dims(a.data.argmax(axis=axis), axis),
-                          True, axis=axis)
-        if not keepdims:
-            g = np.expand_dims(g, axis)
-        return (first * g,)
-
-    return apply_op("max", (a,), out, bwd)
-
-
-def logsumexp(a: DTensor, axis: int) -> DTensor:
-    """Numerically stable log-sum-exp, composed from taped primitives."""
-    m = max_(a, axis=axis, keepdims=True)
-    s = log(sum_(exp(sub(a, m)), axis=axis, keepdims=True))
-    out = add(s, m)
-    return reshape(out, tuple(np.delete(out.shape, axis)))
 
 
 # ---------------------------------------------------------------------------

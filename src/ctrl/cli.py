@@ -186,10 +186,11 @@ def cmd_finetune(args) -> int:
         result = end_to_end_stage(prepared, cfg, args.out)
     else:
         result = finetune_stage(prepared, cfg, args.out, init_ckpt=args.init)
-    print(f"best epoch {result.best_epoch}: "
-          f"val AUC {result.best_val_auc:.4f}")
+    auc_s = "-" if result.best_val_auc is None else f"{result.best_val_auc:.4f}"
+    print(f"best epoch {result.best_epoch}: val AUC {auc_s}")
     if result.diverged:
-        print("fine-tuning diverged; best earlier state was checkpointed",
+        stage = "single-stage training" if args.end_to_end else "fine-tuning"
+        print(f"{stage} diverged; best earlier state was checkpointed",
               file=sys.stderr)
         return 3
     return 0

@@ -110,7 +110,12 @@ def schema_hash(schema: FeatureSchema) -> str:
 
 
 def load_schema(path) -> FeatureSchema:
-    return FeatureSchema.from_dict(read_json(path))
+    """Read a schema file; an invalid one raises DataError naming `path`."""
+    d = read_json(path)
+    try:
+        return FeatureSchema.from_dict(d)
+    except (DataError, UsageError) as e:
+        raise DataError(f"{path}: {e}") from e
 
 
 def save_schema(schema: FeatureSchema, path) -> None:

@@ -75,7 +75,7 @@ def predict_scores(encoder: CollaborativeEncoder, head: CtrHead,
 class FinetuneResult:
     history: list  # rows of (epoch, train_loss, val_auc, val_logloss)
     best_epoch: int
-    best_val_auc: float
+    best_val_auc: float | None  # None when no epoch completed
     diverged: bool
 
 
@@ -130,7 +130,8 @@ def _train(opt: AdamW, batch_loss, encoder, head: CtrHead,
     if history_path is not None:
         write_history(history, history_path)
     return FinetuneResult(history=history, best_epoch=best_epoch,
-                          best_val_auc=float(best_auc), diverged=diverged)
+                          best_val_auc=float(best_auc) if history else None,
+                          diverged=diverged)
 
 
 def finetune(encoder: CollaborativeEncoder, head: CtrHead,

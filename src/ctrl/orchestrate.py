@@ -181,6 +181,15 @@ def _fresh_ctr_model(prepared: Prepared, cfg: RunConfig):
     return store, enc, head
 
 
+def _first_absent(store: ParamStore, ckpt, prefix: str = ""):
+    """The first parameter, then buffer, of `store` under `prefix` that
+    `ckpt` lacks, or None."""
+    wanted = [(n, ckpt.params) for n in store.names()] + [
+        (n, ckpt.buffers) for n in store.buffer_names()]
+    return next((n for n, have in wanted
+                 if n.startswith(prefix) and n not in have), None)
+
+
 def finetune_stage(prepared: Prepared, cfg: RunConfig, out_dir,
                    init_ckpt=None) -> "FinetuneResult":
     """Stage 2: supervised training of the collaborative tower and CTR head.
@@ -198,9 +207,10 @@ def finetune_stage(prepared: Prepared, cfg: RunConfig, out_dir,
             raise UsageError(
                 f"{init_ckpt}: tower settings in the checkpoint "
                 f"({ckpt_model}) do not match the requested ones ({cfg.model})")
-        n = restore_into(store, ckpt, "collab.")
-        if n == 0:
-            raise UsageError(f"{init_ckpt}: no tower tensors to warm-start from")
+        absent = _first_absent(store, ckpt, "collab.")
+        if absent is not None:
+            raise CheckpointError(f"{init_ckpt}: checkpoint lacks {absent}")
+        restore_into(store, ckpt, "collab.")
     result = finetune(enc, head, prepared.train, prepared.val, cfg.finetune,
                       cfg.seed, history_path=out / "history.csv")
     save_checkpoint(out / "model.ckpt", store, prepared.hash, cfg.to_dict(),
@@ -247,9 +257,9 @@ def evaluate_ckpt(prepared: Prepared, ckpt_path, split: str = "test",
         raise UsageError(f"{ckpt_path}: checkpoint does not cover the full "
                          f"tower + head (missing {missing[0]}, ...); "
                          "is this a stage-1 checkpoint?")
-    absent = [n for n in store.buffer_names() if n not in ckpt.buffers]
-    if absent:
-        raise CheckpointError(f"{ckpt_path}: checkpoint lacks buffer {absent[0]}")
+    absent = _first_absent(store, ckpt)
+    if absent is not None:
+        raise CheckpointError(f"{ckpt_path}: checkpoint lacks buffer {absent}")
     restore_into(store, ckpt, "")
     data = prepared.split(split)
     scores = predict_scores(enc, head, data)

@@ -16,11 +16,14 @@
 - the mean contrastive loss over a split, in eval mode
 - ops no model path records: softmax, slicing and negation, each one taped
   op
+- the engine primitives that only composed oracles use, moved here from
+  `ctrl.autodiff` as they were: sub, exp, log, mean, max (first maximum
+  takes a tie) and logsumexp composed from them
 - a schema's field by name
 - the field embeddings as one lookup per field and a taped masked mean per
-  sequence field, binary cross entropy composed from taped primitives, and
-  AdamW updating one parameter at a time, each as written before it was
-  fused into one op or one pass
+  sequence field, binary cross entropy and InfoNCE composed from taped
+  primitives, and AdamW updating one parameter at a time, each as written
+  before it was fused into one op or one pass
 """
 
 from __future__ import annotations
@@ -180,7 +183,7 @@ def maxsim_matrix(subs_a: DTensor, subs_b: DTensor) -> DTensor:
     flat_b = ad.reshape(subs_b, (nb * mb, d))
     sims = ad.matmul(flat_a, ad.transpose(flat_b, (1, 0)))  # (n*m, nb*mb)
     sims = ad.reshape(sims, (n, m, nb, mb))
-    best = ad.max_(sims, axis=3)  # (n, m, nb)
+    best = max_(sims, axis=3)  # (n, m, nb)
     return ad.sum_(best, axis=1)  # (n, nb)
 
 
@@ -192,7 +195,7 @@ def maxsim(subs_i, subs_j) -> DTensor:
     if a.data.ndim != 2 or b.data.ndim != 2 or a.shape[1] != b.shape[1]:
         raise ShapeError("maxsim expects (M_i, d) and (M_j, d)")
     sims = ad.matmul(a, ad.transpose(b, (1, 0)))
-    return ad.sum_(ad.max_(sims, axis=1))
+    return ad.sum_(max_(sims, axis=1))
 
 
 def cosine(h_i, h_j) -> DTensor:
@@ -286,6 +289,76 @@ def neg(a: DTensor) -> DTensor:
     return ad.apply_op("neg", (a,), -a.data, lambda g: (-g,))
 
 
+def sub(a: DTensor, b: DTensor) -> DTensor:
+    return ad._binary("sub", a, b, a.data - b.data, ad._same, np.negative)
+
+
+def exp(a: DTensor) -> DTensor:
+    out = np.exp(a.data)
+
+    def bwd(g):
+        return (g * out,)
+
+    return ad.apply_op("exp", (a,), out, bwd)
+
+
+def log(a: DTensor) -> DTensor:
+    with np.errstate(divide="ignore", invalid="ignore"):
+        out = np.log(a.data)
+
+    def bwd(g):
+        return (g / a.data,)
+
+    return ad.apply_op("log", (a,), out, bwd)
+
+
+def mean(a: DTensor) -> DTensor:
+    """Mean over every element."""
+    n, shape = a.size, a.shape
+    out = a.data.mean()
+
+    def bwd(g):
+        return (np.broadcast_to(g, shape) / n,)
+
+    return ad.apply_op("mean", (a,), out, bwd)
+
+
+def max_(a: DTensor, axis: int, keepdims: bool = False) -> DTensor:
+    out = a.data.max(axis=axis, keepdims=keepdims)
+
+    def bwd(g):
+        # Ties route the full gradient to the first maximal entry, which is
+        # the one argmax picks. Built here so an untaped max never pays.
+        first = np.zeros(a.shape, dtype=bool)
+        np.put_along_axis(first, np.expand_dims(a.data.argmax(axis=axis), axis),
+                          True, axis=axis)
+        if not keepdims:
+            g = np.expand_dims(g, axis)
+        return (first * g,)
+
+    return ad.apply_op("max", (a,), out, bwd)
+
+
+def logsumexp(a: DTensor, axis: int) -> DTensor:
+    """Numerically stable log-sum-exp, composed from taped primitives."""
+    m = max_(a, axis=axis, keepdims=True)
+    s = log(ad.sum_(exp(sub(a, m)), axis=axis, keepdims=True))
+    out = ad.add(s, m)
+    return ad.reshape(out, tuple(np.delete(out.shape, axis)))
+
+
+def composed_infonce(s: DTensor, temperature: float) -> DTensor:
+    """`align.infonce` as 12 taped primitives, as written before it was one
+    op: the mean over rows of logsumexp(s/τ) minus the diagonal of s/τ."""
+    n = s.shape[0]
+    if n == 1:
+        return DTensor(np.zeros(()))
+    logits = ad.mul(s, DTensor(1.0 / temperature))
+    lse = logsumexp(logits, axis=1)  # (N,)
+    diag = ad.sum_(ad.mul(logits, DTensor(np.eye(n))), axis=1)
+    return mean(sub(lse, diag))
+
+
 def composed_field_embeddings(encoder, batch) -> DTensor:
     """`CollaborativeEncoder.field_embeddings` from the engine's primitives:
     one embedding lookup per field, a taped masked mean per sequence field,
@@ -313,12 +386,12 @@ def composed_bce(preds: DTensor, labels) -> DTensor:
     primitives."""
     y = np.asarray(labels, dtype=np.float64)
     eps = DTensor(1e-12)
-    log_p = ad.log(ad.add(ad.relu(ad.sub(preds, eps)), eps))
-    one_minus = ad.sub(DTensor(1.0), preds)
-    log_q = ad.log(ad.add(ad.relu(ad.sub(one_minus, eps)), eps))
+    log_p = log(ad.add(ad.relu(sub(preds, eps)), eps))
+    one_minus = sub(DTensor(1.0), preds)
+    log_q = log(ad.add(ad.relu(sub(one_minus, eps)), eps))
     terms = ad.add(ad.mul(DTensor(y), log_p),
                    ad.mul(DTensor(1.0 - y), log_q))
-    return neg(ad.mean(terms))
+    return neg(mean(terms))
 
 
 class ReferenceAdamW:

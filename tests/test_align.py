@@ -15,8 +15,9 @@ from ctrl.exceptions import ShapeError, UsageError
 from ctrl.params import ParamStore, rng_for
 from ctrl.prompt import build_prompt
 
-from helpers import (check_grads, cosine, cosine_matrix, evaluate_ccl, maxsim,
-                     maxsim_matrix, store_grad_check, tiny_pipeline)
+from helpers import (check_grads, composed_infonce, cosine, cosine_matrix,
+                     evaluate_ccl, maxsim, maxsim_matrix, store_grad_check,
+                     tiny_pipeline)
 
 LOG_1P_EXP_NEG1 = 0.31326168751822286  # log(1 + e^-1)
 
@@ -176,6 +177,72 @@ def test_infonce_nonnegative(n, seed, tau):
 def test_infonce_large_temperature_approaches_log_n():
     s = DTensor(rng_for(4, "s").normal(size=(6, 6)))
     assert abs(infonce(s, 1e9).item() - np.log(6)) < 1e-6
+
+
+def _scores(kind: str, n: int, rng) -> np.ndarray:
+    """Scores in the cosine head's range [-1, 1], in the maxsim head's
+    [-M, M] at M = 4, or on a coarse grid with each row's maximum in its
+    first and last column."""
+    if kind == "cosine":
+        return rng.uniform(-1.0, 1.0, size=(n, n))
+    if kind == "maxsim":
+        return rng.uniform(-4.0, 4.0, size=(n, n))
+    s = rng.integers(-2, 3, size=(n, n)) / 2.0
+    s[:, 0] = s[:, -1] = s.max(axis=1)
+    return s
+
+
+def _loss_and_grad_bytes(loss_fn, s0: np.ndarray, tau: float, weight: float):
+    s = DTensor(s0, requires_grad=True)
+    with Tape() as tape:
+        loss = loss_fn(s, tau)
+        out = ad.mul(loss, DTensor(weight))
+    if tape.nodes:
+        tape.backward(out)
+    return loss.data.tobytes(), None if s.grad is None else s.grad.tobytes()
+
+
+@pytest.mark.parametrize("kind", ["cosine", "maxsim", "ties"])
+@pytest.mark.parametrize("tau", [0.07, 0.5, 1.0, 5.0])
+@pytest.mark.parametrize("n", [1, 2, 3, 16, 65])
+def test_infonce_keeps_the_composed_chains_bits(kind, tau, n):
+    rng = np.random.default_rng([n, int(tau * 100), len(kind)])
+    s0 = _scores(kind, n, rng)
+    # a loss's own adjoint, and the 0.5 of the two directions' mix
+    for weight in (1.0, 0.5):
+        want = _loss_and_grad_bytes(composed_infonce, s0, tau, weight)
+        assert _loss_and_grad_bytes(infonce, s0, tau, weight) == want
+
+
+@pytest.mark.parametrize("similarity", ["maxsim", "cosine"])
+def test_a_ccl_step_records_infonce_as_one_node_per_direction(similarity,
+                                                             monkeypatch):
+    """Against the composed chain, a taped ccl step records 22 fewer nodes
+    and gives the same loss and parameter gradients, bit for bit."""
+    import ctrl.align
+
+    model, tokenizer, (train, _, _), _ = tiny_pipeline(seed=5,
+                                                       similarity=similarity)
+    batch = next(batches(train, 8, "align", seed=1))
+    prompts = [build_prompt(r, model.collab.schema, model.template)
+               for r in batch.raw_rows]
+    ids, mask = tokenizer.encode_batch(prompts)
+
+    def step():
+        with Tape() as tape:
+            loss = model.ccl(batch, ids, mask)[0]
+        ops = [n.op for n in tape.nodes]
+        tape.backward(loss)
+        grads = {n: model.store[n].grad.tobytes() for n in model.store.names()}
+        return ops, loss.data.tobytes(), grads
+
+    ops, loss, grads = step()
+    monkeypatch.setattr(ctrl.align, "infonce", composed_infonce)
+    chain_ops, chain_loss, chain_grads = step()
+    assert ops.count("infonce") == 2 and "infonce" not in chain_ops
+    assert len(chain_ops) - len(ops) == 22
+    assert loss == chain_loss
+    assert grads == chain_grads
 
 
 def test_ccl_is_mean_of_directional_losses():

@@ -13,9 +13,10 @@ from ctrl.data import batches
 from ctrl.exceptions import NumericError, ShapeError, UsageError
 from ctrl.prompt import build_prompt
 
-from helpers import (check_grads, composed_layer_norm, neg,
-                     reference_backward, reference_batch_norm,
-                     reference_layer_norm, slice_, softmax, tiny_pipeline)
+from helpers import (check_grads, composed_layer_norm, exp, log,
+                     logsumexp, max_, mean, neg, reference_backward,
+                     reference_batch_norm, reference_layer_norm, slice_,
+                     softmax, sub, tiny_pipeline)
 
 
 def test_dtensor_rejects_nonfinite():
@@ -68,10 +69,10 @@ def test_backward_log_softmax_matches_fd():
     # d/dx log(softmax(x))[0] at x=[0,0] is [0.5, -0.5]
     x = DTensor([0.0, 0.0], requires_grad=True)
     with Tape() as tape:
-        loss = slice_(ad.log(softmax(x, axis=0)), 0)
+        loss = slice_(log(softmax(x, axis=0)), 0)
     tape.backward(loss)
     assert np.allclose(x.grad, [0.5, -0.5], atol=1e-10)
-    check_grads(lambda t: slice_(ad.log(softmax(t["x"], axis=0)), 0),
+    check_grads(lambda t: slice_(log(softmax(t["x"], axis=0)), 0),
                 {"x": np.array([0.0, 0.0])})
 
 
@@ -88,7 +89,7 @@ def test_backward_sums_the_adjoints_of_a_leaf_fed_to_two_ops():
     x0 = np.array([0.5, -1.5, 2.0])
     x = DTensor(x0, requires_grad=True)
     with Tape() as tape:
-        loss = ad.sum_(ad.add(ad.mul(x, DTensor(3.0)), ad.exp(x)))
+        loss = ad.sum_(ad.add(ad.mul(x, DTensor(3.0)), exp(x)))
     tape.backward(loss)
     assert np.array_equal(x.grad, np.exp(x0) + 3.0)
 
@@ -97,7 +98,7 @@ def test_backward_gives_an_unreached_recorded_leaf_zeros():
     x = DTensor([1.0, 2.0], requires_grad=True)
     y = DTensor([[3.0, -1.0]], requires_grad=True)
     with Tape() as tape:
-        z = ad.exp(y)  # recorded, but not on the loss's path
+        z = exp(y)  # recorded, but not on the loss's path
         neg(z)
         u = ad.mul(x, x)
         loss = ad.sum_(u)
@@ -253,7 +254,7 @@ def test_matmul_shape_error_names_extents():
 
 def test_log_of_zero_raises_numeric_error():
     with pytest.raises(NumericError, match="log"):
-        ad.log(DTensor([0.0]))
+        log(DTensor([0.0]))
 
 
 def test_l2_normalize_unit_norm():
@@ -329,7 +330,7 @@ def test_batch_norm_eval_uses_running_stats():
 def test_max_ties_route_to_first():
     x = DTensor([[1.0, 3.0, 3.0]], requires_grad=True)
     with Tape() as tape:
-        loss = ad.sum_(ad.max_(x, axis=1))
+        loss = ad.sum_(max_(x, axis=1))
     tape.backward(loss)
     assert np.array_equal(x.grad, [[0.0, 1.0, 0.0]])
 
@@ -356,7 +357,7 @@ def test_concat_grad_splits():
 def test_logsumexp_matches_numpy():
     rng = np.random.default_rng(11)
     x = rng.normal(size=(4, 6)) * 5
-    out = ad.logsumexp(DTensor(x), axis=1)
+    out = logsumexp(DTensor(x), axis=1)
     expected = np.log(np.exp(x).sum(axis=1))
     assert np.allclose(out.data, expected, atol=1e-12)
 
@@ -378,21 +379,21 @@ def test_primitive_gradients_match_finite_differences(seed):
         "add_mul": (lambda t: ad.sum_(ad.mul(ad.add(t["a"], t["c"]), t["a"])),
                     {"a": a, "c": c}),
         "div": (lambda t: ad.sum_(ad.div(t["a"], t["w"])), {"a": a, "w": w}),
-        "exp": (lambda t: ad.sum_(ad.exp(t["a"])), {"a": a}),
-        "log": (lambda t: ad.sum_(ad.log(t["w"])), {"w": w}),
+        "exp": (lambda t: ad.sum_(exp(t["a"])), {"a": a}),
+        "log": (lambda t: ad.sum_(log(t["w"])), {"w": w}),
         "sigmoid": (lambda t: ad.sum_(ad.mul(ad.sigmoid(t["a"]), t["c"])),
                     {"a": a, "c": c}),
         "softmax": (lambda t: ad.sum_(ad.mul(softmax(t["a"], axis=1), t["c"])),
                     {"a": a, "c": c}),
-        "mean": (lambda t: ad.mean(ad.mul(t["a"], t["a"])), {"a": a}),
-        "max": (lambda t: ad.sum_(ad.max_(t["a"], axis=1)), {"a": a}),
+        "mean": (lambda t: mean(ad.mul(t["a"], t["a"])), {"a": a}),
+        "max": (lambda t: ad.sum_(max_(t["a"], axis=1)), {"a": a}),
         "l2_normalize": (lambda t: ad.sum_(ad.mul(ad.l2_normalize(t["a"], axis=1), t["c"])),
                          {"a": a, "c": c}),
         "transpose_reshape": (
             lambda t: ad.sum_(ad.mul(ad.reshape(ad.transpose(t["a"], (1, 0)), (2, 6)),
                                      DTensor(tr_w))),
             {"a": a}),
-        "logsumexp": (lambda t: ad.sum_(ad.logsumexp(t["a"], axis=1)), {"a": a}),
+        "logsumexp": (lambda t: ad.sum_(logsumexp(t["a"], axis=1)), {"a": a}),
     }
     for name, (fn, leaves) in cases.items():
         check_grads(fn, leaves)
@@ -507,7 +508,7 @@ def test_embedding_scatter_equals_add_at_bit_for_bit():
     assert scattered.tobytes() == expected.tobytes()
 
 
-@pytest.mark.parametrize("op", [ad.add, ad.sub, ad.mul, ad.div])
+@pytest.mark.parametrize("op", [ad.add, sub, ad.mul, ad.div])
 def test_constant_input_gets_no_adjoint(op):
     rng = np.random.default_rng(31)
     x = DTensor(rng.uniform(1.0, 2.0, size=(3, 4)), requires_grad=True)
@@ -526,7 +527,7 @@ def test_constants_leave_leaf_gradients_unchanged():
     c = np.array([2.0, 4.0, 0.5])
     x = DTensor(x0, requires_grad=True)
     with Tape() as tape:
-        y = ad.div(ad.sub(ad.add(ad.mul(x, DTensor(c)), DTensor(c)), DTensor(1.0)),
+        y = ad.div(sub(ad.add(ad.mul(x, DTensor(c)), DTensor(c)), DTensor(1.0)),
                    DTensor(c))
         loss = ad.sum_(ad.mul(y, x))
     tape.backward(loss)
@@ -551,7 +552,7 @@ def test_determinism_same_seed_same_values():
         with Tape() as tape:
             h = ad.relu(ad.matmul(x, w))
             h = ad.dropout(h, 0.3, train=True, rng=np.random.default_rng(9))
-            loss = ad.mean(ad.mul(h, h))
+            loss = mean(ad.mul(h, h))
         tape.backward(loss)
         return loss.item(), x.grad.copy(), w.grad.copy()
 
@@ -588,7 +589,7 @@ def _overflowing_pass(rng, drawn):
     Each call records the dropout draws it made."""
     keep = ad.dropout(DTensor(np.full(4, 800.0)), 0.5, train=True, rng=rng)
     drawn.append(keep.data.copy())
-    return ad.log(ad.exp(keep)), neg(keep)
+    return log(exp(keep)), neg(keep)
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -610,7 +611,7 @@ def test_run_pass_replays_untaped_and_leaves_the_tape_active():
     x = DTensor(np.full(3, 30.0), requires_grad=True)
     with Tape() as tape:
         with pytest.raises(NumericError, match="^exp"):
-            ad.run_pass(lambda: ad.log(ad.exp(ad.mul(x, x))))
+            ad.run_pass(lambda: log(exp(ad.mul(x, x))))
         assert ad.active_tape() is tape
     # the unchecked pass only: the replay records neither mul nor exp
     assert [n.op for n in tape.nodes] == ["mul", "exp", "log"]
@@ -619,7 +620,7 @@ def test_run_pass_replays_untaped_and_leaves_the_tape_active():
 def test_run_pass_returns_a_finite_pass_as_is():
     x = DTensor(np.arange(3.0), requires_grad=True)
     with Tape() as tape:
-        out = ad.run_pass(lambda: (ad.exp(x), ad.mul(x, x)))
+        out = ad.run_pass(lambda: (exp(x), ad.mul(x, x)))
     assert [n.op for n in tape.nodes] == ["exp", "mul"]
     assert np.array_equal(out[0].data, np.exp(np.arange(3.0)))
     assert np.array_equal(out[1].data, np.arange(3.0) ** 2)
@@ -627,7 +628,7 @@ def test_run_pass_returns_a_finite_pass_as_is():
 
 def test_run_pass_checks_only_what_the_pass_returns():
     def squashed():  # relu(-inf) is 0: the infinity never leaves the pass
-        return ad.relu(neg(ad.exp(DTensor([800.0]))))
+        return ad.relu(neg(exp(DTensor([800.0]))))
 
     with np.errstate(over="ignore"):
         assert ad.run_pass(squashed).data.tolist() == [0.0]
@@ -644,7 +645,7 @@ def test_run_pass_turns_op_checks_back_on_after_an_error():
         ad.run_pass(fails)
     assert ad.op_checks
     with pytest.raises(NumericError, match="log"):
-        ad.log(DTensor([0.0]))
+        log(DTensor([0.0]))
 
 
 def test_run_pass_raises_when_its_replay_comes_out_finite():
@@ -652,7 +653,7 @@ def test_run_pass_raises_when_its_replay_comes_out_finite():
 
     def unsteady():  # overflows on its first call only
         calls.append(None)
-        return ad.exp(DTensor(900.0 if len(calls) == 1 else 0.0))
+        return exp(DTensor(900.0 if len(calls) == 1 else 0.0))
 
     with pytest.raises(NumericError, match="replay did not"):
         with np.errstate(over="ignore"):

@@ -216,6 +216,64 @@ def test_a_checkpoint_without_a_buffer_of_the_tower_exits_2(workdir,
     assert not (out / "report.json").exists()
 
 
+def test_finetune_init_refuses_a_checkpoint_without_a_tensor_of_the_tower(
+        aligned, tmp_path, capsys):
+    # the bit flip of the test above, in the stage-1 checkpoint: warm-started
+    # from it, the tower would keep a freshly initialized running mean
+    _copy(aligned, tmp_path, PREPARED + ("align.ckpt",))
+    ckpt = tmp_path / "align.ckpt"
+    raw = bytearray(ckpt.read_bytes())
+    name = b"collab.mlp.bn0.running_mean"
+    raw[raw.index(name) + len(name) - 2] ^= 1
+    ckpt.write_bytes(bytes(raw))
+    capsys.readouterr()
+    assert main(["finetune", "--out", str(tmp_path), "--init", str(ckpt)]) == 2
+    err = capsys.readouterr().err
+    assert re.search(r"align\.ckpt: .*collab\.mlp\.bn0\.running_mean", err), err
+    assert not (tmp_path / "model.ckpt").exists()
+
+
+def _break_schema(schema: dict, fault: str) -> dict:
+    fields = schema["fields"]
+    if fault == "kind":
+        fields[0]["kind"] = "categorica"
+    elif fault == "side":
+        fields[0]["side"] = "buyer"
+    elif fault == "duplicate":
+        fields[1]["name"] = fields[0]["name"]
+    elif fault == "no_user_field":
+        for f in fields:
+            f["side"] = "item"
+    else:
+        del fields[0]["name"]
+    return schema
+
+
+@pytest.mark.parametrize("fault", ["kind", "side", "duplicate",
+                                   "no_user_field", "no_name"])
+def test_a_schema_that_parses_but_is_invalid_exits_2_naming_it(
+        workdir, tmp_path, capsys, fault):
+    _, data, run = workdir
+    for name, src in (("prepare", data), ("run", run)):
+        (tmp_path / name).mkdir()
+        _copy(src, tmp_path / name, ("schema.json",))
+        path = tmp_path / name / "schema.json"
+        schema = json.loads(path.read_text(encoding="utf-8"))
+        path.write_text(json.dumps(_break_schema(schema, fault)),
+                        encoding="utf-8")
+    _copy(run, tmp_path / "run", PREPARED[:1] + PREPARED[2:])
+    capsys.readouterr()
+    assert main(["prepare", "--data", str(data / "data.csv"),
+                 "--schema", str(tmp_path / "prepare" / "schema.json"),
+                 "--out", str(tmp_path / "out")]) == 2
+    assert main(["align", "--out", str(tmp_path / "run")]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 2, err
+    for line, name in zip(err, ("prepare", "run")):
+        assert line.startswith(f"error: {tmp_path / name / 'schema.json'}: "), line
+    assert not (tmp_path / "out").exists()
+
+
 def test_malformed_embedding_dump_exits_2(tmp_path, capsys):
     dump = tmp_path / "embeddings.csv"
     dump.write_text("row_id,modality,v0,v1\n0,tab,0.5,nan?\n",
@@ -334,3 +392,36 @@ def test_alignment_diverging_at_its_first_step_exits_3_with_a_checkpoint(
     assert ckpt.extra["final_loss"] is None
     assert main(["dump-embeddings", "--out", str(tmp_path)]) == 0
     assert (tmp_path / "embeddings.csv").exists()
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_single_stage_training_diverging_at_its_first_step_exits_3(
+        workdir, tmp_path, capsys):
+    """The first InfoNCE of `finetune --end-to-end` overflows at a
+    temperature of 1e-308: no epoch completes, the initial state is
+    checkpointed, and the run exits 3 with a checkpoint that evaluates."""
+    _, _, run = workdir
+    _copy(run, tmp_path, PREPARED)
+    cfg = json.loads((tmp_path / "config.json").read_text())
+    cfg["align"]["temperature"] = 1e-308
+    (tmp_path / "config.json").write_text(json.dumps(cfg), encoding="utf-8")
+    capsys.readouterr()
+    with pytest.warns(UserWarning, match=r"^single-stage training diverged "
+                      r"in epoch 0 \(infonce: produced non-finite") as rec:
+        assert main(["finetune", "--end-to-end", "--out", str(tmp_path)]) == 3
+    assert not [w for w in rec if issubclass(w.category, RuntimeWarning)]
+    out, err = capsys.readouterr()
+    assert out == "best epoch -1: val AUC -\n"
+    assert err == ("single-stage training diverged; best earlier state was "
+                   "checkpointed\n")
+    raw = (tmp_path / "model.ckpt").read_bytes()
+    (size,) = struct.unpack("<Q", raw[8:16])
+
+    def not_json(name):
+        raise AssertionError(f"{name} in the checkpoint header")
+
+    header = json.loads(raw[16:16 + size], parse_constant=not_json)
+    assert header["extra"]["best_val_auc"] is None
+    assert header["extra"]["best_epoch"] == -1 and header["extra"]["diverged"]
+    assert main(["evaluate", "--out", str(tmp_path)]) == 0
+    assert (tmp_path / "report.json").exists()
