@@ -19,7 +19,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .artifacts import write_csv
-from .autodiff import DTensor, Tape
+from .autodiff import DTensor
 from .config import AlignConfig, RunConfig
 from .data import EncodedSplit, batches, epoch_seed
 from .encoders import CollaborativeEncoder, Linear, TextEncoder
@@ -232,11 +232,8 @@ def align_train(model: AlignmentModel, split: EncodedSplit,
             # a state is only known good once its forward pass came out finite
             pre_step = store.snapshot()
             try:
-                with Tape() as tape:
-                    loss, l_t2t, l_tab2text = ad.run_pass(lambda: model.ccl(
-                        batch, ids, mask, train=True, rng=drop_rng), drop_rng)
-                tape.backward(loss)
-                opt.step(lr)
+                loss, l_t2t, l_tab2text = opt.minimize(lr, lambda: model.ccl(
+                    batch, ids, mask, train=True, rng=drop_rng), drop_rng)
             except NumericError as e:
                 warnings.warn(f"alignment diverged at step {step} ({e}); "
                               "restoring last good state")

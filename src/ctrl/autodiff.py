@@ -13,10 +13,10 @@ branches need no special casing.
 
 A NaN or infinity raises :class:`~ctrl.exceptions.NumericError` naming the
 op that made it. An op checks its output, except inside :func:`run_pass`
-(training steps, evaluation forward passes): a pass checks only its outputs
-and, if one is not finite, is replayed with every op checked to name the
-op. So a pass does not raise for a non-finite intermediate that a later op
-makes finite (relu of -inf). The optimizer checks its updates.
+(`AdamW.minimize`'s training step, evaluation forward passes): a pass checks
+only its outputs and, if one is not finite, is replayed with every op checked
+to name the op. So a pass does not raise for a non-finite intermediate that
+a later op makes finite (relu of -inf). The optimizer checks its updates.
 
 Fused model ops outside this module (attention, one direction of late
 interaction, the field embeddings, InfoNCE, binary cross entropy) record

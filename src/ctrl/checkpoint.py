@@ -39,6 +39,7 @@ _HEADER_FIELDS = {"schema_hash": str, "config": dict, "params": list,
 
 @dataclass
 class Checkpoint:
+    path: str  # the file it was loaded from
     version: int
     schema_hash: str
     config: dict
@@ -162,18 +163,21 @@ def load_checkpoint(path, expect_schema_hash: str = None) -> Checkpoint:
         raise CheckpointError(f"{path}: payload digest mismatch (corrupt blob)")
     params, offset = _read_section(header["params"], payload, 0)
     buffers, _ = _read_section(header["buffers"], payload, offset)
-    return Checkpoint(version=header["version"], schema_hash=header["schema_hash"],
-                      config=header["config"], params=params, buffers=buffers,
-                      extra=header.get("extra", {}))
+    return Checkpoint(path=str(path), version=header["version"],
+                      schema_hash=header["schema_hash"], config=header["config"],
+                      params=params, buffers=buffers, extra=header.get("extra", {}))
 
 
 def restore_into(store: ParamStore, ckpt: Checkpoint, prefix: str = "") -> int:
-    """Copy checkpoint tensors whose names start with `prefix` into matching
-    store entries. Returns the number of tensors restored."""
-    params = {k: v for k, v in ckpt.params.items()
-              if k.startswith(prefix) and k in store}
-    known_buffers = set(store.buffer_names())
-    buffers = {k: v for k, v in ckpt.buffers.items()
-               if k.startswith(prefix) and k in known_buffers}
+    """Copy every parameter and buffer of `store` whose name starts with
+    `prefix` from the checkpoint, which may hold more. Raises CheckpointError
+    naming the first one it lacks, parameters first, before copying any.
+    Returns the number of tensors restored."""
+    params = {n: ckpt.params.get(n) for n in store.names() if n.startswith(prefix)}
+    buffers = {n: ckpt.buffers.get(n) for n in store.buffer_names()
+               if n.startswith(prefix)}
+    for name, arr in [*params.items(), *buffers.items()]:
+        if arr is None:
+            raise CheckpointError(f"{ckpt.path}: checkpoint lacks {name}")
     store.load_arrays(params, buffers)
     return len(params) + len(buffers)

@@ -158,16 +158,28 @@ def scaled_attention(q: DTensor, k: DTensor, v: DTensor,
     return ctx, ad.apply_op("attention", (), w, None)
 
 
-def _split_heads(x: DTensor, n_heads: int, d_head: int) -> DTensor:
-    n, length = x.shape[0], x.shape[1]
-    x = ad.reshape(x, (n, length, n_heads, d_head))
-    return ad.transpose(x, (0, 2, 1, 3))  # (N, H, L, d_head)
+class SelfAttention:
+    """Multi-head self-attention: bias-free projections `{prefix}.q/.k/.v`
+    from d_in to n_heads heads of width d_head, attended per head and merged
+    back to (N, L, n_heads * d_head)."""
 
+    def __init__(self, store, prefix, d_in, n_heads, d_head, rng):
+        self.n_heads, self.d_head = n_heads, d_head
+        self.d_out = n_heads * d_head
+        self.q, self.k, self.v = (
+            Linear(store, f"{prefix}.{n}", d_in, self.d_out, rng, bias=False)
+            for n in "qkv")
 
-def _merge_heads(x: DTensor) -> DTensor:
-    n, h, length, d_head = x.shape
-    x = ad.transpose(x, (0, 2, 1, 3))
-    return ad.reshape(x, (n, length, h * d_head))
+    def __call__(self, x: DTensor,
+                 additive_mask: Optional[np.ndarray] = None) -> DTensor:
+        def heads(lin):  # (N, H, L, d_head)
+            h = ad.reshape(lin(x), x.shape[:2] + (self.n_heads, self.d_head))
+            return ad.transpose(h, (0, 2, 1, 3))
+
+        ctx, _ = scaled_attention(heads(self.q), heads(self.k), heads(self.v),
+                                  additive_mask=additive_mask)
+        return ad.reshape(ad.transpose(ctx, (0, 2, 1, 3)),
+                          x.shape[:2] + (self.d_out,))
 
 
 class FieldAttention:
@@ -175,21 +187,13 @@ class FieldAttention:
     with a residual projection and relu (AutoInt-style)."""
 
     def __init__(self, store, prefix, d_in, n_heads, d_head, rng):
-        d_out = n_heads * d_head
-        self.q = Linear(store, f"{prefix}.q", d_in, d_out, rng, bias=False)
-        self.k = Linear(store, f"{prefix}.k", d_in, d_out, rng, bias=False)
-        self.v = Linear(store, f"{prefix}.v", d_in, d_out, rng, bias=False)
-        self.res = Linear(store, f"{prefix}.res", d_in, d_out, rng, bias=False)
-        self.n_heads = n_heads
-        self.d_head = d_head
-        self.d_out = d_out
+        self.attn = SelfAttention(store, prefix, d_in, n_heads, d_head, rng)
+        self.d_out = self.attn.d_out
+        self.res = Linear(store, f"{prefix}.res", d_in, self.d_out, rng,
+                          bias=False)
 
     def __call__(self, x: DTensor) -> DTensor:
-        q = _split_heads(self.q(x), self.n_heads, self.d_head)
-        k = _split_heads(self.k(x), self.n_heads, self.d_head)
-        v = _split_heads(self.v(x), self.n_heads, self.d_head)
-        ctx, _ = scaled_attention(q, k, v)
-        return ad.relu(ad.add(_merge_heads(ctx), self.res(x)))
+        return ad.relu(ad.add(self.attn(x), self.res(x)))
 
 
 class CrossLayer:
@@ -323,13 +327,8 @@ class TransformerBlock:
     residual + LN. Padding is excluded via a large negative additive mask."""
 
     def __init__(self, store, prefix, d_model, n_heads, d_ff, rng):
-        if d_model % n_heads != 0:
-            raise UsageError("d_model must be divisible by n_heads")
-        self.d_head = d_model // n_heads
-        self.n_heads = n_heads
-        self.q = Linear(store, f"{prefix}.q", d_model, d_model, rng, bias=False)
-        self.k = Linear(store, f"{prefix}.k", d_model, d_model, rng, bias=False)
-        self.v = Linear(store, f"{prefix}.v", d_model, d_model, rng, bias=False)
+        self.attn = SelfAttention(store, prefix, d_model, n_heads,
+                                  d_model // n_heads, rng)
         self.o = Linear(store, f"{prefix}.o", d_model, d_model, rng)
         self.ln1 = LayerNorm(store, f"{prefix}.ln1", d_model)
         self.ff1 = Linear(store, f"{prefix}.ff1", d_model, d_ff, rng)
@@ -339,11 +338,7 @@ class TransformerBlock:
     def __call__(self, x: DTensor, mask: np.ndarray) -> DTensor:
         # (N,1,1,L) over keys; none when no key is padded: +0 moves no weight
         additive = None if mask.all() else (mask[:, None, None, :] - 1.0) * 1e9
-        q = _split_heads(self.q(x), self.n_heads, self.d_head)
-        k = _split_heads(self.k(x), self.n_heads, self.d_head)
-        v = _split_heads(self.v(x), self.n_heads, self.d_head)
-        ctx, _ = scaled_attention(q, k, v, additive_mask=additive)
-        x = self.ln1(x, self.o(_merge_heads(ctx)))
+        x = self.ln1(x, self.o(self.attn(x, additive)))
         return self.ln2(x, self.ff2(ad.relu(self.ff1(x))))
 
 

@@ -15,7 +15,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .artifacts import write_csv
-from .autodiff import DTensor, Tape
+from .autodiff import DTensor
 from .config import FinetuneConfig
 from .data import EncodedSplit, batches, epoch_seed
 from .encoders import CollaborativeEncoder, Linear
@@ -104,11 +104,8 @@ def _train(opt: AdamW, batch_loss, encoder, head: CtrHead,
         try:
             for batch in batches(train_split, cfg.batch_size, "train",
                                  seed=epoch_seed(seed, epoch)):
-                with Tape() as tape:
-                    loss, supervised = ad.run_pass(
-                        lambda: batch_loss(batch, drop_rng), drop_rng)
-                tape.backward(loss)
-                opt.step(cfg.lr)
+                _, supervised = opt.minimize(
+                    cfg.lr, lambda: batch_loss(batch, drop_rng), drop_rng)
                 losses.append(supervised.item())
         except NumericError as e:
             warnings.warn(f"{label} diverged in epoch {epoch} ({e}); "

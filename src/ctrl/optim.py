@@ -10,11 +10,12 @@ successor tensors are read-only views of the step's new flat array.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .autodiff import DTensor
+from . import autodiff as ad
+from .autodiff import DTensor, Tape
 from .exceptions import NumericError, UsageError
 from .params import ParamStore
 
@@ -54,7 +55,8 @@ class AdamW:
 
     The step counter is shared across parameters and increases by exactly
     one per :meth:`step` call. A step that would make a parameter non-finite
-    raises NumericError before it replaces any.
+    raises NumericError before it replaces any. :meth:`minimize` is the one
+    taped training step of both training loops.
     """
 
     def __init__(self, store: ParamStore, names: Optional[Sequence[str]] = None,
@@ -106,3 +108,15 @@ class AdamW:
             raise NumericError("DTensor created with non-finite values")
         for name, p, flat in zip(self.names, params, np.split(new, self._cuts)):
             self.store.replace(name, DTensor._from_op(flat.reshape(p.shape), True, None))
+
+    def minimize(self, lr: float, fn: Callable, rng=None) -> tuple:
+        """One training step: run the pass `fn() -> (loss, ...)` on a tape
+        through `autodiff.run_pass`, with `rng` its dropout generator, then
+        backpropagate from the loss and step at `lr`. Returns `fn`'s outputs.
+        A non-finite pass raises NumericError and replaces no parameter."""
+        # called through ad and self: tests patch run_pass, perfbench's tracer step
+        with Tape() as tape:
+            out = ad.run_pass(fn, rng)
+        tape.backward(out[0])
+        self.step(lr)
+        return out

@@ -36,7 +36,7 @@ from .data import (EncodedSplit, FeatureSchema, encode, load_schema,
                    prepare_splits, read_csv_rows, save_schema, schema_hash,
                    write_csv_rows)
 from .encoders import CollaborativeEncoder
-from .exceptions import CheckpointError, DataError, UsageError
+from .exceptions import DataError, UsageError
 from .finetune import (CtrHead, end_to_end_train, finetune, predict_scores)
 from .metrics import EvalReport, auc, logloss, relaimpr
 from .params import ParamStore, rng_for
@@ -166,7 +166,7 @@ def load_alignment_model(prepared: Prepared, ckpt_path, tokenizer: Tokenizer):
     cfg = RunConfig.from_dict(ckpt.config)
     store = ParamStore()
     model = AlignmentModel(store, prepared.schema, tokenizer.vocab_size, cfg)
-    restore_into(store, ckpt, "")
+    restore_into(store, ckpt)
     return model, cfg
 
 
@@ -179,15 +179,6 @@ def _fresh_ctr_model(prepared: Prepared, cfg: RunConfig):
                                rng_for(cfg.seed, "collab"))
     head = CtrHead(store, enc.out_dim, rng_for(cfg.seed, "ctr"))
     return store, enc, head
-
-
-def _first_absent(store: ParamStore, ckpt, prefix: str = ""):
-    """The first parameter, then buffer, of `store` under `prefix` that
-    `ckpt` lacks, or None."""
-    wanted = [(n, ckpt.params) for n in store.names()] + [
-        (n, ckpt.buffers) for n in store.buffer_names()]
-    return next((n for n, have in wanted
-                 if n.startswith(prefix) and n not in have), None)
 
 
 def finetune_stage(prepared: Prepared, cfg: RunConfig, out_dir,
@@ -207,9 +198,6 @@ def finetune_stage(prepared: Prepared, cfg: RunConfig, out_dir,
             raise UsageError(
                 f"{init_ckpt}: tower settings in the checkpoint "
                 f"({ckpt_model}) do not match the requested ones ({cfg.model})")
-        absent = _first_absent(store, ckpt, "collab.")
-        if absent is not None:
-            raise CheckpointError(f"{init_ckpt}: checkpoint lacks {absent}")
         restore_into(store, ckpt, "collab.")
     result = finetune(enc, head, prepared.train, prepared.val, cfg.finetune,
                       cfg.seed, history_path=out / "history.csv")
@@ -252,15 +240,10 @@ def evaluate_ckpt(prepared: Prepared, ckpt_path, split: str = "test",
     ckpt = load_checkpoint(ckpt_path, expect_schema_hash=prepared.hash)
     cfg = RunConfig.from_dict(ckpt.config)
     store, enc, head = _fresh_ctr_model(prepared, cfg)
-    missing = [n for n in store.names() if n not in ckpt.params]
-    if missing:
-        raise UsageError(f"{ckpt_path}: checkpoint does not cover the full "
-                         f"tower + head (missing {missing[0]}, ...); "
-                         "is this a stage-1 checkpoint?")
-    absent = _first_absent(store, ckpt)
-    if absent is not None:
-        raise CheckpointError(f"{ckpt_path}: checkpoint lacks buffer {absent}")
-    restore_into(store, ckpt, "")
+    if not any(n.startswith(CtrHead.prefix) for n in ckpt.params):
+        raise UsageError(f"{ckpt_path}: checkpoint has no CTR head "
+                         f"({CtrHead.prefix}); is this a stage-1 checkpoint?")
+    restore_into(store, ckpt)
     data = prepared.split(split)
     scores = predict_scores(enc, head, data)
     report = EvalReport(auc=auc(scores, data.labels),

@@ -183,6 +183,29 @@ def test_restore_into_prefix_filter(tmp_path):
     assert np.array_equal(target["unrelated.w"].data, np.zeros(2))
 
 
+def test_restore_into_refuses_a_checkpoint_lacking_a_tensor_before_copying(
+        tmp_path):
+    store = _store()
+    path = tmp_path / "a.ckpt"
+    save_checkpoint(path, store, schema_hash="h", config={})
+    ckpt = load_checkpoint(path)
+    assert ckpt.path == str(path)
+
+    target = ParamStore()
+    target.add("collab.emb.w", np.zeros((5, 3)))
+    target.add_buffer("collab.bn.running_mean", np.zeros(4))
+    target.add_buffer("collab.bn.running_var", np.ones(4))
+    target.add("text.extra", np.zeros(1))  # outside the prefix: not required
+    with pytest.raises(CheckpointError, match=r"a\.ckpt: checkpoint lacks "
+                       r"collab\.bn\.running_var$"):
+        restore_into(target, ckpt, prefix="collab.")
+    target.add("collab.zz", np.zeros(1))  # a parameter is named first
+    with pytest.raises(CheckpointError, match=r"lacks collab\.zz$"):
+        restore_into(target, ckpt, prefix="collab.")
+    assert not target["collab.emb.w"].data.any()
+    assert not target.buffer("collab.bn.running_mean").any()
+
+
 def test_restore_shape_mismatch_raises(tmp_path):
     store = _store()
     path = tmp_path / "a.ckpt"

@@ -193,26 +193,33 @@ def test_malformed_checkpoint_header_exits_2(workdir, tmp_path, capsys,
                      re.MULTILINE), err
 
 
-def test_a_checkpoint_without_a_buffer_of_the_tower_exits_2(workdir,
-                                                             tmp_path, capsys):
-    # one bit flipped in a buffer's name in the header: the payload digest
-    # covers only the tensors, so the file loads, under another name
+def _flip_name(ckpt, name: str) -> None:
+    """Flip one bit of a tensor's name in the checkpoint's header. The
+    payload digest covers only the tensors, so the file still loads, with
+    the tensor under another name."""
+    raw = bytearray(ckpt.read_bytes())
+    raw[raw.index(name.encode()) + len(name) - 2] ^= 1  # "mean" -> "me`n"
+    ckpt.write_bytes(bytes(raw))
+    loaded = load_checkpoint(ckpt)
+    assert name[:-2] + chr(ord(name[-2]) ^ 1) + name[-1] in {
+        **loaded.params, **loaded.buffers}
+
+
+@pytest.mark.parametrize("name", ["collab.mlp.bn0.running_mean",
+                                  "collab.mlp.l0.w"])
+def test_a_checkpoint_without_a_buffer_of_the_tower_exits_2(workdir, tmp_path,
+                                                             capsys, name):
+    # a missing parameter is not the "stage-1 checkpoint?" usage error
     _, _, run = workdir
     out = tmp_path / "run"
     out.mkdir()
     _copy(run, out, PREPARED)
     assert main(["finetune", "--out", str(out)]) == 0
-    ckpt = out / "model.ckpt"
-    raw = bytearray(ckpt.read_bytes())
-    name = b"collab.mlp.bn0.running_mean"
-    at = raw.index(name) + len(name) - 2  # its last "a"
-    raw[at] ^= 1
-    ckpt.write_bytes(bytes(raw))
-    assert "collab.mlp.bn0.running_me`n" in load_checkpoint(ckpt).buffers
+    _flip_name(out / "model.ckpt", name)
     capsys.readouterr()
     assert main(["evaluate", "--out", str(out)]) == 2
     err = capsys.readouterr().err
-    assert re.search(r"model\.ckpt: .*collab\.mlp\.bn0\.running_mean", err), err
+    assert re.search(rf"model\.ckpt: .*{re.escape(name)}", err), err
     assert not (out / "report.json").exists()
 
 
@@ -222,15 +229,41 @@ def test_finetune_init_refuses_a_checkpoint_without_a_tensor_of_the_tower(
     # from it, the tower would keep a freshly initialized running mean
     _copy(aligned, tmp_path, PREPARED + ("align.ckpt",))
     ckpt = tmp_path / "align.ckpt"
-    raw = bytearray(ckpt.read_bytes())
-    name = b"collab.mlp.bn0.running_mean"
-    raw[raw.index(name) + len(name) - 2] ^= 1
-    ckpt.write_bytes(bytes(raw))
+    _flip_name(ckpt, "collab.mlp.bn0.running_mean")
     capsys.readouterr()
     assert main(["finetune", "--out", str(tmp_path), "--init", str(ckpt)]) == 2
     err = capsys.readouterr().err
     assert re.search(r"align\.ckpt: .*collab\.mlp\.bn0\.running_mean", err), err
     assert not (tmp_path / "model.ckpt").exists()
+
+
+def test_dump_embeddings_refuses_a_checkpoint_without_a_tensor_of_the_model(
+        aligned, tmp_path, capsys):
+    # restored without it, the running mean would keep its fresh value and
+    # the dump would differ from the uncorrupted one's
+    _copy(aligned, tmp_path, PREPARED + ("tokenizer.json", "align.ckpt"))
+    _flip_name(tmp_path / "align.ckpt", "collab.mlp.bn0.running_mean")
+    capsys.readouterr()
+    assert main(["dump-embeddings", "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err == (
+        f"error: {tmp_path / 'align.ckpt'}: checkpoint lacks "
+        "collab.mlp.bn0.running_mean\n")
+    assert not (tmp_path / "embeddings.csv").exists()
+
+
+def test_dump_embeddings_refuses_a_two_stage_model_checkpoint(
+        aligned, tmp_path, capsys):
+    # model.ckpt holds the tower and the CTR head, but no text tower or heads
+    _copy(aligned, tmp_path, PREPARED + ("tokenizer.json", "align.ckpt"))
+    assert main(["finetune", "--out", str(tmp_path),
+                 "--init", str(tmp_path / "align.ckpt")]) == 0
+    capsys.readouterr()
+    assert main(["dump-embeddings", "--out", str(tmp_path),
+                 "--ckpt", str(tmp_path / "model.ckpt")]) == 2
+    assert capsys.readouterr().err == (
+        f"error: {tmp_path / 'model.ckpt'}: checkpoint lacks "
+        "heads.tab_proj.b\n")
+    assert not (tmp_path / "embeddings.csv").exists()
 
 
 def _break_schema(schema: dict, fault: str) -> dict:
@@ -425,3 +458,55 @@ def test_single_stage_training_diverging_at_its_first_step_exits_3(
     assert header["extra"]["best_epoch"] == -1 and header["extra"]["diverged"]
     assert main(["evaluate", "--out", str(tmp_path)]) == 0
     assert (tmp_path / "report.json").exists()
+
+
+def _with_config(tmp_path, section: str, **values) -> None:
+    cfg = json.loads((tmp_path / "config.json").read_text())
+    cfg[section].update(values)
+    (tmp_path / "config.json").write_text(json.dumps(cfg), encoding="utf-8")
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_fine_tuning_diverging_in_its_first_epoch_exits_3(workdir, tmp_path,
+                                                          capsys):
+    """A learning rate of 1e160 sends the weights past the point where the
+    next forward pass overflows: no epoch completes, the initial state is
+    checkpointed, and it evaluates."""
+    _, _, run = workdir
+    _copy(run, tmp_path, PREPARED)
+    _with_config(tmp_path, "finetune", lr=1e160)
+    capsys.readouterr()
+    with pytest.warns(UserWarning, match=r"^fine-tuning diverged in epoch 0 "):
+        assert main(["finetune", "--out", str(tmp_path)]) == 3
+    out, err = capsys.readouterr()
+    assert out == "best epoch -1: val AUC -\n"
+    assert err == "fine-tuning diverged; best earlier state was checkpointed\n"
+    raw = (tmp_path / "model.ckpt").read_bytes()
+    (size,) = struct.unpack("<Q", raw[8:16])
+    assert b'"best_val_auc":null' in raw[16:16 + size]
+    assert load_checkpoint(tmp_path / "model.ckpt").extra["diverged"]
+    assert main(["evaluate", "--out", str(tmp_path)]) == 0
+    assert (tmp_path / "report.json").exists()
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_alignment_diverging_after_some_steps_exits_3_with_a_checkpoint(
+        workdir, tmp_path, capsys):
+    """A peak learning rate of 1e12, reached at step 4, overflows the pass
+    of step 9: the nine steps before it are recorded, the last good state is
+    checkpointed, and fine-tuning warm-starts from it."""
+    _, _, run = workdir
+    _copy(run, tmp_path, PREPARED)
+    _with_config(tmp_path, "align", peak_lr=1e12, warmup_steps=4)
+    capsys.readouterr()
+    with pytest.warns(UserWarning, match="alignment diverged at step 9 "):
+        assert main(["align", "--out", str(tmp_path)]) == 3
+    assert capsys.readouterr().err == (
+        "alignment diverged; last good state was checkpointed\n")
+    curve = (tmp_path / "curve.csv").read_text().splitlines()
+    assert curve[0] == "step,lr,loss,l_t2t,l_tab2text"
+    assert [row.split(",")[0] for row in curve[1:]] == list("012345678")
+    ckpt = load_checkpoint(tmp_path / "align.ckpt")
+    assert ckpt.extra["steps"] == 9 and ckpt.extra["diverged"] is True
+    assert main(["finetune", "--out", str(tmp_path),
+                 "--init", str(tmp_path / "align.ckpt")]) == 0

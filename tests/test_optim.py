@@ -1,8 +1,12 @@
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import ctrl
 import ctrl.autodiff as ad
 from ctrl.autodiff import DTensor, Tape
 from ctrl.exceptions import NumericError, UsageError
@@ -165,6 +169,76 @@ def test_adamw_converges_on_quadratic():
     for _ in range(400):
         _quadratic_step(store, opt, lr=0.05)
     assert np.abs(store["x"].data).max() < 1e-2
+
+
+def _pair_store(a):
+    store = ParamStore()
+    store.add("a", np.array(a))
+    store.add("b", np.array([0.5, -4.0, 2.0]))
+    return store
+
+
+def _objective(store, rng):
+    """(loss, a side output): a dropout draw makes the pass use its rng."""
+    a, b = store["a"], store["b"]
+    kept = ad.dropout(b, 0.5, train=True, rng=rng)
+    loss = ad.add(ad.sum_(ad.mul(a, a)), ad.sum_(ad.mul(kept, b)))
+    return loss, ad.sum_(a)
+
+
+def test_minimize_returns_the_pass_and_equals_the_hand_written_step():
+    stores = _pair_store([1.0, -2.0, 3.0]), _pair_store([1.0, -2.0, 3.0])
+    opts = AdamW(stores[0]), AdamW(stores[1])
+    rngs = rng_for(0, "drop"), rng_for(0, "drop")
+    made = []
+
+    def fn():
+        made.append(_objective(stores[0], rngs[0]))
+        return made[-1]
+
+    for step in range(3):
+        lr = 0.1 * (step + 1)
+        out = opts[0].minimize(lr, fn, rngs[0])
+        assert out is made[-1]
+        with Tape() as tape:
+            ref = ad.run_pass(lambda: _objective(stores[1], rngs[1]), rngs[1])
+        tape.backward(ref[0])
+        opts[1].step(lr)
+        assert [t.item() for t in out] == [t.item() for t in ref]
+        for name in stores[0].names():
+            assert (stores[0][name].data.tobytes()
+                    == stores[1][name].data.tobytes()), (step, name)
+    assert opts[0].t == 3
+
+
+def test_minimize_on_a_non_finite_pass_replaces_no_parameter():
+    store = _pair_store([1e200, 1.0, 1.0])  # 1e200 squared overflows
+    opt = AdamW(store)
+    before = {n: store[n] for n in store.names()}
+    with pytest.raises(NumericError, match="mul: produced non-finite"):
+        opt.minimize(0.1, lambda: _objective(store, rng_for(0, "drop")))
+    assert all(store[n] is before[n] for n in store.names())
+    assert opt.t == 0
+
+
+def _step_calls(path: Path) -> list:
+    """The `Tape(...)` and `.backward(...)` calls of a module, as written."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    return sorted(ast.unparse(node.func) for node in ast.walk(tree)
+                  if isinstance(node, ast.Call)
+                  and getattr(node.func, "id", getattr(node.func, "attr", None))
+                  in ("Tape", "backward"))
+
+
+def test_only_the_optimizer_drives_a_taped_step():
+    calls = {p.name: _step_calls(p)
+             for p in sorted(Path(ctrl.__file__).parent.glob("*.py"))}
+    assert len(calls) > 10
+    # the gate sees the step it exists to confine
+    assert calls.pop("optim.py") == ["Tape", "tape.backward"]
+    # Tape.backward runs each recorded node's adjoint, also named backward
+    assert calls.pop("autodiff.py") == ["node.backward"]
+    assert {name: c for name, c in calls.items() if c} == {}
 
 
 def test_warmup_schedule_paper_points():
