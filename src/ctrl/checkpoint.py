@@ -171,13 +171,19 @@ def load_checkpoint(path, expect_schema_hash: str = None) -> Checkpoint:
 def restore_into(store: ParamStore, ckpt: Checkpoint, prefix: str = "") -> int:
     """Copy every parameter and buffer of `store` whose name starts with
     `prefix` from the checkpoint, which may hold more. Raises CheckpointError
-    naming the first one it lacks, parameters first, before copying any.
-    Returns the number of tensors restored."""
+    naming the first one it lacks or holds in another shape, parameters
+    first, before copying any. Returns the number of tensors restored."""
     params = {n: ckpt.params.get(n) for n in store.names() if n.startswith(prefix)}
     buffers = {n: ckpt.buffers.get(n) for n in store.buffer_names()
                if n.startswith(prefix)}
+    shapes = {**{n: store[n].shape for n in params},
+              **{n: store.buffer(n).shape for n in buffers}}
     for name, arr in [*params.items(), *buffers.items()]:
         if arr is None:
             raise CheckpointError(f"{ckpt.path}: checkpoint lacks {name}")
+        if arr.shape != shapes[name]:
+            raise CheckpointError(
+                f"{ckpt.path}: checkpoint holds {name} with shape "
+                f"{list(arr.shape)}, the model's is {list(shapes[name])}")
     store.load_arrays(params, buffers)
     return len(params) + len(buffers)

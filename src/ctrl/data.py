@@ -123,7 +123,12 @@ def save_schema(schema: FeatureSchema, path) -> None:
 
 
 def read_csv_rows(path, schema: FeatureSchema) -> list:
-    """Read a UTF-8 CSV into raw row dicts, validating header and label/timestamp."""
+    """Read a UTF-8 CSV into raw row dicts, validating header and label/timestamp.
+
+    Rows share their keys (DictReader's header names), and each schema
+    field's cell is the first equal string read from the same file: a split
+    keeps its rows for the whole process, so a fresh string per cell would be
+    held that long."""
     with reading(path) as fh:
         reader = csv.DictReader(fh)
         if reader.fieldnames is None:
@@ -133,6 +138,8 @@ def read_csv_rows(path, schema: FeatureSchema) -> list:
         missing = sorted(required - header)
         if missing:
             raise DataError(f"{path}: missing columns {missing}")
+        names = [f.name for f in schema.fields]
+        cells = {}  # each distinct cell read so far, by value
         rows = []
         for lineno, row in enumerate(reader, start=2):
             # DictReader keys a long row's extra cells by None and fills a
@@ -151,6 +158,8 @@ def read_csv_rows(path, schema: FeatureSchema) -> list:
                 raise DataError(f"{path}: row {lineno}: unparsable timestamp "
                                 f"{row.get('timestamp')!r}") from None
             row["label"] = int(row["label"])
+            for name in names:
+                row[name] = cells.setdefault(row[name], row[name])
             rows.append(row)
     if not rows:
         raise DataError(f"{path}: no data rows")
@@ -194,6 +203,9 @@ class EncodedSplit:
     seq_ids: dict  # name -> (N, max_seq_len) int64, left-padded with 0
     seq_mask: dict  # name -> (N, max_seq_len) float64, 1 at valid positions
     labels: np.ndarray  # (N,) float64
+    # The row dicts as read or generated, by reference: their producers make
+    # equal keys and cells one object, since a split keeps its rows for the
+    # whole process.
     raw_rows: list
 
     @property
@@ -288,5 +300,5 @@ def batches(split: EncodedSplit, batch_size: int, mode: str,
             seq_ids={k: v[idx] for k, v in split.seq_ids.items()},
             seq_mask={k: v[idx] for k, v in split.seq_mask.items()},
             labels=split.labels[idx],
-            raw_rows=[split.raw_rows[i] for i in idx],
+            raw_rows=[split.raw_rows[i] for i in idx.tolist()],
         )

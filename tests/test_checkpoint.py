@@ -7,7 +7,7 @@ import pytest
 
 from ctrl.checkpoint import (FORMAT_VERSION, MAGIC, load_checkpoint,
                              restore_into, save_checkpoint)
-from ctrl.exceptions import CheckpointError, UsageError
+from ctrl.exceptions import CheckpointError
 from ctrl.params import ParamStore
 
 
@@ -207,11 +207,28 @@ def test_restore_into_refuses_a_checkpoint_lacking_a_tensor_before_copying(
 
 
 def test_restore_shape_mismatch_raises(tmp_path):
+    """A tensor of another shape is refused naming the file and the tensor,
+    before anything is copied; a buffer of another shape is not broadcast."""
     store = _store()
     path = tmp_path / "a.ckpt"
     save_checkpoint(path, store, schema_hash="h", config={})
     ckpt = load_checkpoint(path)
     target = ParamStore()
-    target.add("collab.emb.w", np.zeros((2, 2)))
-    with pytest.raises(UsageError, match="shape"):
+    target.add("collab.emb.w", np.zeros((5, 3)))  # restorable
+    target.add("collab.out.b", np.zeros(2))
+    target.add_buffer("collab.bn.running_mean", np.zeros(4))
+    with pytest.raises(CheckpointError, match=r"a\.ckpt: checkpoint holds "
+                       r"collab\.out\.b with shape \[4\], the model's is "
+                       r"\[2\]$"):
         restore_into(target, ckpt, prefix="collab.")
+    assert not target["collab.emb.w"].data.any()
+    assert not target.buffer("collab.bn.running_mean").any()
+
+    target = ParamStore()
+    target.add("collab.emb.w", np.zeros((5, 3)))
+    target.add_buffer("collab.bn.running_mean", np.zeros((1, 4)))
+    with pytest.raises(CheckpointError, match=r"collab\.bn\.running_mean "
+                       r"with shape \[4\], the model's is \[1, 4\]$"):
+        restore_into(target, ckpt, prefix="collab.")
+    assert not target["collab.emb.w"].data.any()
+    assert not target.buffer("collab.bn.running_mean").any()

@@ -223,6 +223,43 @@ def test_a_checkpoint_without_a_buffer_of_the_tower_exits_2(workdir, tmp_path,
     assert not (out / "report.json").exists()
 
 
+def _reshape(ckpt, name: str, shape: list) -> None:
+    """Give a tensor another shape of the same size in the checkpoint's
+    header. The payload digest covers only the tensors, so the file still
+    loads, with the tensor in that shape."""
+    raw = ckpt.read_bytes()
+    (size,) = struct.unpack("<Q", raw[8:16])
+    header = json.loads(raw[16:16 + size])
+    for entry in header["params"] + header["buffers"]:
+        if entry["name"] == name:
+            entry["shape"] = shape
+    body = json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
+    ckpt.write_bytes(raw[:8] + struct.pack("<Q", len(body)) + body
+                     + raw[16 + size:])
+    loaded = load_checkpoint(ckpt)
+    assert list({**loaded.params, **loaded.buffers}[name].shape) == shape
+
+
+@pytest.mark.parametrize("name, shape, model_shape", [
+    ("collab.mlp.l0.w", [16, 20], [20, 16]),
+    ("collab.mlp.bn0.running_mean", [1, 16], [16]),
+])
+def test_a_checkpoint_with_a_tensor_of_another_shape_exits_2(
+        workdir, tmp_path, capsys, name, shape, model_shape):
+    """A parameter used to exit 1 with a UsageError after the ones before
+    it were replaced; a buffer of [1, 16] was broadcast into its [16]."""
+    _, _, run = workdir
+    _copy(run, tmp_path, PREPARED)
+    assert main(["finetune", "--out", str(tmp_path)]) == 0
+    _reshape(tmp_path / "model.ckpt", name, shape)
+    capsys.readouterr()
+    assert main(["evaluate", "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err == (
+        f"error: {tmp_path / 'model.ckpt'}: checkpoint holds {name} with "
+        f"shape {shape}, the model's is {model_shape}\n")
+    assert not (tmp_path / "report.json").exists()
+
+
 def test_finetune_init_refuses_a_checkpoint_without_a_tensor_of_the_tower(
         aligned, tmp_path, capsys):
     # the bit flip of the test above, in the stage-1 checkpoint: warm-started
@@ -464,6 +501,31 @@ def _with_config(tmp_path, section: str, **values) -> None:
     cfg = json.loads((tmp_path / "config.json").read_text())
     cfg[section].update(values)
     (tmp_path / "config.json").write_text(json.dumps(cfg), encoding="utf-8")
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_single_stage_training_diverging_after_an_epoch_exits_3(
+        workdir, tmp_path, capsys):
+    """At a learning rate of 1e76 the weights grow by about that much a step
+    until, in epoch 1, a pass's attention scores overflow: epoch 0's state
+    is checkpointed, and it evaluates."""
+    _, _, run = workdir
+    _copy(run, tmp_path, PREPARED)
+    _with_config(tmp_path, "finetune", lr=1e76)
+    capsys.readouterr()
+    with pytest.warns(UserWarning, match=r"^single-stage training diverged "
+                      r"in epoch 1 \(attention: scores are not finite\)"):
+        assert main(["finetune", "--end-to-end", "--out", str(tmp_path)]) == 3
+    out, err = capsys.readouterr()
+    assert out.startswith("best epoch 0: val AUC 0.")
+    assert err == ("single-stage training diverged; best earlier state was "
+                   "checkpointed\n")
+    history = (tmp_path / "history.csv").read_text().splitlines()
+    assert [row.split(",")[0] for row in history] == ["epoch", "0"]
+    extra = load_checkpoint(tmp_path / "model.ckpt").extra
+    assert extra["best_epoch"] == 0 and extra["diverged"] is True
+    assert main(["evaluate", "--out", str(tmp_path)]) == 0
+    assert (tmp_path / "report.json").exists()
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")

@@ -246,6 +246,19 @@ def test_read_csv_rows_parses(tmp_path):
     assert rows[0]["history"] == "Titanic|Avatar"
 
 
+def test_read_csv_rows_shares_keys_and_equal_cells(tmp_path):
+    p = tmp_path / "d.csv"
+    cols = "gender,age,occupation,history,title,genre,director,label,timestamp"
+    p.write_text(f"{cols}\nfemale,18,doctor,Titanic|Avatar,Drama,Drama,Cam,1,99"
+                 "\nfemale,25,doctor,Titanic|Avatar,T2,Drama,Cam,0,100\n")
+    a, b = read_csv_rows(p, movie_schema())
+    assert all(x is y for x, y in zip(a, b))
+    for name in ("gender", "occupation", "history", "genre", "director"):
+        assert a[name] is b[name]
+    assert a["title"] is a["genre"]  # the first equal string, in any column
+    assert a["age"] == "18" and b["age"] == "25"
+
+
 def test_schema_json_round_trip(tmp_path):
     fitted = build_vocab(tiny_rows(), movie_schema())
     path = tmp_path / "schema.json"

@@ -5,6 +5,7 @@ import shutil
 import subprocess
 import sys
 import textwrap
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -65,6 +66,26 @@ def test_prepare_and_load_round_trip(workdir):
     assert np.array_equal(again.train.labels, prepared.train.labels)
     assert again.train.raw_rows == prepared.train.raw_rows
     assert again.hash == prepared.hash
+
+
+def test_load_prepared_holds_each_distinct_cell_once(tmp_path):
+    """Every split keeps its rows for the whole process. On 2,000 rows of the
+    criterion-6 data they kept 1,339 bytes a row with a string per cell, and
+    824 with each file's equal cells one string."""
+    rows, schema, _ = generate(SyntheticSpec(
+        n_rows=2000, n_fields=10, vocab_size=50, rule="logistic",
+        flip_noise=0.15, seed=1, history_len=3))
+    prepare_workdir(tmp_path, rows, schema, RunConfig())
+    del rows
+    tracemalloc.start()
+    try:
+        _, prepared = load_prepared(tmp_path)
+        kept = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert sum(s.n for s in (prepared.train, prepared.val, prepared.test)) \
+        == 2000
+    assert kept / 2000 < 1050, kept / 2000
 
 
 def test_split_name_validation(workdir):

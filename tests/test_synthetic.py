@@ -21,6 +21,17 @@ def test_generate_is_deterministic(tmp_path):
     assert p1.read_bytes() == p2.read_bytes()
 
 
+def test_rows_share_their_keys_and_equal_cells():
+    rows, _, _ = generate(SyntheticSpec(n_rows=50, n_fields=4, vocab_size=3,
+                                        seed=2, history_len=2))
+    cells = {}
+    for row in rows:
+        assert all(a is b for a, b in zip(row, rows[0]))
+        for name in ("f0", "f1", "f2", "f3"):
+            assert cells.setdefault(row[name], row[name]) is row[name]
+    assert len(cells) == 3
+
+
 def test_different_seeds_differ():
     rows_a, _, _ = generate(SyntheticSpec(n_rows=50, seed=0))
     rows_b, _, _ = generate(SyntheticSpec(n_rows=50, seed=1))
