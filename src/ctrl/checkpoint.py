@@ -26,6 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .artifacts import replacing
+from .autodiff import DTensor
 from .exceptions import CheckpointError
 from .params import ParamStore
 
@@ -185,5 +186,8 @@ def restore_into(store: ParamStore, ckpt: Checkpoint, prefix: str = "") -> int:
             raise CheckpointError(
                 f"{ckpt.path}: checkpoint holds {name} with shape "
                 f"{list(arr.shape)}, the model's is {list(shapes[name])}")
-    store.load_arrays(params, buffers)
+    for name, arr in params.items():
+        store.replace(name, DTensor(arr, requires_grad=True))
+    for name, arr in buffers.items():
+        store.buffer(name)[...] = arr
     return len(params) + len(buffers)

@@ -22,7 +22,7 @@ from dataclasses import replace
 from pathlib import Path
 
 from .artifacts import write_json
-from .config import (BACKBONES, SIMILARITIES, RunConfig, load_config)
+from .config import BACKBONES, PROMPT_VARIANTS, SIMILARITIES, RunConfig, load_config
 from .data import load_schema, read_csv_rows, save_schema, write_csv_rows
 from .exceptions import (CheckpointError, DataError, NumericError, UsageError)
 from .orchestrate import (ARM_NAMES, align_stage, evaluate_ckpt,
@@ -42,7 +42,7 @@ def _add_overrides(sp) -> None:
                     help="override the config seed")
     sp.add_argument("--backbone", choices=BACKBONES, default=None,
                     help="override the tabular tower backbone")
-    sp.add_argument("--prompt-variant", type=int, choices=(1, 2, 3, 4, 5),
+    sp.add_argument("--prompt-variant", type=int, choices=PROMPT_VARIANTS,
                     default=None, help="override the prompt template variant")
     sp.add_argument("--similarity", choices=SIMILARITIES, default=None,
                     help="override the stage-1 similarity function")
@@ -249,7 +249,7 @@ def cmd_dump_embeddings(args) -> int:
     dest = args.dest or str(Path(args.out) / "embeddings.csv")
     h_text, h_tab = dump_embeddings(model, prepared.split(args.split),
                                     tokenizer, dest)
-    paired, unpaired, gap = head_gap(model, h_text, h_tab)
+    paired, unpaired, gap = head_gap(model, h_text, h_tab, cfg.align.batch_size)
     print(f"wrote {dest}: {2 * h_tab.shape[0]} records; "
           f"{cfg.align.similarity} gap {gap!r} "
           f"(paired {paired:.4f}, unpaired {unpaired:.4f})")

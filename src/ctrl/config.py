@@ -15,6 +15,7 @@ from .exceptions import UsageError
 
 BACKBONES = ("autoint", "dcn", "mlp")
 SIMILARITIES = ("maxsim", "cosine")
+PROMPT_VARIANTS = (1, 2, 3, 4, 5)  # see ctrl.prompt
 CONFIG_VERSION = 1
 
 
@@ -133,8 +134,8 @@ class RunConfig:
     def __post_init__(self):
         if self.version != CONFIG_VERSION:
             raise UsageError(f"unsupported config version {self.version}")
-        if self.prompt_variant not in (1, 2, 3, 4, 5):
-            raise UsageError("prompt_variant must be in 1..5")
+        if self.prompt_variant not in PROMPT_VARIANTS:
+            raise UsageError(f"prompt_variant must be in {PROMPT_VARIANTS}")
         if self.seed < 0:
             raise UsageError("seed must be >= 0")
 

@@ -71,6 +71,13 @@ class FeatureSchema:
         return [f for f in self.fields if f.side == side]
 
     @property
+    def widths(self) -> tuple:
+        """Id columns of each field in an encoded split, in schema order: one
+        for a categorical field, max_seq_len for a sequence field."""
+        return tuple(1 if f.kind == "categorical" else self.max_seq_len
+                     for f in self.fields)
+
+    @property
     def fitted(self) -> bool:
         return all(f.vocab is not None for f in self.fields)
 
@@ -197,11 +204,13 @@ def build_vocab(rows, schema: FeatureSchema) -> FeatureSchema:
 
 @dataclass
 class EncodedSplit:
-    """Columnar view of one split: ids per field, masks for sequences, labels."""
+    """Columnar view of one split: every field's ids in one matrix whose
+    columns `schema.widths` lays out, and labels. A sequence field's columns
+    hold its most recent values first, then zeros. An unseen value, or an
+    empty categorical cell, is id 0 and valid."""
     schema: FeatureSchema
-    cat_ids: dict  # name -> (N,) int64
-    seq_ids: dict  # name -> (N, max_seq_len) int64, left-padded with 0
-    seq_mask: dict  # name -> (N, max_seq_len) float64, 1 at valid positions
+    ids: np.ndarray  # (N, K) int64, K = sum(schema.widths)
+    valid: np.ndarray  # (N, K) bool, True at each value's position
     labels: np.ndarray  # (N,) float64
     # The row dicts as read or generated, by reference: their producers make
     # equal keys and cells one object, since a split keeps its rows for the
@@ -216,28 +225,23 @@ class EncodedSplit:
 def encode(rows, schema: FeatureSchema) -> EncodedSplit:
     if not schema.fitted:
         raise UsageError("encode requires a fitted schema")
-    n = len(rows)
-    msl = schema.max_seq_len
-    cat_ids, seq_ids, seq_mask = {}, {}, {}
-    for f in schema.fields:
+    widths = schema.widths
+    ids = np.zeros((len(rows), sum(widths)), dtype=np.int64)
+    valid = np.ones(ids.shape, dtype=bool)
+    k = 0
+    for f, w in zip(schema.fields, widths):
+        cells = [row.get(f.name, "") for row in rows]
         if f.kind == "categorical":
-            cat_ids[f.name] = np.zeros(n, dtype=np.int64)
+            ids[:, k] = [f.vocab.get(c, 0) if c else 0 for c in cells]
         else:
-            seq_ids[f.name] = np.zeros((n, msl), dtype=np.int64)
-            seq_mask[f.name] = np.zeros((n, msl), dtype=np.float64)
-    for i, row in enumerate(rows):
-        for f in schema.fields:
-            cell = row.get(f.name, "")
-            if f.kind == "categorical":
-                cat_ids[f.name][i] = f.vocab.get(cell, 0) if cell else 0
-            else:
-                values = split_cell(cell)[-msl:]  # most recent last
-                for j, v in enumerate(values):
-                    seq_ids[f.name][i, j] = f.vocab.get(v, 0)
-                    seq_mask[f.name][i, j] = 1.0
+            seqs = [split_cell(c)[-w:] for c in cells]
+            cols = slice(k, k + w)
+            valid[:, cols] = np.arange(w) < np.array([len(s) for s in seqs])[:, None]
+            # boolean indexing is row-major, so each row's values come first
+            ids[:, cols][valid[:, cols]] = [f.vocab.get(v, 0) for s in seqs for v in s]
+        k += w
     labels = np.array([row["label"] for row in rows], dtype=np.float64)
-    return EncodedSplit(schema=schema, cat_ids=cat_ids, seq_ids=seq_ids,
-                        seq_mask=seq_mask, labels=labels,
+    return EncodedSplit(schema=schema, ids=ids, valid=valid, labels=labels,
                         raw_rows=list(rows))
 
 
@@ -292,13 +296,10 @@ def batches(split: EncodedSplit, batch_size: int, mode: str,
     stop = (n // batch_size) * batch_size if mode == "align" else n
     for start in range(0, stop, batch_size):
         idx = order[start:start + batch_size]
-        if idx.size == 0:
-            break
         yield EncodedSplit(
             schema=split.schema,
-            cat_ids={k: v[idx] for k, v in split.cat_ids.items()},
-            seq_ids={k: v[idx] for k, v in split.seq_ids.items()},
-            seq_mask={k: v[idx] for k, v in split.seq_mask.items()},
+            ids=split.ids[idx],
+            valid=split.valid[idx],
             labels=split.labels[idx],
             raw_rows=[split.raw_rows[i] for i in idx.tolist()],
         )

@@ -227,6 +227,15 @@ class CollaborativeEncoder:
         d = cfg.d
         for f in schema.fields:
             store.add(f"{prefix}.emb.{f.name}", xavier_uniform(rng, f.vocab_size, d))
+        widths = schema.widths
+        rows = [f.vocab_size for f in schema.fields]
+        self.first = np.cumsum((0,) + widths[:-1])  # each field's first id column
+        self.bounds = np.repeat(rows, widths)  # each id column's table size
+        # each id column's first row in the stacked tables
+        self.offsets = np.repeat(np.cumsum([0] + rows[:-1]), widths)
+        self.seq_cols = [(i, slice(k, k + w)) for i, (f, k, w)
+                         in enumerate(zip(schema.fields, self.first, widths))
+                         if f.kind == "sequence"]
         self.n_fields = len(schema.fields)
         flat = self.n_fields * d
 
@@ -263,41 +272,33 @@ class CollaborativeEncoder:
         valid positions' rows (all-padding rows pool to the zero vector). Its
         backward is one bincount over the tables' disjoint bins, each summed
         in batch row order, as one scatter-add per table sums it."""
-        fields = self.schema.fields
-        expected_cat = {f.name for f in fields if f.kind == "categorical"}
-        expected_seq = {f.name for f in fields if f.kind == "sequence"}
-        if set(batch.cat_ids) != expected_cat or set(batch.seq_ids) != expected_seq:
-            raise ShapeError("batch fields do not match the encoder's schema")
-        cols = [batch.cat_ids[f.name][:, None] if f.kind == "categorical"
-                else batch.seq_ids[f.name] for f in fields]
-        widths = [c.shape[1] for c in cols]
-        first = np.cumsum([0] + widths[:-1])  # each field's first id column
-        tables = tuple(self.store[f"{self.prefix}.emb.{f.name}"] for f in fields)
-        rows = [t.shape[0] for t in tables]
-        ids = np.concatenate(cols, axis=1)  # (N, K)
-        if ids.size and ((ids < 0).any() or (ids >= np.repeat(rows, widths)).any()):
+        ids = batch.ids
+        if ids.shape[1] != len(self.bounds):
+            raise ShapeError("batch id columns do not match the encoder's schema")
+        if ids.size and ((ids < 0).any() or (ids >= self.bounds).any()):
             raise ShapeError("field_embeddings: index out of range for its table")
-        ids += np.repeat(np.cumsum([0] + rows[:-1]), widths)
+        ids = ids + self.offsets  # (N, K) rows of the stacked tables
+        tables = tuple(self.store[f"{self.prefix}.emb.{f.name}"]
+                       for f in self.schema.fields)
         stacked = np.concatenate([t.data for t in tables])
-        out = stacked[ids[:, first]]  # (N, F, d)
+        out = stacked[ids[:, self.first]]  # (N, F, d)
         pools = []
-        for i, f in enumerate(fields):
-            if f.kind == "sequence":
-                k, mask = first[i], batch.seq_mask[f.name]
-                count = np.maximum(mask.sum(axis=1, keepdims=True), 1.0)
-                masked = stacked[ids[:, k:k + widths[i]]] * mask[:, :, None]
-                out[:, i] = masked.sum(axis=1) / count
-                pools.append((i, k, mask, count))
+        for i, cols in self.seq_cols:
+            mask = batch.valid[:, cols]
+            count = np.maximum(mask.sum(axis=1, keepdims=True), 1.0)
+            out[:, i] = (stacked[ids[:, cols]] * mask[:, :, None]).sum(axis=1) / count
+            pools.append((i, cols, mask, count))
 
         def bwd(g):
             g = g.reshape(out.shape)
             w = np.empty(ids.shape + (self.cfg.d,))
-            w[:, first] = g
-            for i, k, mask, count in pools:
-                w[:, k:k + mask.shape[1]] = (g[:, i] / count)[:, None, :] * mask[:, :, None]
+            w[:, self.first] = g
+            for i, cols, mask, count in pools:
+                w[:, cols] = (g[:, i] / count)[:, None, :] * mask[:, :, None]
             bins = (ids[..., None] * self.cfg.d + np.arange(self.cfg.d)).reshape(-1)
             gt = np.bincount(bins, weights=w.reshape(-1), minlength=stacked.size)
-            return tuple(np.split(gt.reshape(stacked.shape), np.cumsum(rows)[:-1]))
+            return tuple(np.split(gt.reshape(stacked.shape),
+                                  self.offsets[self.first[1:]]))
 
         return ad.apply_op("field_embeddings", tables, out.reshape(len(ids), -1), bwd)
 

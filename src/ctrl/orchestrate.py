@@ -36,7 +36,7 @@ from .data import (EncodedSplit, FeatureSchema, encode, load_schema,
                    prepare_splits, read_csv_rows, save_schema, schema_hash,
                    write_csv_rows)
 from .encoders import CollaborativeEncoder
-from .exceptions import DataError, UsageError
+from .exceptions import CheckpointError, DataError, UsageError
 from .finetune import (CtrHead, end_to_end_train, finetune, predict_scores)
 from .metrics import EvalReport, auc, logloss, relaimpr
 from .params import ParamStore, rng_for
@@ -160,10 +160,19 @@ def align_stage(prepared: Prepared, cfg: RunConfig, out_dir,
     return summary
 
 
+def _load_run_checkpoint(prepared: Prepared, ckpt_path):
+    """A checkpoint of `prepared`'s schema and its embedded RunConfig; an
+    invalid config is a CheckpointError naming the file, as any fault of it."""
+    ckpt = load_checkpoint(ckpt_path, expect_schema_hash=prepared.hash)
+    try:
+        return ckpt, RunConfig.from_dict(ckpt.config)
+    except UsageError as e:
+        raise CheckpointError(f"{ckpt_path}: {e}") from e
+
+
 def load_alignment_model(prepared: Prepared, ckpt_path, tokenizer: Tokenizer):
     """Rebuild an AlignmentModel from its checkpoint's embedded config."""
-    ckpt = load_checkpoint(ckpt_path, expect_schema_hash=prepared.hash)
-    cfg = RunConfig.from_dict(ckpt.config)
+    ckpt, cfg = _load_run_checkpoint(prepared, ckpt_path)
     store = ParamStore()
     model = AlignmentModel(store, prepared.schema, tokenizer.vocab_size, cfg)
     restore_into(store, ckpt)
@@ -191,13 +200,12 @@ def finetune_stage(prepared: Prepared, cfg: RunConfig, out_dir,
     store, enc, head = _fresh_ctr_model(prepared, cfg)
     init_digest = ""
     if init_ckpt is not None:
-        ckpt = load_checkpoint(init_ckpt, expect_schema_hash=prepared.hash)
+        ckpt, init_cfg = _load_run_checkpoint(prepared, init_ckpt)
         init_digest = hashlib.sha256(Path(init_ckpt).read_bytes()).hexdigest()
-        ckpt_model = RunConfig.from_dict(ckpt.config).model
-        if ckpt_model != cfg.model:
+        if init_cfg.model != cfg.model:
             raise UsageError(
-                f"{init_ckpt}: tower settings in the checkpoint "
-                f"({ckpt_model}) do not match the requested ones ({cfg.model})")
+                f"{init_ckpt}: tower settings in the checkpoint ({init_cfg.model}) "
+                f"do not match the requested ones ({cfg.model})")
         restore_into(store, ckpt, "collab.")
     result = finetune(enc, head, prepared.train, prepared.val, cfg.finetune,
                       cfg.seed, history_path=out / "history.csv")
@@ -237,8 +245,7 @@ def evaluate_ckpt(prepared: Prepared, ckpt_path, split: str = "test",
                   report_path=None) -> EvalReport:
     """Deployment-style evaluation: only the collaborative tower and CTR head
     are rebuilt from the checkpoint; text-tower tensors are ignored."""
-    ckpt = load_checkpoint(ckpt_path, expect_schema_hash=prepared.hash)
-    cfg = RunConfig.from_dict(ckpt.config)
+    ckpt, cfg = _load_run_checkpoint(prepared, ckpt_path)
     store, enc, head = _fresh_ctr_model(prepared, cfg)
     if not any(n.startswith(CtrHead.prefix) for n in ckpt.params):
         raise UsageError(f"{ckpt_path}: checkpoint has no CTR head "

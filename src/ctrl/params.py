@@ -1,7 +1,7 @@
 """Named parameter registry shared by model components and optimizers.
 
 Parameters are immutable DTensors keyed by hierarchical names
-("collab.emb.gender", "text.block0.attn.wq", ...). The optimizer is the
+("collab.emb.gender", "text.block0.q.w", ...). The optimizer is the
 single writer: it replaces entries with successor tensors. Buffers
 (batch-norm running statistics) are plain mutable arrays alongside.
 """
@@ -88,20 +88,6 @@ class ParamStore:
         self._params = dict(params)
         for n, b in buffers.items():
             self._buffers[n][...] = b
-
-    def load_arrays(self, params: dict[str, np.ndarray],
-                    buffers: dict[str, np.ndarray]) -> None:
-        """Overwrite matching entries from raw arrays (checkpoint restore)."""
-        for name, arr in params.items():
-            if name in self._params:
-                if self._params[name].shape != arr.shape:
-                    raise UsageError(
-                        f"parameter '{name}' shape {self._params[name].shape} "
-                        f"does not match stored {arr.shape}")
-                self._params[name] = DTensor(arr, requires_grad=True)
-        for name, arr in buffers.items():
-            if name in self._buffers:
-                self._buffers[name][...] = arr
 
     def export_arrays(self):
         """(params, buffers) as plain arrays, for checkpointing."""

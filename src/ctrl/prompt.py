@@ -22,11 +22,10 @@ from typing import Optional
 
 import numpy as np
 
-from .config import RunConfig
+from .config import PROMPT_VARIANTS, RunConfig
 from .data import SEQ_SEP, FeatureSchema, split_cell
 from .exceptions import DataError, UsageError
 
-VARIANTS = (1, 2, 3, 4, 5)
 UNK_ID = 1
 DEFAULT_MAX_TOKENS = 128
 
@@ -40,8 +39,8 @@ class PromptTemplate:
     item_prefix: str = "This is an item"
 
     def __post_init__(self):
-        if self.variant not in VARIANTS:
-            raise UsageError(f"prompt variant must be in {VARIANTS}, got {self.variant}")
+        if self.variant not in PROMPT_VARIANTS:
+            raise UsageError(f"prompt variant must be in {PROMPT_VARIANTS}, got {self.variant}")
 
 
 def template_from(cfg: RunConfig) -> PromptTemplate:

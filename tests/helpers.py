@@ -364,13 +364,13 @@ def composed_field_embeddings(encoder, batch) -> DTensor:
     one embedding lookup per field, a taped masked mean per sequence field,
     and a concat of the (N, d) fields into (N, F * d)."""
     out = []
-    for f in encoder.schema.fields:
+    for f, cols in zip(encoder.schema.fields, columns(encoder.schema)):
         table = encoder.store[f"{encoder.prefix}.emb.{f.name}"]
+        ids = batch.ids[:, cols]
         if f.kind == "categorical":
-            out.append(ad.embedding_lookup(table, batch.cat_ids[f.name]))
+            out.append(ad.embedding_lookup(table, ids[:, 0]))
         else:
-            ids = batch.seq_ids[f.name]
-            mask = batch.seq_mask[f.name]
+            mask = batch.valid[:, cols].astype(np.float64)
             n, length = ids.shape
             rows = ad.embedding_lookup(table, ids.reshape(-1))
             rows = ad.reshape(rows, (n, length, encoder.cfg.d))
@@ -432,6 +432,24 @@ def field(schema, name: str):
         if f.name == name:
             return f
     raise KeyError(name)
+
+
+def columns(schema) -> list:
+    """Each field's slice of an encoded split's id columns, in schema order."""
+    ends = np.cumsum(schema.widths)
+    return [slice(int(e) - w, int(e)) for e, w in zip(ends, schema.widths)]
+
+
+def field_ids(split, name: str):
+    """(ids, valid) of the field called `name` in an encoded split, read
+    through the schema's columns: (N,) for a categorical field, (N,
+    max_seq_len) for a sequence field."""
+    i = [f.name for f in split.schema.fields].index(name)
+    cols = columns(split.schema)[i]
+    ids, valid = split.ids[:, cols], split.valid[:, cols]
+    if split.schema.fields[i].kind == "categorical":
+        return ids[:, 0], valid[:, 0]
+    return ids, valid
 
 
 def composed_attention(q: DTensor, k: DTensor, v: DTensor,

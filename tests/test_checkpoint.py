@@ -38,7 +38,7 @@ def test_round_trip_is_bit_exact(tmp_path):
 
     # loading into an identical topology and saving again gives identical bytes
     other = _store()
-    other.load_arrays(ckpt.params, ckpt.buffers)
+    restore_into(other, ckpt)
     path2 = tmp_path / "b.ckpt"
     save_checkpoint(path2, other, schema_hash="abc123",
                     config={"seed": 1, "lr": 0.5}, extra={"epoch": 2})

@@ -123,8 +123,7 @@ def test_dump_embeddings_prints_the_checkpoint_heads_gap(workdir, tmp_path,
     found = re.search(r"; (\w+) gap (\S+) \(paired", capsys.readouterr().out)
     assert found and found[1] == head
     post = json.loads((tmp_path / "gap.json").read_text())["post"]["gap"]
-    # align tiles the sums at its batch size, dump-embeddings at 256 rows
-    assert abs(float(found[2]) - post) <= 1e-12
+    assert float(found[2]) == post
 
 
 @pytest.mark.filterwarnings("ignore:baseline AUC")
@@ -258,6 +257,40 @@ def test_a_checkpoint_with_a_tensor_of_another_shape_exits_2(
         f"error: {tmp_path / 'model.ckpt'}: checkpoint holds {name} with "
         f"shape {shape}, the model's is {model_shape}\n")
     assert not (tmp_path / "report.json").exists()
+
+
+def _rewrite_header(ckpt, old: str, new: str) -> None:
+    """Replace `old` by `new`, as long, in the checkpoint's header. The
+    payload digest covers only the tensors, so the file still loads."""
+    raw = ckpt.read_bytes()
+    assert len(old) == len(new) and raw.count(old.encode()) == 1
+    ckpt.write_bytes(raw.replace(old.encode(), new.encode()))
+    load_checkpoint(ckpt)
+
+
+@pytest.mark.parametrize("old, new, named", [
+    ('"backbone":"mlp"', '"backbone":"mlq"', "'mlq'"),
+    ('"cross_layers"', '"cross_layerr"', "'cross_layerr'"),
+], ids=["value", "key"])
+@pytest.mark.parametrize("argv, ckpt, product", [
+    (["evaluate"], "model.ckpt", "report.json"),
+    (["finetune", "--init", "{ckpt}"], "align.ckpt", "model.ckpt"),
+    (["dump-embeddings"], "align.ckpt", "embeddings.csv"),
+], ids=["evaluate", "finetune-init", "dump-embeddings"])
+def test_an_invalid_config_embedded_in_a_checkpoint_exits_2_naming_it(
+        aligned, tmp_path, capsys, argv, ckpt, product, old, new, named):
+    """It exited 1, and the error did not name the file."""
+    _copy(aligned, tmp_path, PREPARED + ("tokenizer.json", "align.ckpt"))
+    if ckpt == "model.ckpt":
+        assert main(["finetune", "--out", str(tmp_path)]) == 0
+    path = tmp_path / ckpt
+    _rewrite_header(path, old, new)
+    capsys.readouterr()
+    assert main([argv[0], "--out", str(tmp_path)]
+                + [a.format(ckpt=path) for a in argv[1:]]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}: ") and named in err, err
+    assert not (tmp_path / product).exists()
 
 
 def test_finetune_init_refuses_a_checkpoint_without_a_tensor_of_the_tower(

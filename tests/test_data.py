@@ -9,10 +9,10 @@ from hypothesis import strategies as st
 from ctrl.data import (EncodedSplit, FeatureSchema, FieldSpec, batches,
                        build_vocab, canonical_schema_json, encode, load_schema,
                        prepare_splits, read_csv_rows, save_schema, schema_hash,
-                       split_by_time)
+                       split_by_time, split_cell)
 from ctrl.exceptions import DataError, UsageError
 
-from helpers import field
+from helpers import field, field_ids
 
 
 def movie_schema(max_seq_len=10):
@@ -79,18 +79,16 @@ def test_encode_sequence_cell_and_oov():
     rows[1]["history"] = "Alien|Unseen"
     split = encode(rows, fitted)
     # in-vocabulary ids, left-aligned, padded with 0 under a zero mask
-    assert split.cat_ids["gender"].tolist() == [1, 0, 1, 2]
-    assert split.cat_ids["title"].tolist() == [1, 2, 3, 4]
-    assert split.seq_ids["history"][0].tolist() == [1, 2] + [0] * 8
-    assert split.seq_mask["history"][0].tolist() == [1.0, 1.0] + [0.0] * 8
+    assert field_ids(split, "gender")[0].tolist() == [1, 0, 1, 2]
+    assert field_ids(split, "title")[0].tolist() == [1, 2, 3, 4]
+    history, valid = field_ids(split, "history")
+    assert history[0].tolist() == [1, 2] + [0] * 8
+    assert valid[0].tolist() == [1.0, 1.0] + [0.0] * 8
     # an unseen sequence element is OOV 0 but still a valid position
-    assert split.seq_ids["history"][1].tolist() == [3, 0] + [0] * 8
-    assert split.seq_mask["history"][1].tolist() == [1.0, 1.0] + [0.0] * 8
+    assert history[1].tolist() == [3, 0] + [0] * 8
+    assert valid[1].tolist() == [1.0, 1.0] + [0.0] * 8
     for f in fitted.fields:
-        if f.kind == "categorical":
-            assert split.cat_ids[f.name].max() < f.vocab_size
-        else:
-            assert split.seq_ids[f.name].max() < f.vocab_size
+        assert field_ids(split, f.name)[0].max() < f.vocab_size
 
 
 def test_encode_truncates_to_most_recent():
@@ -101,9 +99,75 @@ def test_encode_truncates_to_most_recent():
     split = encode([row], fitted)
     vocab = field(fitted, "history").vocab
     # the first two are dropped; the ten kept fill every position in order
-    assert split.seq_ids["history"][0].tolist() == \
-        [vocab[f"m{i}"] for i in range(2, 12)]
-    assert split.seq_mask["history"][0].tolist() == [1.0] * 10
+    history, valid = field_ids(split, "history")
+    assert history[0].tolist() == [vocab[f"m{i}"] for i in range(2, 12)]
+    assert valid[0].tolist() == [1.0] * 10
+
+
+def test_a_split_is_one_id_matrix_laid_out_by_the_schema():
+    # a sequence field between two categorical ones
+    schema = FeatureSchema(fields=(
+        FieldSpec("u", "categorical", "user", vocab={"a": 1, "b": 2}),
+        FieldSpec("hist", "sequence", "user", vocab={"x": 1, "y": 2, "z": 3}),
+        FieldSpec("i", "categorical", "item", vocab={"p": 1, "q": 2}),
+    ), max_seq_len=3)
+    rows = [{"u": "a", "hist": "x|z", "i": "p"},
+            {"u": "", "hist": "", "i": "q"},  # missing cell, empty sequence
+            {"u": "b", "hist": "x|y|z|w|y", "i": "q"},  # 5 values, "w" unseen
+            {"u": "zz", "hist": "y"}]  # unseen value, no "i" cell
+    split = encode([dict(r, label=k % 2, timestamp=k)
+                    for k, r in enumerate(rows)], schema)
+    assert schema.widths == (1, 3, 1)
+    # columns: u | hist, most recent values first, then zeros | i
+    assert split.ids.dtype == np.int64 and split.valid.dtype == bool
+    assert split.ids.tolist() == [[1, 1, 3, 0, 1],
+                                  [0, 0, 0, 0, 2],
+                                  [2, 3, 0, 2, 2],
+                                  [0, 2, 0, 0, 0]]
+    assert split.valid.tolist() == [[True, True, True, False, True],
+                                    [True, False, False, False, True],
+                                    [True, True, True, True, True],
+                                    [True, True, False, False, True]]
+    b = next(batches(split, 3, "train", seed=1))
+    idx = [next(k for k, r in enumerate(split.raw_rows) if r is row)
+           for row in b.raw_rows]
+    assert idx != [0, 1, 2]  # shuffled
+    assert np.array_equal(b.ids, split.ids[idx])
+    assert np.array_equal(b.valid, split.valid[idx])
+    assert np.array_equal(b.labels, split.labels[idx])
+
+
+def reference_ids(rows, schema):
+    """encode's ids and valid as lists, row by row and cell by cell."""
+    ids, valid = [], []
+    for row in rows:
+        ids.append([])
+        valid.append([])
+        for f in schema.fields:
+            cell = row.get(f.name, "")
+            if f.kind == "categorical":
+                ids[-1].append(f.vocab.get(cell, 0) if cell else 0)
+                valid[-1].append(True)
+            else:
+                values = split_cell(cell)[-schema.max_seq_len:]
+                pad = schema.max_seq_len - len(values)
+                ids[-1] += [f.vocab.get(v, 0) for v in values] + [0] * pad
+                valid[-1] += [True] * len(values) + [False] * pad
+    return ids, valid
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.lists(st.lists(st.sampled_from(["Titanic", "Avatar", "Alien",
+                                          "Unseen", ""]), max_size=14),
+                max_size=6),
+       st.integers(min_value=1, max_value=12))
+def test_encode_matches_the_row_by_row_reference(histories, max_seq_len):
+    fitted = build_vocab(tiny_rows(), movie_schema(max_seq_len))
+    rows = [dict(row, history="|".join(h), gender=h[0] if h else "")
+            for row, h in zip(tiny_rows(len(histories)), histories)]
+    split = encode(rows, fitted)
+    assert (split.ids.tolist(), split.valid.tolist()) == \
+        reference_ids(rows, fitted)
 
 
 def test_no_leakage_unseen_test_value_is_oov():
@@ -111,7 +175,7 @@ def test_no_leakage_unseen_test_value_is_oov():
     rows[-1]["title"] = "OnlyInTest"
     train, val, test, fitted = prepare_splits(rows, movie_schema())
     assert "OnlyInTest" not in field(fitted, "title").vocab
-    assert test.cat_ids["title"][-1] == 0
+    assert field_ids(test, "title")[0][-1] == 0
 
 
 def test_split_by_time_ten_rows():
@@ -286,8 +350,8 @@ def test_batch_type_shapes():
     b = next(batches(split, 8, "eval"))
     assert isinstance(b, EncodedSplit)
     assert b.schema is fitted and b.n == 8
-    assert b.cat_ids["gender"].shape == (8,)
-    assert b.seq_ids["history"].shape == (8, 10)
-    assert b.seq_mask["history"].shape == (8, 10)
+    assert field_ids(b, "gender")[0].shape == (8,)
+    assert field_ids(b, "history")[0].shape == (8, 10)
+    assert field_ids(b, "history")[1].shape == (8, 10)
     assert b.labels.shape == (8,)
     assert len(b.raw_rows) == 8
