@@ -37,12 +37,15 @@ from ctrl.exceptions import CheckpointError
 
 class Report:
     """Differences found in one file; `ok` says whether they are within
-    the tolerance."""
+    the tolerance, and `largest` is the line of the largest relative
+    numeric difference, if any."""
 
     def __init__(self, rtol):
         self.rtol = rtol
         self.lines = []
         self.ok = True
+        self.largest = None
+        self._largest_rel = -1.0
 
     def text(self, what):
         self.lines.append(what)
@@ -55,7 +58,10 @@ class Report:
         d = np.abs(a - b)
         scale = np.maximum(np.abs(a), np.abs(b))
         rel = np.divide(d, scale, out=np.zeros_like(d), where=scale > 0).max()
-        self.lines.append(f"{what}: max abs {d.max():.3g}, max rel {rel:.3g}")
+        line = f"{what}: max abs {d.max():.3g}, max rel {rel:.3g}"
+        self.lines.append(line)
+        if rel > self._largest_rel:
+            self.largest, self._largest_rel = line, rel
         if self.rtol is None or not rel <= self.rtol:
             self.ok = False
 

@@ -19,12 +19,25 @@ Run it at two commits into two directories, then compare them:
     python scripts/identity_runs.py --out /tmp/parent
     python scripts/identity_runs.py --out /tmp/change
     python scripts/diff_runs.py /tmp/parent /tmp/change
+
+`tests/golden/identity.sha256` holds the sha256 of every file the runs
+write, and the environment they were written in: the numpy version, the
+BLAS library's name and version, and the machine. `tests/test_identity.py`
+compares a fresh run with it. A change that moves a bit on purpose
+re-records it:
+
+    python scripts/identity_runs.py --record [--out DIR]
 """
 
 import argparse
+import hashlib
+import platform
+import tempfile
 import time
 from dataclasses import replace
 from pathlib import Path
+
+import numpy as np
 
 from ctrl.cli import main as ctrl_main
 from ctrl.config import (AlignConfig, FinetuneConfig, ModelConfig, RunConfig,
@@ -33,6 +46,8 @@ from ctrl.orchestrate import (align_stage, end_to_end_stage, evaluate_ckpt,
                               finetune_stage, prepare_workdir)
 from ctrl.synthetic import SyntheticSpec, generate
 
+GOLDEN = Path(__file__).resolve().parent.parent / "tests" / "golden" / \
+    "identity.sha256"
 TWO_STAGE = (("autoint", "maxsim"), ("dcn", "maxsim"), ("mlp", "maxsim"),
              ("mlp", "cosine"))
 
@@ -74,10 +89,46 @@ def cli_runs(out: Path, cfg: RunConfig) -> None:
             raise SystemExit(f"ctrl {argv[0]} exited {code}")
 
 
-def main() -> int:
-    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--out", required=True, type=Path)
-    args = ap.parse_args()
+def environment() -> dict:
+    """What the runs' bits depend on besides the code: BLAS kernels differ
+    by library, version and CPU."""
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        blas = f"{blas['name']} {blas['version']}"
+    except (TypeError, KeyError):  # numpy < 1.26 has no dict mode
+        blas = "unknown"
+    return {"numpy": np.__version__, "blas": blas,
+            "machine": platform.machine()}
+
+
+def digests(out: Path) -> dict:
+    """The sha256 of every file under `out`, by its relative path."""
+    return {p.relative_to(out).as_posix():
+            hashlib.sha256(p.read_bytes()).hexdigest()
+            for p in sorted(out.rglob("*")) if p.is_file()}
+
+
+def write_golden(path: Path, env: dict, sums: dict) -> None:
+    """`# key: value` lines for the environment, then `sha256sum` lines."""
+    lines = [f"# {k}: {v}" for k, v in env.items()]
+    lines += [f"{digest}  {rel}" for rel, digest in sorted(sums.items())]
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
+def read_golden(path: Path) -> tuple[dict, dict]:
+    """(environment, digests) as write_golden wrote them."""
+    env, sums = {}, {}
+    for line in path.read_text(encoding="utf-8").splitlines():
+        if line.startswith("# "):
+            key, value = line[2:].split(": ", 1)
+            env[key] = value
+        else:
+            digest, rel = line.split("  ", 1)
+            sums[rel] = digest
+    return env, sums
+
+
+def write_runs(out: Path) -> None:
     rows, schema, _ = generate(SyntheticSpec(n_rows=200, n_fields=4,
                                              vocab_size=6, rule="logistic",
                                              flip_noise=0.1, seed=3,
@@ -87,7 +138,7 @@ def main() -> int:
         t0 = time.perf_counter()
         cfg = replace(base, model=replace(base.model, backbone=backbone),
                       align=replace(base.align, similarity=similarity))
-        d = args.out / f"{backbone}-{similarity}"
+        d = out / f"{backbone}-{similarity}"
         prepared = prepare_workdir(d, rows, schema, cfg)
         align_stage(prepared, cfg, d)
         finetune_stage(prepared, cfg, d, init_ckpt=d / "align.ckpt")
@@ -95,14 +146,33 @@ def main() -> int:
         print(f"{d.name}: {time.perf_counter() - t0:.1f} s")
     t0 = time.perf_counter()
     cfg = replace(base, finetune=replace(base.finetune, lambda_ccl=0.5))
-    d = args.out / "end-to-end"
+    d = out / "end-to-end"
     prepared = prepare_workdir(d, rows, schema, cfg)
     end_to_end_stage(prepared, cfg, d)
     evaluate_ckpt(prepared, d / "model.ckpt", report_path=d / "report.json")
     print(f"{d.name}: {time.perf_counter() - t0:.1f} s")
     t0 = time.perf_counter()
-    cli_runs(args.out / "cli", base)
+    cli_runs(out / "cli", base)
     print(f"cli: {time.perf_counter() - t0:.1f} s")
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--out", type=Path,
+                    help="directory for the runs (with --record, a "
+                         "temporary one when omitted)")
+    ap.add_argument("--record", action="store_true",
+                    help=f"rewrite {GOLDEN.relative_to(GOLDEN.parents[2])} "
+                         "from these runs")
+    args = ap.parse_args(argv)
+    if args.out is None and not args.record:
+        ap.error("--out is required without --record")
+    with tempfile.TemporaryDirectory() as tmp:
+        out = args.out or Path(tmp)
+        write_runs(out)
+        if args.record:
+            write_golden(GOLDEN, environment(), digests(out))
+            print(f"recorded {GOLDEN}")
     return 0
 
 

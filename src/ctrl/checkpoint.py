@@ -1,18 +1,19 @@
 """Binary checkpoint format with bit-exact round trips.
 
-Layout:
+Layout (format version 2):
 
     8 bytes   magic  b"CTRLCKP1"
     8 bytes   header length (uint64 little-endian)
     header    canonical JSON: format version, schema hash, config snapshot,
-              sorted manifests of parameter / buffer / optimizer blobs (the
-              optimizer manifest is written empty), sha256 of the payload
+              sorted manifests of parameter and buffer blobs, `extra`
     payload   the blobs, concatenated in manifest order, each raw float64
               little-endian
+    32 bytes  sha256 of every byte before it
 
 Loading verifies the magic, the header's fields and types, the version, each
-blob's size against its shape, the payload length and the payload digest,
-and refuses a schema-hash mismatch when the caller states an expectation.
+blob's size against its shape, the payload length and, last, the digest, and
+refuses a schema-hash mismatch when the caller states an expectation. There
+is no optimizer state. A version-1 file is refused as an unsupported version.
 """
 
 from __future__ import annotations
@@ -31,11 +32,12 @@ from .exceptions import CheckpointError
 from .params import ParamStore
 
 MAGIC = b"CTRLCKP1"
-FORMAT_VERSION = 1
-# The header fields every version-1 checkpoint has, typed as json.loads reads
+FORMAT_VERSION = 2
+DIGEST_BYTES = 32  # the trailing sha256
+# The header fields every version-2 checkpoint has, typed as json.loads reads
 # them.
 _HEADER_FIELDS = {"schema_hash": str, "config": dict, "params": list,
-                  "buffers": list, "optimizer": list, "payload_sha256": str}
+                  "buffers": list, "extra": dict}
 
 
 @dataclass
@@ -49,41 +51,40 @@ class Checkpoint:
     extra: dict
 
 
-def _manifest_and_payload(arrays: dict):
+def _manifest_and_blobs(arrays: dict):
     manifest = []
-    chunks = []
+    blobs = []
     for name in sorted(arrays):
         arr = np.ascontiguousarray(np.asarray(arrays[name], dtype=np.float64))
         blob = arr.astype("<f8", copy=False).tobytes()
         manifest.append({"name": name, "shape": list(arr.shape),
                          "bytes": len(blob)})
-        chunks.append(blob)
-    return manifest, b"".join(chunks)
+        blobs.append(blob)
+    return manifest, blobs
 
 
 def save_checkpoint(path, store: ParamStore, schema_hash: str, config: dict,
                     extra: dict = None) -> None:
     params, buffers = store.export_arrays()
-    p_manifest, p_payload = _manifest_and_payload(params)
-    b_manifest, b_payload = _manifest_and_payload(buffers)
-    payload = p_payload + b_payload
+    p_manifest, p_blobs = _manifest_and_blobs(params)
+    b_manifest, b_blobs = _manifest_and_blobs(buffers)
     header = {
         "version": FORMAT_VERSION,
         "schema_hash": schema_hash,
         "config": config,
         "params": p_manifest,
         "buffers": b_manifest,
-        "optimizer": [],
         "extra": extra or {},
-        "payload_sha256": hashlib.sha256(payload).hexdigest(),
     }
     header_bytes = json.dumps(header, sort_keys=True,
                               separators=(",", ":")).encode("utf-8")
+    digest = hashlib.sha256()
     with replacing(path, binary=True) as fh:
-        fh.write(MAGIC)
-        fh.write(struct.pack("<Q", len(header_bytes)))
-        fh.write(header_bytes)
-        fh.write(payload)
+        for piece in (MAGIC, struct.pack("<Q", len(header_bytes)),
+                      header_bytes, *p_blobs, *b_blobs):
+            digest.update(piece)
+            fh.write(piece)
+        fh.write(digest.digest())
 
 
 def _is_count(v) -> bool:
@@ -91,7 +92,7 @@ def _is_count(v) -> bool:
 
 
 def _check_header(path, header) -> None:
-    """Raise CheckpointError unless the parsed header is a version-1 object
+    """Raise CheckpointError unless the parsed header is a version-2 object
     with the fields of _HEADER_FIELDS and manifest entries whose `bytes` hold
     exactly their `shape` of float64 values."""
     def malformed(what):
@@ -104,9 +105,7 @@ def _check_header(path, header) -> None:
     for key, kind in _HEADER_FIELDS.items():
         if not isinstance(header.get(key), kind):
             raise malformed(f"'{key}' is missing or not a {kind.__name__}")
-    if not isinstance(header.get("extra", {}), dict):
-        raise malformed("'extra' is not a dict")
-    for entry in header["params"] + header["buffers"] + header["optimizer"]:
+    for entry in header["params"] + header["buffers"]:
         if not (isinstance(entry, dict) and isinstance(entry.get("name"), str)
                 and _is_count(entry.get("bytes"))
                 and isinstance(entry.get("shape"), list)
@@ -118,15 +117,12 @@ def _check_header(path, header) -> None:
                             f"but {entry['bytes']} bytes")
 
 
-def _read_section(manifest, payload: bytes, offset: int):
+def _read_section(manifest, payload: memoryview, offset: int):
     out = {}
     for entry in manifest:
         n = entry["bytes"]
-        chunk = payload[offset:offset + n]
-        if len(chunk) != n:
-            raise CheckpointError(f"truncated blob for '{entry['name']}'")
-        arr = np.frombuffer(chunk, dtype="<f8").astype(np.float64)
-        out[entry["name"]] = arr.reshape(entry["shape"])
+        arr = np.frombuffer(payload[offset:offset + n], dtype="<f8")
+        out[entry["name"]] = arr.astype(np.float64).reshape(entry["shape"])
         offset += n
     return out, offset
 
@@ -141,7 +137,8 @@ def load_checkpoint(path, expect_schema_hash: str = None) -> Checkpoint:
         raise CheckpointError(f"{path}: not a checkpoint file")
     (header_len,) = struct.unpack("<Q", raw[len(MAGIC):len(MAGIC) + 8])
     header_start = len(MAGIC) + 8
-    header_bytes = raw[header_start:header_start + header_len]
+    header_end = header_start + header_len
+    header_bytes = raw[header_start:header_end]
     if len(header_bytes) != header_len:
         raise CheckpointError(f"{path}: truncated header")
     try:
@@ -154,19 +151,20 @@ def load_checkpoint(path, expect_schema_hash: str = None) -> Checkpoint:
             f"{path}: schema hash mismatch (checkpoint "
             f"{header['schema_hash'][:12]}..., expected "
             f"{expect_schema_hash[:12]}...); refusing to load")
-    payload = raw[header_start + header_len:]
-    expected = sum(e["bytes"] for e in
-                   header["params"] + header["buffers"] + header["optimizer"])
-    if len(payload) != expected:
-        raise CheckpointError(f"{path}: payload is {len(payload)} bytes, "
-                              f"manifest expects {expected}")
-    if hashlib.sha256(payload).hexdigest() != header["payload_sha256"]:
-        raise CheckpointError(f"{path}: payload digest mismatch (corrupt blob)")
+    expected = sum(e["bytes"] for e in header["params"] + header["buffers"])
+    if len(raw) - header_end != expected + DIGEST_BYTES:
+        raise CheckpointError(
+            f"{path}: {len(raw) - header_end} bytes follow the header, the "
+            f"manifest expects {expected} and a {DIGEST_BYTES}-byte digest")
+    body = memoryview(raw)[:-DIGEST_BYTES]
+    if hashlib.sha256(body).digest() != raw[-DIGEST_BYTES:]:
+        raise CheckpointError(f"{path}: digest mismatch (corrupt file)")
+    payload = body[header_end:]
     params, offset = _read_section(header["params"], payload, 0)
     buffers, _ = _read_section(header["buffers"], payload, offset)
     return Checkpoint(path=str(path), version=header["version"],
                       schema_hash=header["schema_hash"], config=header["config"],
-                      params=params, buffers=buffers, extra=header.get("extra", {}))
+                      params=params, buffers=buffers, extra=header["extra"])
 
 
 def restore_into(store: ParamStore, ckpt: Checkpoint, prefix: str = "") -> int:

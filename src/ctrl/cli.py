@@ -27,7 +27,7 @@ from .data import load_schema, read_csv_rows, save_schema, write_csv_rows
 from .exceptions import (CheckpointError, DataError, NumericError, UsageError)
 from .orchestrate import (ARM_NAMES, align_stage, evaluate_ckpt,
                           end_to_end_stage, finetune_stage,
-                          load_alignment_model, load_prepared, load_tokenizer,
+                          load_alignment_model, load_prepared,
                           prepare_workdir, run_ablation, run_sweep)
 from .synthetic import SyntheticSpec, generate
 from .viz import (dump_embeddings, head_gap, project_2d, read_embeddings,
@@ -243,9 +243,9 @@ def cmd_sweep(args) -> int:
 
 def cmd_dump_embeddings(args) -> int:
     _, prepared = load_prepared(args.out)
-    tokenizer = load_tokenizer(Path(args.out) / "tokenizer.json")
     ckpt = args.ckpt or str(Path(args.out) / "align.ckpt")
-    model, cfg = load_alignment_model(prepared, ckpt, tokenizer)
+    model, tokenizer = load_alignment_model(prepared, ckpt)
+    cfg = model.cfg
     dest = args.dest or str(Path(args.out) / "embeddings.csv")
     h_text, h_tab = dump_embeddings(model, prepared.split(args.split),
                                     tokenizer, dest)

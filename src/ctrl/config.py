@@ -53,11 +53,11 @@ class TextConfig:
     max_tokens: int = 128
 
     def __post_init__(self):
-        if self.d_model % self.n_heads != 0:
-            raise UsageError("d_model must be divisible by n_heads")
         if min(self.d_model, self.n_layers, self.n_heads, self.d_ff,
                self.max_tokens) < 1:
             raise UsageError("text dimensions must be positive")
+        if self.d_model % self.n_heads != 0:
+            raise UsageError("d_model must be divisible by n_heads")
 
 
 @dataclass(frozen=True)
@@ -145,29 +145,49 @@ class RunConfig:
     @staticmethod
     def from_dict(d: dict) -> "RunConfig":
         """Inverse of to_dict. Missing keys keep their defaults; an unknown
-        key at any level raises UsageError."""
-        if not isinstance(d, dict):
-            raise UsageError(f"malformed config: a JSON {type(d).__name__}, "
-                             "not an object")
-        fields = {f.name: f for f in dataclasses.fields(RunConfig)}
-        unknown = sorted(set(d) - set(fields))
-        if unknown:
-            raise UsageError(f"malformed config: unknown key(s) {unknown}")
-        kwargs = {}
-        try:
-            for name, value in d.items():
-                section = fields[name].default_factory
-                if section is not dataclasses.MISSING:
-                    value = section(**{k: _tupled(v) for k, v in value.items()})
-                kwargs[name] = _tupled(value)
-            return RunConfig(**kwargs)
-        except (TypeError, AttributeError) as e:
-            raise UsageError(f"malformed config: {e}") from e
+        key at any level, or a value of another type than its field's
+        default, raises UsageError naming it."""
+        return _from_dict(RunConfig, d, "")
 
 
-def _tupled(value):
-    """JSON has no tuples: every list in a config is a tuple field."""
-    return tuple(value) if isinstance(value, list) else value
+def _is_int(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+_ACCEPTS = {  # what a leaf field takes, by the type of its default
+    int: ("an int", _is_int),
+    float: ("a number", lambda v: _is_int(v) or isinstance(v, float)),
+    bool: ("a bool", lambda v: isinstance(v, bool)),
+    str: ("a string", lambda v: isinstance(v, str)),
+    tuple: ("a list of ints",
+            lambda v: isinstance(v, (list, tuple)) and all(map(_is_int, v))),
+}
+
+
+def _from_dict(cls, d, where: str):
+    """The config dataclass `cls` from the JSON object `d`, whose keys errors
+    name with the prefix `where`."""
+    if not isinstance(d, dict):
+        raise UsageError(f"malformed config: {where.rstrip('.') or 'the config'}"
+                         f" is a JSON {type(d).__name__}, not an object")
+    fields = cls.__dataclass_fields__
+    unknown = sorted(set(d) - set(fields))
+    if unknown:
+        raise UsageError(f"malformed config: unknown key(s) {unknown}"
+                         + (f" in {where[:-1]}" if where else ""))
+    kwargs = {}
+    for name, value in d.items():
+        spec, key = fields[name], where + name
+        if spec.default_factory is not dataclasses.MISSING:  # a section
+            kwargs[name] = _from_dict(spec.default_factory, value, key + ".")
+            continue
+        what, accepts = _ACCEPTS[type(spec.default)]
+        if not accepts(value):
+            raise UsageError(f"malformed config: {key} must be {what}, "
+                             f"got {value!r}")
+        # JSON has no tuples: every list in a config is a tuple field
+        kwargs[name] = tuple(value) if isinstance(value, list) else value
+    return cls(**kwargs)
 
 
 def config_json(cfg: RunConfig) -> str:

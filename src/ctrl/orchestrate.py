@@ -7,14 +7,16 @@
     train.csv / val.csv / test.csv
 
 so every stage can resume from disk. Stage outputs land in the same
-directory: tokenizer.json, align.ckpt, curve.csv, gap.json (stage 1),
-model.ckpt, history.csv (stage 2), report.json, ablation.csv/.json,
-sweep.csv, embeddings.csv, projection.csv. Each is written through
-`ctrl.artifacts`, so an interrupted stage leaves every file as it was or whole.
+directory: align.ckpt, curve.csv, gap.json (stage 1), model.ckpt,
+history.csv (stage 2), report.json, ablation.csv/.json, sweep.csv,
+embeddings.csv, projection.csv. Each is written through `ctrl.artifacts`, so
+an interrupted stage leaves every file as it was or whole.
 
 Checkpoints embed their own RunConfig, and loaders rebuild model topology
 from that embedded copy, so a checkpoint remains readable after the
-directory's config.json is edited.
+directory's config.json is edited; their trailing digest (see
+`ctrl.checkpoint`) refuses a changed copy. No tokenizer is stored: readers
+refit it from the train split and the checkpoint's config.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ from functools import partial
 from pathlib import Path
 
 from .align import AlignmentModel, align_train
-from .artifacts import read_json, write_csv, write_json
+from .artifacts import write_csv, write_json
 from .checkpoint import load_checkpoint, restore_into, save_checkpoint
 from .config import RunConfig, load_config, save_config
 from .data import (EncodedSplit, FeatureSchema, encode, load_schema,
@@ -91,19 +93,8 @@ def load_prepared(work_dir) -> tuple[RunConfig, Prepared]:
     return cfg, Prepared(fitted, *splits)
 
 
-def save_tokenizer(tok: Tokenizer, path) -> None:
-    write_json(path, json.dumps(tok.to_dict(), sort_keys=True))
-
-
-def load_tokenizer(path) -> Tokenizer:
-    blob = read_json(path)
-    try:
-        return Tokenizer.from_dict(blob)
-    except (KeyError, TypeError) as e:
-        raise DataError(f"malformed tokenizer file: {e}") from e
-
-
 def fit_tokenizer(prepared: Prepared, cfg: RunConfig) -> Tokenizer:
+    """The run's tokenizer: fit on the prompts of the train split."""
     template = template_from(cfg)
     corpus = [build_prompt(r, prepared.schema, template)
               for r in prepared.train.raw_rows]
@@ -136,7 +127,6 @@ def align_stage(prepared: Prepared, cfg: RunConfig, out_dir,
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     tokenizer = fit_tokenizer(prepared, cfg)
-    save_tokenizer(tokenizer, out / "tokenizer.json")
     store = ParamStore()
     model = AlignmentModel(store, prepared.schema, tokenizer.vocab_size, cfg)
     pre = alignment_gap(model, split, tokenizer, cfg.align.batch_size)
@@ -170,13 +160,16 @@ def _load_run_checkpoint(prepared: Prepared, ckpt_path):
         raise CheckpointError(f"{ckpt_path}: {e}") from e
 
 
-def load_alignment_model(prepared: Prepared, ckpt_path, tokenizer: Tokenizer):
-    """Rebuild an AlignmentModel from its checkpoint's embedded config."""
+def load_alignment_model(prepared: Prepared, ckpt_path):
+    """Rebuild an AlignmentModel from its checkpoint's embedded config, and
+    refit the tokenizer it was trained with. Returns (model, tokenizer); the
+    config is `model.cfg`."""
     ckpt, cfg = _load_run_checkpoint(prepared, ckpt_path)
+    tokenizer = fit_tokenizer(prepared, cfg)
     store = ParamStore()
     model = AlignmentModel(store, prepared.schema, tokenizer.vocab_size, cfg)
     restore_into(store, ckpt)
-    return model, cfg
+    return model, tokenizer
 
 
 def _fresh_ctr_model(prepared: Prepared, cfg: RunConfig):
@@ -225,7 +218,6 @@ def end_to_end_stage(prepared: Prepared, cfg: RunConfig,
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     tokenizer = fit_tokenizer(prepared, cfg)
-    save_tokenizer(tokenizer, out / "tokenizer.json")
     store = ParamStore()
     model = AlignmentModel(store, prepared.schema, tokenizer.vocab_size, cfg)
     head = CtrHead(store, model.collab.out_dim, rng_for(cfg.seed, "ctr"))

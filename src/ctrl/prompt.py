@@ -18,7 +18,6 @@ from __future__ import annotations
 import re
 import warnings
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -99,25 +98,23 @@ class Tokenizer:
 
     Vocabulary ids follow first-seen order over the fitting corpus. This stands
     in for a pretrained subword tokenizer; at desk scale the prompt vocabulary
-    is small enough that word-level ids are adequate.
+    is small enough that word-level ids are adequate. It is never stored: a
+    run's tokenizer is refit from its train split and config.
     """
 
-    def __init__(self, vocab: Optional[dict] = None, lowercase: bool = True,
-                 max_tokens: int = DEFAULT_MAX_TOKENS):
+    def __init__(self, max_tokens: int = DEFAULT_MAX_TOKENS):
         if max_tokens < 1:
             raise UsageError("max_tokens must be >= 1")
-        self.vocab = dict(vocab) if vocab else {}
-        self.lowercase = lowercase
+        self.vocab = {}
         self.max_tokens = max_tokens
 
     @property
     def vocab_size(self) -> int:
         return len(self.vocab) + 2  # reserved pad + unk
 
-    def _split(self, text: str) -> list:
-        if self.lowercase:
-            text = text.lower()
-        return _TOKEN_RE.findall(text)
+    @staticmethod
+    def _split(text: str) -> list:
+        return _TOKEN_RE.findall(text.lower())
 
     @staticmethod
     def fit(corpus, max_tokens: int = DEFAULT_MAX_TOKENS) -> "Tokenizer":
@@ -151,12 +148,3 @@ class Tokenizer:
             out[i, :len(ids)] = ids
             mask[i, :len(ids)] = 1.0
         return out, mask
-
-    def to_dict(self) -> dict:
-        return {"vocab": self.vocab, "lowercase": self.lowercase,
-                "max_tokens": self.max_tokens}
-
-    @staticmethod
-    def from_dict(d: dict) -> "Tokenizer":
-        return Tokenizer(vocab=d["vocab"], lowercase=d["lowercase"],
-                         max_tokens=d["max_tokens"])

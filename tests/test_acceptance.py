@@ -336,8 +336,7 @@ def test_criterion_8_determinism_and_persistence(tmp_path):
 
     # save -> load -> save reproduces a stage checkpoint byte for byte
     ckpt = load_checkpoint(da / "align.ckpt")
-    tokenizer = fit_tokenizer(prepared, cfg)
-    model, _ = load_alignment_model(prepared, da / "align.ckpt", tokenizer)
+    model, _ = load_alignment_model(prepared, da / "align.ckpt")
     resaved = tmp_path / "resaved.ckpt"
     save_checkpoint(resaved, model.store, ckpt.schema_hash, ckpt.config,
                     extra=ckpt.extra)

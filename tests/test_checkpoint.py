@@ -5,10 +5,11 @@ import struct
 import numpy as np
 import pytest
 
-from ctrl.checkpoint import (FORMAT_VERSION, MAGIC, load_checkpoint,
-                             restore_into, save_checkpoint)
+from ctrl.checkpoint import (DIGEST_BYTES, FORMAT_VERSION, MAGIC,
+                             load_checkpoint, restore_into, save_checkpoint)
 from ctrl.exceptions import CheckpointError
 from ctrl.params import ParamStore
+from helpers import sealed
 
 
 def _store():
@@ -67,20 +68,19 @@ def test_rejects_truncated_header(tmp_path):
 def test_rejects_corrupt_header_json(tmp_path):
     body = b"{this is not json"
     path = tmp_path / "bad.ckpt"
-    path.write_bytes(MAGIC + struct.pack("<Q", len(body)) + body)
+    path.write_bytes(sealed(MAGIC + struct.pack("<Q", len(body)) + body))
     with pytest.raises(CheckpointError, match="corrupt header"):
         load_checkpoint(path)
 
 
-def _raw_with_header(header) -> bytes:
+def _raw_with_header(header, payload: bytes = b"") -> bytes:
     body = json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
-    return MAGIC + struct.pack("<Q", len(body)) + body
+    return sealed(MAGIC + struct.pack("<Q", len(body)) + body + payload)
 
 
-def _valid_header(payload: bytes = b"") -> dict:
+def _valid_header() -> dict:
     return {"version": FORMAT_VERSION, "schema_hash": "h", "config": {},
-            "params": [], "buffers": [], "optimizer": [], "extra": {},
-            "payload_sha256": hashlib.sha256(payload).hexdigest()}
+            "params": [], "buffers": [], "extra": {}}
 
 
 def _raw_with_version(version: int) -> bytes:
@@ -92,7 +92,7 @@ def test_rejects_unknown_version(tmp_path):
     path.write_bytes(_raw_with_version(99))
     with pytest.raises(CheckpointError, match="version"):
         load_checkpoint(path)
-    ok = tmp_path / "v1.ckpt"
+    ok = tmp_path / "v2.ckpt"
     ok.write_bytes(_raw_with_version(FORMAT_VERSION))
     assert load_checkpoint(ok).params == {}
 
@@ -127,13 +127,13 @@ def test_rejects_a_manifest_entry_that_does_not_describe_its_blob(
         tmp_path, entry, why):
     payload = np.arange(2.0).astype("<f8").tobytes()
     path = tmp_path / "entry.ckpt"
-    path.write_bytes(_raw_with_header(_valid_header(payload)
-                                      | {"params": [entry]}) + payload)
+    path.write_bytes(_raw_with_header(_valid_header() | {"params": [entry]},
+                                      payload))
     with pytest.raises(CheckpointError, match=f"malformed header: .*{why}"):
         load_checkpoint(path)
     ok = tmp_path / "ok.ckpt"
-    ok.write_bytes(_raw_with_header(_valid_header(payload) | {
-        "params": [{"name": "w", "shape": [2], "bytes": 16}]}) + payload)
+    ok.write_bytes(_raw_with_header(_valid_header() | {
+        "params": [{"name": "w", "shape": [2], "bytes": 16}]}, payload))
     assert np.array_equal(load_checkpoint(ok).params["w"], [0.0, 1.0])
 
 
@@ -141,17 +141,32 @@ def test_rejects_payload_corruption(tmp_path):
     store = _store()
     path = tmp_path / "a.ckpt"
     save_checkpoint(path, store, schema_hash="h", config={})
-    raw = bytearray(path.read_bytes())
-    raw[-1] ^= 0xFF
-    flipped = tmp_path / "flipped.ckpt"
-    flipped.write_bytes(bytes(raw))
-    with pytest.raises(CheckpointError, match="digest mismatch"):
-        load_checkpoint(flipped)
+    for where in (-1, -DIGEST_BYTES - 1):  # the digest, the payload
+        raw = bytearray(path.read_bytes())
+        raw[where] ^= 0xFF
+        flipped = tmp_path / "flipped.ckpt"
+        flipped.write_bytes(bytes(raw))
+        with pytest.raises(CheckpointError,
+                           match="flipped.ckpt: digest mismatch"):
+            load_checkpoint(flipped)
 
     longer = tmp_path / "longer.ckpt"
     longer.write_bytes(path.read_bytes() + b"\x00")
     with pytest.raises(CheckpointError, match="manifest expects"):
         load_checkpoint(longer)
+
+
+def test_the_digest_covers_the_header(tmp_path):
+    """Version 1 digested only the payload, so a config value rewritten to
+    another valid one loaded without complaint."""
+    path = tmp_path / "a.ckpt"
+    save_checkpoint(path, _store(), schema_hash="h",
+                    config={"align": {"temperature": 0.7}})
+    raw = path.read_bytes()
+    assert raw[-DIGEST_BYTES:] == hashlib.sha256(raw[:-DIGEST_BYTES]).digest()
+    path.write_bytes(raw.replace(b'"temperature":0.7', b'"temperature":0.9'))
+    with pytest.raises(CheckpointError, match="a.ckpt: digest mismatch"):
+        load_checkpoint(path)
 
 
 def test_schema_hash_gate(tmp_path):

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import re
 import struct
@@ -5,9 +6,11 @@ import struct
 import numpy as np
 import pytest
 
-from ctrl.checkpoint import load_checkpoint, save_checkpoint
+from ctrl.checkpoint import (DIGEST_BYTES, FORMAT_VERSION, load_checkpoint,
+                             save_checkpoint)
 from ctrl.cli import main
 from ctrl.params import ParamStore
+from helpers import sealed
 
 pytestmark = pytest.mark.filterwarnings("ignore:l2_normalize")
 
@@ -49,7 +52,7 @@ def _copy(src, dst, names):
 @pytest.fixture(scope="module")
 def aligned(workdir, tmp_path_factory):
     """A prepared run directory of its own after `ctrl align`, so a test that
-    reads its align.ckpt and tokenizer.json does not depend on test order."""
+    reads its align.ckpt does not depend on test order."""
     _, _, run = workdir
     out = tmp_path_factory.mktemp("aligned")
     _copy(run, out, PREPARED)
@@ -174,9 +177,9 @@ def test_exit_code_mapping(workdir, tmp_path, capsys):
 
 @pytest.mark.parametrize("header", [
     [1, 2],
-    {"version": 1},
-    {"version": 1, "schema_hash": "h", "config": {}, "buffers": [],
-     "optimizer": [], "payload_sha256": "",
+    {"version": FORMAT_VERSION},
+    {"version": FORMAT_VERSION, "schema_hash": "h", "config": {},
+     "buffers": [], "extra": {},
      "params": [{"name": "w", "shape": [2], "bytes": "16"}]},
 ])
 def test_malformed_checkpoint_header_exits_2(workdir, tmp_path, capsys,
@@ -184,7 +187,7 @@ def test_malformed_checkpoint_header_exits_2(workdir, tmp_path, capsys,
     _, _, run = workdir
     body = json.dumps(header).encode()
     bad = tmp_path / "bad.ckpt"
-    bad.write_bytes(b"CTRLCKP1" + struct.pack("<Q", len(body)) + body)
+    bad.write_bytes(sealed(b"CTRLCKP1" + struct.pack("<Q", len(body)) + body))
     capsys.readouterr()
     assert main(["evaluate", "--out", str(run), "--ckpt", str(bad)]) == 2
     err = capsys.readouterr().err
@@ -193,12 +196,12 @@ def test_malformed_checkpoint_header_exits_2(workdir, tmp_path, capsys,
 
 
 def _flip_name(ckpt, name: str) -> None:
-    """Flip one bit of a tensor's name in the checkpoint's header. The
-    payload digest covers only the tensors, so the file still loads, with
-    the tensor under another name."""
-    raw = bytearray(ckpt.read_bytes())
+    """Flip one bit of a tensor's name in the checkpoint's header and seal
+    the file again, so it still loads, with the tensor under another
+    name."""
+    raw = bytearray(ckpt.read_bytes()[:-DIGEST_BYTES])
     raw[raw.index(name.encode()) + len(name) - 2] ^= 1  # "mean" -> "me`n"
-    ckpt.write_bytes(bytes(raw))
+    ckpt.write_bytes(sealed(bytes(raw)))
     loaded = load_checkpoint(ckpt)
     assert name[:-2] + chr(ord(name[-2]) ^ 1) + name[-1] in {
         **loaded.params, **loaded.buffers}
@@ -222,19 +225,26 @@ def test_a_checkpoint_without_a_buffer_of_the_tower_exits_2(workdir, tmp_path,
     assert not (out / "report.json").exists()
 
 
-def _reshape(ckpt, name: str, shape: list) -> None:
-    """Give a tensor another shape of the same size in the checkpoint's
-    header. The payload digest covers only the tensors, so the file still
-    loads, with the tensor in that shape."""
+def _edit_header(ckpt, edit) -> None:
+    """Rewrite the checkpoint's header as `edit(header)` leaves it, and seal
+    the file again."""
     raw = ckpt.read_bytes()
     (size,) = struct.unpack("<Q", raw[8:16])
     header = json.loads(raw[16:16 + size])
-    for entry in header["params"] + header["buffers"]:
-        if entry["name"] == name:
-            entry["shape"] = shape
+    edit(header)
     body = json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
-    ckpt.write_bytes(raw[:8] + struct.pack("<Q", len(body)) + body
-                     + raw[16 + size:])
+    ckpt.write_bytes(sealed(raw[:8] + struct.pack("<Q", len(body)) + body
+                            + raw[16 + size:-DIGEST_BYTES]))
+
+
+def _reshape(ckpt, name: str, shape: list) -> None:
+    """Give a tensor another shape of the same size in the checkpoint's
+    header, so the file still loads, with the tensor in that shape."""
+    def edit(header):
+        for entry in header["params"] + header["buffers"]:
+            if entry["name"] == name:
+                entry["shape"] = shape
+    _edit_header(ckpt, edit)
     loaded = load_checkpoint(ckpt)
     assert list({**loaded.params, **loaded.buffers}[name].shape) == shape
 
@@ -260,11 +270,11 @@ def test_a_checkpoint_with_a_tensor_of_another_shape_exits_2(
 
 
 def _rewrite_header(ckpt, old: str, new: str) -> None:
-    """Replace `old` by `new`, as long, in the checkpoint's header. The
-    payload digest covers only the tensors, so the file still loads."""
-    raw = ckpt.read_bytes()
+    """Replace `old` by `new`, as long, in the checkpoint's header and seal
+    the file again, so it still loads."""
+    raw = ckpt.read_bytes()[:-DIGEST_BYTES]
     assert len(old) == len(new) and raw.count(old.encode()) == 1
-    ckpt.write_bytes(raw.replace(old.encode(), new.encode()))
+    ckpt.write_bytes(sealed(raw.replace(old.encode(), new.encode())))
     load_checkpoint(ckpt)
 
 
@@ -280,7 +290,7 @@ def _rewrite_header(ckpt, old: str, new: str) -> None:
 def test_an_invalid_config_embedded_in_a_checkpoint_exits_2_naming_it(
         aligned, tmp_path, capsys, argv, ckpt, product, old, new, named):
     """It exited 1, and the error did not name the file."""
-    _copy(aligned, tmp_path, PREPARED + ("tokenizer.json", "align.ckpt"))
+    _copy(aligned, tmp_path, PREPARED + ("align.ckpt",))
     if ckpt == "model.ckpt":
         assert main(["finetune", "--out", str(tmp_path)]) == 0
     path = tmp_path / ckpt
@@ -291,6 +301,97 @@ def test_an_invalid_config_embedded_in_a_checkpoint_exits_2_naming_it(
     err = capsys.readouterr().err
     assert err.startswith(f"error: {path}: ") and named in err, err
     assert not (tmp_path / product).exists()
+
+
+def _as_version_1(ckpt) -> None:
+    """Rewrite a checkpoint in format version 1: a header that keeps an
+    empty optimizer manifest and the sha256 of the payload, and no digest
+    at the end."""
+    raw = ckpt.read_bytes()
+    (size,) = struct.unpack("<Q", raw[8:16])
+    header = json.loads(raw[16:16 + size])
+    payload = raw[16 + size:-DIGEST_BYTES]
+    header.update(version=1, optimizer=[],
+                  payload_sha256=hashlib.sha256(payload).hexdigest())
+    body = json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
+    ckpt.write_bytes(raw[:8] + struct.pack("<Q", len(body)) + body + payload)
+
+
+@pytest.mark.parametrize("argv", [["evaluate", "--ckpt"], ["finetune", "--init"],
+                                  ["dump-embeddings", "--ckpt"]],
+                         ids=["evaluate", "finetune-init", "dump-embeddings"])
+def test_a_version_1_checkpoint_exits_2(aligned, tmp_path, capsys, argv):
+    _copy(aligned, tmp_path, PREPARED + ("align.ckpt",))
+    ckpt = tmp_path / "old.ckpt"
+    if argv[0] == "evaluate":
+        assert main(["finetune", "--out", str(tmp_path)]) == 0
+        (tmp_path / "model.ckpt").rename(ckpt)
+    else:
+        (tmp_path / "align.ckpt").rename(ckpt)
+    _as_version_1(ckpt)
+    capsys.readouterr()
+    assert main([argv[0], "--out", str(tmp_path), argv[1], str(ckpt)]) == 2
+    assert capsys.readouterr().err == (
+        f"error: {ckpt}: unsupported checkpoint version 1\n")
+
+
+@pytest.mark.parametrize("blob, named", [
+    ({"model": {"hidden": "ab"}}, "model.hidden must be a list of ints, "
+                                  "got 'ab'"),
+    ({"align": {"epochs": 2.5}}, "align.epochs must be an int, got 2.5"),
+    ({"finetune": {"batch_size": True}}, "finetune.batch_size must be an "
+                                         "int, got True"),
+    ({"seed": "3"}, "seed must be an int, got '3'"),
+], ids=["hidden-a-string", "epochs-a-float", "batch-size-a-bool",
+        "seed-a-string"])
+def test_a_config_value_of_the_wrong_type_is_refused_naming_it(
+        workdir, aligned, tmp_path, capsys, blob, named):
+    """Each was accepted (the first three) or refused only because a
+    comparison raised. A config file exits 1, a checkpoint's config 2."""
+    _, data, _ = workdir
+    cfg_run, ckpt_run = tmp_path / "cfg_run", tmp_path / "ckpt_run"
+    for run in (cfg_run, ckpt_run):
+        run.mkdir()
+        _copy(aligned, run, PREPARED + ("align.ckpt",))
+    (cfg_run / "config.json").write_text(json.dumps(blob), encoding="utf-8")
+
+    def merge(header):
+        for key, value in blob.items():
+            if isinstance(value, dict):
+                header["config"][key].update(value)
+            else:
+                header["config"][key] = value
+    _edit_header(ckpt_run / "align.ckpt", merge)
+    capsys.readouterr()
+    assert main(["prepare", "--data", str(data / "data.csv"), "--schema",
+                 str(data / "schema.json"), "--config",
+                 str(cfg_run / "config.json"),
+                 "--out", str(tmp_path / "new")]) == 1
+    assert main(["align", "--out", str(cfg_run)]) == 1
+    assert main(["dump-embeddings", "--out", str(ckpt_run)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert err == [f"error: malformed config: {named}"] * 2 + [
+        f"error: {ckpt_run / 'align.ckpt'}: malformed config: {named}"]
+    assert not (tmp_path / "new").exists()
+    assert not (cfg_run / "curve.csv").exists()
+    assert not (ckpt_run / "embeddings.csv").exists()
+
+
+def test_dump_embeddings_refits_the_tokenizer_from_the_checkpoint_config(
+        aligned, tmp_path, capsys):
+    """No tokenizer file is read: the tokenizer is refit from the train split
+    and the checkpoint's config, so editing config.json after `align` leaves
+    the printed gap at gap.json's bits."""
+    _copy(aligned, tmp_path, PREPARED + ("align.ckpt", "gap.json"))
+    cfg = json.loads((tmp_path / "config.json").read_text())
+    cfg["prompt_variant"], cfg["text"]["max_tokens"] = 3, 4
+    (tmp_path / "config.json").write_text(json.dumps(cfg), encoding="utf-8")
+    capsys.readouterr()
+    assert main(["dump-embeddings", "--out", str(tmp_path), "--split",
+                 "val"]) == 0
+    found = re.search(r" gap (\S+) \(paired", capsys.readouterr().out)
+    post = json.loads((tmp_path / "gap.json").read_text())["post"]["gap"]
+    assert found and float(found[1]) == post
 
 
 def test_finetune_init_refuses_a_checkpoint_without_a_tensor_of_the_tower(
@@ -311,7 +412,7 @@ def test_dump_embeddings_refuses_a_checkpoint_without_a_tensor_of_the_model(
         aligned, tmp_path, capsys):
     # restored without it, the running mean would keep its fresh value and
     # the dump would differ from the uncorrupted one's
-    _copy(aligned, tmp_path, PREPARED + ("tokenizer.json", "align.ckpt"))
+    _copy(aligned, tmp_path, PREPARED + ("align.ckpt",))
     _flip_name(tmp_path / "align.ckpt", "collab.mlp.bn0.running_mean")
     capsys.readouterr()
     assert main(["dump-embeddings", "--out", str(tmp_path)]) == 2
@@ -324,7 +425,7 @@ def test_dump_embeddings_refuses_a_checkpoint_without_a_tensor_of_the_model(
 def test_dump_embeddings_refuses_a_two_stage_model_checkpoint(
         aligned, tmp_path, capsys):
     # model.ckpt holds the tower and the CTR head, but no text tower or heads
-    _copy(aligned, tmp_path, PREPARED + ("tokenizer.json", "align.ckpt"))
+    _copy(aligned, tmp_path, PREPARED + ("align.ckpt",))
     assert main(["finetune", "--out", str(tmp_path),
                  "--init", str(tmp_path / "align.ckpt")]) == 0
     capsys.readouterr()
@@ -390,7 +491,6 @@ def test_malformed_embedding_dump_exits_2(tmp_path, capsys):
     ("align", "config.json", b'{"truncated": '),
     ("align", "config.json", b"\xff\xfe{}"),  # not UTF-8
     ("align", "schema.json", b'{"truncated": '),
-    ("dump-embeddings", "tokenizer.json", b'{"truncated": '),
 ])
 def test_unparsable_json_artifact_exits_2_naming_it(workdir, tmp_path, capsys,
                                                     command, name, content):
@@ -450,7 +550,7 @@ def _poison(ckpt_path, prefix: str) -> None:
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_overflowing_tower_exits_3_from_evaluate_and_dump_embeddings(
         aligned, tmp_path, capsys):
-    _copy(aligned, tmp_path, PREPARED + ("tokenizer.json", "align.ckpt"))
+    _copy(aligned, tmp_path, PREPARED + ("align.ckpt",))
     assert main(["finetune", "--out", str(tmp_path)]) == 0
     # 1e200 squared overflows in the tabular tower's first product
     _poison(tmp_path / "model.ckpt", "collab.")

@@ -82,6 +82,35 @@ def test_from_dict_rejects_unknown_or_malformed_keys(blob):
         RunConfig.from_dict(blob)
 
 
+@pytest.mark.parametrize("blob, message", [
+    ({"model": {"hidden": [8, 4.0]}}, "model.hidden must be a list of ints"),
+    ({"align": {"temperature": False}}, "align.temperature must be a number"),
+    ({"model": {"batch_norm": 1}}, "model.batch_norm must be a bool"),
+    ({"model": {"backbone": 3}}, "model.backbone must be a string"),
+    ({"align": 5}, "align is a JSON int, not an object"),
+    ({"model": {"hiden": [8]}}, r"unknown key\(s\) \['hiden'\] in model"),
+], ids=["hidden-a-float", "temperature-a-bool", "batch-norm-an-int",
+        "backbone-an-int", "section-an-int", "unknown-key-in-a-section"])
+def test_from_dict_refuses_a_value_of_another_type_naming_its_field(blob,
+                                                                    message):
+    """Each leaf is checked against its default's type; tests/test_cli.py
+    checks the exit codes of a wrong type in a config file and in a
+    checkpoint."""
+    with pytest.raises(UsageError, match=f"^malformed config: {message}"):
+        RunConfig.from_dict(blob)
+
+
+def test_from_dict_takes_an_int_for_a_float_and_a_tuple_for_a_list():
+    cfg = RunConfig.from_dict({"finetune": {"lr": 1}, "split_ratios": (7, 2, 1)})
+    assert cfg.finetune.lr == 1 and cfg.split_ratios == (7, 2, 1)
+
+
+def test_zero_text_heads_are_refused_before_dividing():
+    # `d_model % n_heads` ran first and raised ZeroDivisionError
+    with pytest.raises(UsageError, match="text dimensions must be positive"):
+        RunConfig.from_dict({"text": {"n_heads": 0}})
+
+
 def test_config_typo_exits_with_usage_code(tmp_path, capsys):
     data = tmp_path / "data"
     assert main(["gen-synthetic", "--out", str(data), "--rows", "20"]) == 0

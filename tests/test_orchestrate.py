@@ -21,8 +21,8 @@ from ctrl.metrics import relaimpr
 from ctrl.orchestrate import (align_stage, evaluate_ckpt, end_to_end_stage,
                               finetune_stage, fit_tokenizer,
                               load_alignment_model, load_prepared,
-                              load_tokenizer, prepare_workdir, run_ablation,
-                              run_arm, run_sweep, save_tokenizer)
+                              prepare_workdir, run_ablation, run_arm,
+                              run_sweep)
 from ctrl.synthetic import SyntheticSpec, generate
 
 # zero-norm sub-representations are routine right after initialization
@@ -94,17 +94,6 @@ def test_split_name_validation(workdir):
         prepared.split("dev")
 
 
-def test_tokenizer_save_load_round_trip(workdir, tmp_path):
-    out, cfg, prepared = workdir
-    tok = fit_tokenizer(prepared, cfg)
-    path = tmp_path / "tok.json"
-    save_tokenizer(tok, path)
-    again = load_tokenizer(path)
-    assert again.vocab == tok.vocab
-    assert again.encode_batch(["user is a"])[0].tolist() == \
-        tok.encode_batch(["user is a"])[0].tolist()
-
-
 def test_align_stage_artifacts_and_determinism(workdir, tmp_path):
     out, cfg, prepared = workdir
     a, b = tmp_path / "a", tmp_path / "b"
@@ -114,8 +103,8 @@ def test_align_stage_artifacts_and_determinism(workdir, tmp_path):
     assert summary["steps"] == 10
     assert not summary["diverged"]
     assert isinstance(summary["pre_gap"], float)
-    for name in ("tokenizer.json", "curve.csv", "gap.json", "align.ckpt"):
-        assert (a / name).exists()
+    assert sorted(p.name for p in a.iterdir()) == [
+        "align.ckpt", "curve.csv", "gap.json"]
     curve = (a / "curve.csv").read_text().splitlines()
     assert curve[0] == "step,lr,loss,l_t2t,l_tab2text"
     assert len(curve) == 11
@@ -127,7 +116,7 @@ def test_align_stage_artifacts_and_determinism(workdir, tmp_path):
 
 def test_align_stage_rejects_oversized_batch(workdir, tmp_path):
     """The batch size is checked before any work, so a refused stage (a
-    failed sweep cell) leaves no directory, tokenizer or curve behind."""
+    failed sweep cell) leaves no directory or curve behind."""
     out, cfg, prepared = workdir
     from dataclasses import replace
     for batch in (prepared.train.n + 1, 4096):
@@ -251,10 +240,10 @@ def test_load_alignment_model_restores_tensors(workdir, tmp_path):
     out, cfg, prepared = workdir
     d = tmp_path / "run"
     align_stage(prepared, cfg, d)
-    tok = load_tokenizer(d / "tokenizer.json")
-    model, loaded_cfg = load_alignment_model(prepared, d / "align.ckpt", tok)
+    model, tok = load_alignment_model(prepared, d / "align.ckpt")
     ckpt = load_checkpoint(d / "align.ckpt")
-    assert loaded_cfg == cfg
+    assert model.cfg == cfg
+    assert tok.vocab == fit_tokenizer(prepared, cfg).vocab
     for name in ("collab.mlp.l0.w", "text.tok_emb", "heads.tab_proj.w"):
         assert np.array_equal(model.store[name].data, ckpt.params[name]), name
 
