@@ -24,7 +24,8 @@ Run it at two commits into two directories, then compare them:
 write, and the environment they were written in: the numpy version, the
 BLAS library's name and version, and the machine. `tests/test_identity.py`
 compares a fresh run with it. A change that moves a bit on purpose
-re-records it:
+re-records it, and the script prints each file whose digest changed, was
+added or was removed, and whether the environment changed:
 
     python scripts/identity_runs.py --record [--out DIR]
 """
@@ -128,6 +129,23 @@ def read_golden(path: Path) -> tuple[dict, dict]:
     return env, sums
 
 
+def record(path: Path, env: dict, sums: dict) -> list:
+    """Rewrite the golden file at `path` with `env` and `sums`. Returns what
+    that changed: a line for each file whose digest changed, was added or
+    was removed, then one on the environment."""
+    old_env, old = read_golden(path)
+    lines = []
+    for rel in sorted(set(old) | set(sums)):
+        if old.get(rel) != sums.get(rel):
+            what = ("removed" if rel not in sums else
+                    "added" if rel not in old else "changed")
+            lines.append(f"{what}: {rel}")
+    lines.append("environment unchanged" if env == old_env else
+                 f"environment changed: {old_env} -> {env}")
+    write_golden(path, env, sums)
+    return lines
+
+
 def write_runs(out: Path) -> None:
     rows, schema, _ = generate(SyntheticSpec(n_rows=200, n_fields=4,
                                              vocab_size=6, rule="logistic",
@@ -171,7 +189,8 @@ def main(argv=None) -> int:
         out = args.out or Path(tmp)
         write_runs(out)
         if args.record:
-            write_golden(GOLDEN, environment(), digests(out))
+            for line in record(GOLDEN, environment(), digests(out)):
+                print(line)
             print(f"recorded {GOLDEN}")
     return 0
 

@@ -31,25 +31,22 @@ from .prompt import Tokenizer, build_prompt, template_from
 
 class SubspaceHead:
     """M affine maps to width d_sub = d_proj / M, stored as one matrix.
-    Sub-representations are optionally L2-normalized, which bounds the late
-    interaction score in [-M, M] and decouples it from representation scale."""
+    Sub-representations are L2-normalized, as ColBERT's are, which bounds
+    the late interaction score in [-M, M] and decouples it from
+    representation scale."""
 
-    def __init__(self, store, prefix, d_proj, m, rng, normalize: bool = True):
+    def __init__(self, store, prefix, d_proj, m, rng):
         if m < 1:
             raise UsageError("m_subspaces must be >= 1")
         if d_proj % m != 0:
             raise UsageError("m_subspaces must divide d_proj")
         self.m = m
         self.d_sub = d_proj // m
-        self.normalize = normalize
         self.lin = Linear(store, prefix, d_proj, m * self.d_sub, rng)
 
     def __call__(self, h: DTensor) -> DTensor:
-        z = self.lin(h)
-        z = ad.reshape(z, (h.shape[0], self.m, self.d_sub))
-        if self.normalize:
-            z = ad.l2_normalize(z, axis=2)
-        return z
+        z = ad.reshape(self.lin(h), (h.shape[0], self.m, self.d_sub))
+        return ad.l2_normalize(z, axis=2)
 
 
 def late_interaction(a: np.ndarray, b_major: np.ndarray, mb: int):
@@ -159,12 +156,10 @@ class AlignmentModel:
         if a.similarity == "maxsim":
             self.tab_sub = SubspaceHead(store, "heads.tab_sub", a.d_proj,
                                         a.m_subspaces,
-                                        rng_for(cfg.seed, "heads.tab_sub"),
-                                        normalize=a.normalize_subreps)
+                                        rng_for(cfg.seed, "heads.tab_sub"))
             self.text_sub = SubspaceHead(store, "heads.text_sub", a.d_proj,
                                          a.m_subspaces,
-                                         rng_for(cfg.seed, "heads.text_sub"),
-                                         normalize=a.normalize_subreps)
+                                         rng_for(cfg.seed, "heads.text_sub"))
         else:
             self.tab_sub = self.text_sub = unit_rows
 

@@ -43,6 +43,7 @@ _HEADER_FIELDS = {"schema_hash": str, "config": dict, "params": list,
 @dataclass
 class Checkpoint:
     path: str  # the file it was loaded from
+    sha256: str  # hex digest of the bytes loaded, the whole file
     version: int
     schema_hash: str
     config: dict
@@ -157,12 +158,15 @@ def load_checkpoint(path, expect_schema_hash: str = None) -> Checkpoint:
             f"{path}: {len(raw) - header_end} bytes follow the header, the "
             f"manifest expects {expected} and a {DIGEST_BYTES}-byte digest")
     body = memoryview(raw)[:-DIGEST_BYTES]
-    if hashlib.sha256(body).digest() != raw[-DIGEST_BYTES:]:
+    digest = hashlib.sha256(body)
+    if digest.digest() != raw[-DIGEST_BYTES:]:
         raise CheckpointError(f"{path}: digest mismatch (corrupt file)")
+    digest.update(raw[-DIGEST_BYTES:])
     payload = body[header_end:]
     params, offset = _read_section(header["params"], payload, 0)
     buffers, _ = _read_section(header["buffers"], payload, offset)
-    return Checkpoint(path=str(path), version=header["version"],
+    return Checkpoint(path=str(path), sha256=digest.hexdigest(),
+                      version=header["version"],
                       schema_hash=header["schema_hash"], config=header["config"],
                       params=params, buffers=buffers, extra=header["extra"])
 

@@ -78,9 +78,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("align", help="stage 1: contrastive tower alignment")
     sp.add_argument("--out", required=True, help="prepared working directory")
-    sp.add_argument("--gap-split", choices=("train", "val", "test"),
-                    default="val",
-                    help="split used for the before/after similarity gap")
     _add_overrides(sp)
 
     sp = sub.add_parser("finetune", help="stage 2: supervised CTR training")
@@ -164,7 +161,7 @@ def cmd_prepare(args) -> int:
 
 def cmd_align(args) -> int:
     cfg, prepared = _load_workdir(args)
-    summary = align_stage(prepared, cfg, args.out, gap_split=args.gap_split)
+    summary = align_stage(prepared, cfg, args.out)
     loss = summary["final_loss"]
     loss_s = f"{loss:.4f}" if loss is not None else "-"
     print(f"aligned in {summary['steps']} steps; final loss {loss_s}; "

@@ -21,7 +21,7 @@ CONFIG_VERSION = 1
 
 @dataclass(frozen=True)
 class ModelConfig:
-    """Collaborative tower settings."""
+    """Collaborative tower settings; its output keeps the backbone's width."""
     backbone: str = "autoint"
     d: int = 32  # per-field embedding width
     hidden: tuple = (256, 128, 64)
@@ -29,7 +29,6 @@ class ModelConfig:
     attn_heads: int = 2
     attn_head_dim: int = 16
     cross_layers: int = 3
-    d_col: int = 0  # 0 = backbone's natural output width
     batch_norm: bool = True
     dropout: float = 0.0
 
@@ -66,15 +65,15 @@ class AlignConfig:
 
     Defaults are sized for datasets that fit on one desk machine (hundreds
     to tens of thousands of rows); production-scale corpora want a larger
-    batch, one epoch, and a longer warmup. Cosine stores the head it is,
-    `m_subspaces=1, normalize_subreps=True`, whatever was passed."""
+    batch, one epoch, and a longer warmup. Sub-representations are always
+    L2-normalized. Cosine stores the head it is, `m_subspaces=1`, whatever
+    was passed."""
     temperature: float = 0.7
     batch_size: int = 64
     similarity: str = "maxsim"
     epochs: int = 30
     m_subspaces: int = 4
     d_proj: int = 128
-    normalize_subreps: bool = True
     start_lr: float = 1e-5
     peak_lr: float = 1e-3
     warmup_steps: int = 50
@@ -83,7 +82,6 @@ class AlignConfig:
     def __post_init__(self):
         if self.similarity == "cosine":
             object.__setattr__(self, "m_subspaces", 1)
-            object.__setattr__(self, "normalize_subreps", True)
         if self.temperature <= 0:
             raise UsageError("temperature must be > 0")
         if self.batch_size < 2:

@@ -212,7 +212,8 @@ class CrossLayer:
 
 
 class CollaborativeEncoder:
-    """Field-embedding tower with a pluggable interaction backbone."""
+    """Field-embedding tower with a pluggable interaction backbone, whose
+    natural width `out_dim` is F·heads·head_dim (autoint) or hidden[-1]."""
 
     prefix = "collab"
 
@@ -247,24 +248,21 @@ class CollaborativeEncoder:
                                        cfg.attn_heads, cfg.attn_head_dim, rng)
                 self.attn.append(layer)
                 d_in = layer.d_out
-            flat_out = self.n_fields * d_in
-            self.out_dim = cfg.d_col or flat_out
-            self.head = Linear(store, f"{prefix}.out", flat_out, self.out_dim, rng)
+            self.out_dim = self.n_fields * d_in
+            self.head = Linear(store, f"{prefix}.out", self.out_dim,
+                               self.out_dim, rng)
         elif cfg.backbone == "dcn":
             self.cross = [CrossLayer(store, f"{prefix}.cross{i}", flat, rng)
                           for i in range(cfg.cross_layers)]
             self.mlp = MLPStack(store, f"{prefix}.mlp", flat, cfg.hidden, rng,
                                 batch_norm=cfg.batch_norm, dropout=cfg.dropout)
-            self.out_dim = cfg.d_col or cfg.hidden[-1]
+            self.out_dim = self.mlp.d_out
             self.head = Linear(store, f"{prefix}.out", flat + self.mlp.d_out,
                                self.out_dim, rng)
         else:  # mlp
             self.mlp = MLPStack(store, f"{prefix}.mlp", flat, cfg.hidden, rng,
                                 batch_norm=cfg.batch_norm, dropout=cfg.dropout)
-            self.out_dim = cfg.d_col or cfg.hidden[-1]
-            self.head = (Linear(store, f"{prefix}.out", self.mlp.d_out,
-                                self.out_dim, rng)
-                         if self.out_dim != self.mlp.d_out else None)
+            self.out_dim = self.mlp.d_out
 
     def field_embeddings(self, batch: EncodedSplit) -> DTensor:
         """(N, F * d): each field's (N, d) embedding in schema order, as one
@@ -315,8 +313,7 @@ class CollaborativeEncoder:
                 x = layer(flat, x)
             deep = self.mlp(flat, train=train, rng=rng)
             return self.head(ad.concat([x, deep], axis=1))
-        deep = self.mlp(flat, train=train, rng=rng)
-        return self.head(deep) if self.head is not None else deep
+        return self.mlp(flat, train=train, rng=rng)
 
     def param_names(self) -> list:
         pre = self.prefix + "."

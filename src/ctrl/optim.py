@@ -105,7 +105,7 @@ class AdamW:
         else:
             new -= g
         if not np.isfinite(new).all():
-            raise NumericError("DTensor created with non-finite values")
+            raise NumericError("adamw: update produced non-finite values")
         for name, p, flat in zip(self.names, params, np.split(new, self._cuts)):
             self.store.replace(name, DTensor._from_op(flat.reshape(p.shape), True, None))
 

@@ -21,7 +21,6 @@ refit it from the train split and the checkpoint's config.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import warnings
 from concurrent.futures import ProcessPoolExecutor
@@ -107,44 +106,42 @@ def alignment_gap(model: AlignmentModel, split: EncodedSplit,
 
     Scored with the model's own head: the per-subspace mean of best-match
     cosines, which for the cosine head (one unit sub-space) is plain cosine.
-    It lands in [-1, 1] with normalized sub-representations, so the
+    Sub-representations are unit vectors, so it lands in [-1, 1] and the
     paired-minus-unpaired gap is comparable across the two modes. Nothing is
     taped, and the scoring works in tiles of ``batch_size`` rows."""
     h_text, h_tab = tower_representations(model, split, tokenizer, batch_size)
     return head_gap(model, h_text, h_tab, batch_size)
 
 
-def align_stage(prepared: Prepared, cfg: RunConfig, out_dir,
-                gap_split: str = "val") -> dict:
+def align_stage(prepared: Prepared, cfg: RunConfig, out_dir) -> dict:
     """Stage 1: fit the tokenizer, contrastively train both towers, measure the
-    paired-vs-unpaired gap under the model's similarity head before and
-    after, checkpoint everything. A divergence at the first step leaves
-    the initial state checkpointed, with no final loss."""
+    paired-vs-unpaired gap on the val split under the model's similarity head
+    before and after, checkpoint everything. A divergence at the first step
+    leaves the initial state checkpointed, with no final loss."""
     if prepared.train.n < cfg.align.batch_size:
         raise UsageError("train split is smaller than one alignment batch; "
                          "lower align.batch_size")
-    split = prepared.split(gap_split)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     tokenizer = fit_tokenizer(prepared, cfg)
     store = ParamStore()
     model = AlignmentModel(store, prepared.schema, tokenizer.vocab_size, cfg)
-    pre = alignment_gap(model, split, tokenizer, cfg.align.batch_size)
+    pre = alignment_gap(model, prepared.val, tokenizer, cfg.align.batch_size)
     result = align_train(model, prepared.train, tokenizer, cfg.align,
                          cfg.seed, curve_path=out / "curve.csv")
-    post = alignment_gap(model, split, tokenizer, cfg.align.batch_size)
+    post = alignment_gap(model, prepared.val, tokenizer, cfg.align.batch_size)
     summary = {
         "steps": result.steps,
         "diverged": result.diverged,
         "final_loss": result.curve[-1][2] if result.curve else None,
         "pre_gap": pre[2],
         "post_gap": post[2],
-        "gap_split": gap_split,
+        "gap_split": "val",
     }
     write_json(out / "gap.json", json.dumps(
         {"pre": {"paired": pre[0], "unpaired": pre[1], "gap": pre[2]},
          "post": {"paired": post[0], "unpaired": post[1], "gap": post[2]},
-         "head": cfg.align.similarity, "split": gap_split}, sort_keys=True))
+         "head": cfg.align.similarity, "split": "val"}, sort_keys=True))
     save_checkpoint(out / "align.ckpt", store, prepared.hash, cfg.to_dict(),
                     extra={"stage": "align", **summary})
     return summary
@@ -187,14 +184,14 @@ def finetune_stage(prepared: Prepared, cfg: RunConfig, out_dir,
                    init_ckpt=None) -> "FinetuneResult":
     """Stage 2: supervised training of the collaborative tower and CTR head.
     `init_ckpt` warm-starts the tower from a stage-1 checkpoint; model.ckpt
-    records the sha256 of that file's bytes, not its path."""
+    records the sha256 of the bytes it restored, not the file's path."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     store, enc, head = _fresh_ctr_model(prepared, cfg)
     init_digest = ""
     if init_ckpt is not None:
         ckpt, init_cfg = _load_run_checkpoint(prepared, init_ckpt)
-        init_digest = hashlib.sha256(Path(init_ckpt).read_bytes()).hexdigest()
+        init_digest = ckpt.sha256
         if init_cfg.model != cfg.model:
             raise UsageError(
                 f"{init_ckpt}: tower settings in the checkpoint ({init_cfg.model}) "

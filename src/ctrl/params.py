@@ -52,9 +52,6 @@ class ParamStore:
         except KeyError:
             raise UsageError(f"unknown parameter '{name}'") from None
 
-    def __contains__(self, name: str) -> bool:
-        return name in self._params
-
     def replace(self, name: str, tensor: DTensor) -> None:
         if name not in self._params:
             raise UsageError(f"unknown parameter '{name}'")

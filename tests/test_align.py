@@ -280,7 +280,7 @@ def test_ccl_orthonormal_cosine_oracle():
 
 def test_subspace_head_identity_passthrough():
     store = ParamStore()
-    head = SubspaceHead(store, "sub", 3, 1, rng_for(0, "h"), normalize=True)
+    head = SubspaceHead(store, "sub", 3, 1, rng_for(0, "h"))
     store.replace("sub.w", DTensor(np.eye(3), requires_grad=True))
     store.replace("sub.b", DTensor(np.zeros(3), requires_grad=True))
     x = np.array([[0.6, 0.8, 0.0], [0.0, 0.0, 1.0]])

@@ -377,6 +377,54 @@ def test_a_config_value_of_the_wrong_type_is_refused_naming_it(
     assert not (ckpt_run / "embeddings.csv").exists()
 
 
+@pytest.mark.parametrize("section, key, value", [
+    ("align", "normalize_subreps", True), ("model", "d_col", 0)],
+    ids=["normalize_subreps", "d_col"])
+def test_a_removed_setting_is_refused_naming_it(aligned, tmp_path, capsys,
+                                                section, key, value):
+    """A config.json or checkpoint that still holds a removed setting is
+    refused, not read without it: `align` exits 1, and each reader of a
+    checkpoint exits 2 naming the file."""
+    cfg_run, ckpt_run = tmp_path / "cfg_run", tmp_path / "ckpt_run"
+    for run in (cfg_run, ckpt_run):
+        run.mkdir()
+        _copy(aligned, run, PREPARED + ("align.ckpt",))
+    cfg = json.loads((cfg_run / "config.json").read_text())
+    cfg[section][key] = value
+    (cfg_run / "config.json").write_text(json.dumps(cfg), encoding="utf-8")
+    assert main(["finetune", "--out", str(ckpt_run)]) == 0
+
+    def add(header):
+        header["config"][section][key] = value
+    for ckpt in ("align.ckpt", "model.ckpt"):
+        _edit_header(ckpt_run / ckpt, add)
+    named = f"malformed config: unknown key(s) ['{key}'] in {section}"
+    capsys.readouterr()
+    assert main(["align", "--out", str(cfg_run)]) == 1
+    assert capsys.readouterr().err == f"error: {named}\n"
+    assert not (cfg_run / "curve.csv").exists()
+    before = (ckpt_run / "model.ckpt").read_bytes()
+    for command, flag, ckpt in [("evaluate", "--ckpt", "model.ckpt"),
+                                ("finetune", "--init", "align.ckpt"),
+                                ("dump-embeddings", "--ckpt", "align.ckpt")]:
+        path = ckpt_run / ckpt
+        assert main([command, "--out", str(ckpt_run), flag, str(path)]) == 2
+        assert capsys.readouterr().err == f"error: {path}: {named}\n"
+    assert (ckpt_run / "model.ckpt").read_bytes() == before
+    assert not (ckpt_run / "report.json").exists()
+    assert not (ckpt_run / "embeddings.csv").exists()
+
+
+def test_align_has_no_gap_split_flag(aligned, tmp_path, capsys):
+    """The gap is always scored on val; the flag that chose the split is
+    gone, so passing it is a usage error."""
+    _copy(aligned, tmp_path, PREPARED)
+    capsys.readouterr()
+    assert main(["align", "--out", str(tmp_path), "--gap-split", "val"]) == 1
+    assert "unrecognized arguments: --gap-split val" in capsys.readouterr().err
+    assert not (tmp_path / "align.ckpt").exists()
+
+
 def test_dump_embeddings_refits_the_tokenizer_from_the_checkpoint_config(
         aligned, tmp_path, capsys):
     """No tokenizer file is read: the tokenizer is refit from the train split

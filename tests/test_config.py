@@ -9,27 +9,26 @@ from ctrl.config import (AlignConfig, FinetuneConfig, ModelConfig, RunConfig,
 from ctrl.exceptions import UsageError
 
 # Every field away from its default in NO_DEFAULTS or in its maxsim twin,
-# except `version`, which has one valid value. Under cosine the sub-space
-# pair is stored as the cosine head's values, (1, True), so only the maxsim
-# twin can keep `normalize_subreps` away from its default.
+# except `version`, which has one valid value. Under cosine `m_subspaces` is
+# stored as the cosine head's value, 1, so only the maxsim twin can keep it
+# away from its default.
 NO_DEFAULTS = RunConfig(
     seed=7, prompt_variant=3, user_prefix="A user", item_prefix="An item",
     split_ratios=(6, 2, 2),
     model=ModelConfig(backbone="dcn", d=6, hidden=(12, 5), attn_layers=3,
-                      attn_heads=3, attn_head_dim=5, cross_layers=2, d_col=9,
+                      attn_heads=3, attn_head_dim=5, cross_layers=2,
                       batch_norm=False, dropout=0.25),
     text=TextConfig(d_model=12, n_layers=3, n_heads=3, d_ff=20,
                     max_tokens=40),
     align=AlignConfig(temperature=0.3, batch_size=17, similarity="cosine",
                       epochs=4, m_subspaces=3, d_proj=12,
-                      normalize_subreps=False, start_lr=2e-5, peak_lr=3e-3,
+                      start_lr=2e-5, peak_lr=3e-3,
                       warmup_steps=9, weight_decay=0.2),
     finetune=FinetuneConfig(lr=5e-3, batch_size=100, epochs=6, patience=2,
                             lambda_ccl=0.5),
 )
 NO_DEFAULTS_MAXSIM = dataclasses.replace(NO_DEFAULTS, align=dataclasses.replace(
-    NO_DEFAULTS.align, similarity="maxsim", m_subspaces=3,
-    normalize_subreps=False))
+    NO_DEFAULTS.align, similarity="maxsim", m_subspaces=3))
 
 
 def test_no_defaults_config_differs_from_every_default():
@@ -56,10 +55,10 @@ def test_from_dict_inverts_to_dict_through_json():
 
 def test_cosine_configs_store_the_cosine_head_and_write_equal_bytes():
     a = RunConfig(align=AlignConfig(similarity="cosine", m_subspaces=4,
-                                    normalize_subreps=False, d_proj=10))
+                                    d_proj=10))
     b = RunConfig(align=AlignConfig(similarity="cosine", m_subspaces=2,
                                     d_proj=10))
-    assert (a.align.m_subspaces, a.align.normalize_subreps) == (1, True)
+    assert a.align.m_subspaces == 1
     assert a == b and config_json(a) == config_json(b)
     assert RunConfig.from_dict(json.loads(config_json(a))) == a
 

@@ -165,6 +165,26 @@ def test_finetune_stage_warm_start_and_guards(workdir, tmp_path):
                        init_ckpt=stage1 / "align.ckpt")
 
 
+def test_warm_start_records_the_digest_of_the_bytes_it_restored(
+        workdir, tmp_path, monkeypatch):
+    """The init checkpoint is read once: a file replaced after loading does
+    not lend its digest to model.ckpt, as a second read of it did."""
+    _, cfg, prepared = workdir
+    init = tmp_path / "align.ckpt"
+    align_stage(prepared, cfg, tmp_path)
+    loaded = init.read_bytes()
+
+    def load_then_replace(path, **kw):
+        ckpt = load_checkpoint(path, **kw)
+        Path(path).write_bytes(b"replaced after loading")
+        return ckpt
+    monkeypatch.setattr(orchestrate, "load_checkpoint", load_then_replace)
+    finetune_stage(prepared, cfg, tmp_path / "warm", init_ckpt=init)
+    monkeypatch.undo()
+    extra = load_checkpoint(tmp_path / "warm" / "model.ckpt").extra
+    assert extra["init"] == hashlib.sha256(loaded).hexdigest()
+
+
 def test_evaluate_ckpt_report_and_stage1_rejection(workdir, tmp_path):
     out, cfg, prepared = workdir
     d = tmp_path / "run"

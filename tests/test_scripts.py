@@ -1,6 +1,7 @@
 """The scripts under scripts/ parse their arguments, and each experiment
 config under configs/ loads and prepares a work directory through `ctrl`."""
 
+import importlib.util
 import os
 import subprocess
 import sys
@@ -22,6 +23,14 @@ RECIPE_DATA = {
     "sweep": ["--fields", "6", "--vocab", "40", "--noise", "0.1",
               "--history", "3", "--seed", "7"],
 }
+
+
+def _identity_runs():
+    spec = importlib.util.spec_from_file_location(
+        "identity_runs", ROOT / "scripts" / "identity_runs.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 @pytest.mark.parametrize("script", ["diff_runs.py", "identity_runs.py"])
@@ -47,3 +56,28 @@ def test_experiment_configs_load_and_prepare(tmp_path):
                      "--schema", str(data / "schema.json"),
                      "--config", str(path), "--out", str(work)]) == 0
         assert load_config(work / "config.json") == cfg
+
+
+@pytest.mark.filterwarnings("ignore")  # the runs' own warnings
+def test_identity_runs_record_reports_what_it_changed(tmp_path, monkeypatch,
+                                                      capsys):
+    ir = _identity_runs()
+    golden = tmp_path / "golden" / "identity.sha256"
+    golden.parent.mkdir()
+    golden.write_bytes(ir.GOLDEN.read_bytes())
+    monkeypatch.setattr(ir, "GOLDEN", golden)
+    # record once, so the copy holds this environment's digests
+    assert ir.main(["--record", "--out", str(tmp_path / "first")]) == 0
+    fresh = golden.read_text(encoding="utf-8")
+    env, sums = ir.read_golden(golden)
+    rel = "dcn-maxsim/model.ckpt"
+    sums[rel] = "0" * 64
+    ir.write_golden(golden, env, sums)
+    capsys.readouterr()
+    assert ir.main(["--record", "--out", str(tmp_path / "second")]) == 0
+    report = [line for line in capsys.readouterr().out.splitlines()
+              if line.startswith(("changed: ", "added: ", "removed: ",
+                                  "environment ", "recorded "))]
+    assert report == [f"changed: {rel}", "environment unchanged",
+                      f"recorded {golden}"]
+    assert golden.read_text(encoding="utf-8") == fresh
