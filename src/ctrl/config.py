@@ -38,6 +38,8 @@ class ModelConfig:
         if self.d < 1 or self.attn_layers < 1 or self.attn_heads < 1 \
                 or self.attn_head_dim < 1 or self.cross_layers < 1:
             raise UsageError("model dimensions must be positive")
+        if any(h < 1 for h in self.hidden):
+            raise UsageError(f"hidden widths must be >= 1, got {list(self.hidden)}")
         if not (0.0 <= self.dropout < 1.0):
             raise UsageError("dropout must be in [0, 1)")
 
@@ -88,8 +90,8 @@ class AlignConfig:
             raise UsageError("alignment batch_size must be >= 2")
         if self.similarity not in SIMILARITIES:
             raise UsageError(f"similarity must be one of {SIMILARITIES}")
-        if self.m_subspaces < 1:
-            raise UsageError("m_subspaces must be >= 1")
+        if min(self.m_subspaces, self.d_proj) < 1:
+            raise UsageError("m_subspaces and d_proj must be >= 1")
         if self.d_proj % self.m_subspaces:
             raise UsageError("m_subspaces must divide d_proj")
         if self.epochs < 1:
@@ -98,6 +100,8 @@ class AlignConfig:
             raise UsageError("need 0 <= start_lr <= peak_lr")
         if self.warmup_steps < 0:
             raise UsageError("warmup_steps must be >= 0")
+        if self.weight_decay < 0:
+            raise UsageError("weight_decay must be >= 0")
 
 
 @dataclass(frozen=True)

@@ -67,9 +67,6 @@ class FeatureSchema:
         if self.max_seq_len < 1:
             raise UsageError("max_seq_len must be >= 1")
 
-    def side_fields(self, side: str) -> list:
-        return [f for f in self.fields if f.side == side]
-
     @property
     def widths(self) -> tuple:
         """Id columns of each field in an encoded split, in schema order: one

@@ -41,7 +41,7 @@ from .exceptions import CheckpointError, DataError, UsageError
 from .finetune import (CtrHead, end_to_end_train, finetune, predict_scores)
 from .metrics import EvalReport, auc, logloss, relaimpr
 from .params import ParamStore, rng_for
-from .prompt import Tokenizer, build_prompt, template_from
+from .prompt import Tokenizer, fit_tokenizer
 from .viz import head_gap, tower_representations
 
 ARM_NAMES = ("ctrl", "cosine_sim", "no_align", "end_to_end")
@@ -90,14 +90,6 @@ def load_prepared(work_dir) -> tuple[RunConfig, Prepared]:
     splits = [encode(read_csv_rows(work / f"{n}.csv", fitted), fitted)
               for n in SPLIT_FILES]
     return cfg, Prepared(fitted, *splits)
-
-
-def fit_tokenizer(prepared: Prepared, cfg: RunConfig) -> Tokenizer:
-    """The run's tokenizer: fit on the prompts of the train split."""
-    template = template_from(cfg)
-    corpus = [build_prompt(r, prepared.schema, template)
-              for r in prepared.train.raw_rows]
-    return Tokenizer.fit(corpus, max_tokens=cfg.text.max_tokens)
 
 
 def alignment_gap(model: AlignmentModel, split: EncodedSplit,

@@ -48,49 +48,50 @@ def template_from(cfg: RunConfig) -> PromptTemplate:
                           item_prefix=cfg.item_prefix)
 
 
+_FORMATS = {2: "{name}-{value}", 3: "{value}", 4: "Field-{value}",
+            5: "{name}:{value}"}  # the clause of variants 2 to 5
+
+
 def _clause(field, value: str, variant: int) -> str:
-    name = field.shown_name
-    if variant == 1:
-        if field.kind == "sequence" and field.seq_phrase is not None:
-            return f"{field.seq_phrase} {value}"
-        return f"{name} is {value}"
-    if variant == 2:
-        return f"{name}-{value}"
-    if variant == 3:
-        return value
-    if variant == 4:
-        return f"Field-{value}"
-    return f"{name}:{value}"
+    if variant != 1:
+        return _FORMATS[variant].format(name=field.shown_name, value=value)
+    if field.kind == "sequence" and field.seq_phrase is not None:
+        return f"{field.seq_phrase} {value}"
+    return f"{field.shown_name} is {value}"
 
 
-def _side_sentence(fields, raw: dict, template: PromptTemplate, prefix: str):
-    clauses = []
-    for f in fields:
-        cell = raw.get(f.name, "")
-        if f.kind == "sequence":
-            values = split_cell(cell)
-            if not values:
-                continue
-            cell = SEQ_SEP.join(values)
-        elif cell == "":
-            continue
-        clauses.append(_clause(f, cell, template.variant))
-    rendered = len(clauses)
-    if template.variant == 1:
-        clauses = [prefix] + clauses
-    return ", ".join(clauses), rendered
+def _rendered(rows, schema: FeatureSchema, template: PromptTemplate):
+    """Each row's prompt as its sides, user then item, each (lead, values):
+    the side prefix in variant 1 (else nothing), and (field, value) for each
+    non-empty cell, context fields on the user side. A sequence's value is
+    its non-empty elements joined by SEQ_SEP; with none, it is empty."""
+    prefixed = template.variant == 1
+    sides = [((prefix,) if prefixed else (),
+              [f for side in names for f in schema.fields if f.side == side])
+             for prefix, names in ((template.user_prefix, ("user", "context")),
+                                   (template.item_prefix, ("item",)))]
+    for raw in rows:
+        out = []
+        for lead, fields in sides:
+            values = []
+            for f in fields:
+                value = raw.get(f.name, "")
+                if f.kind == "sequence":
+                    value = SEQ_SEP.join(split_cell(value))
+                if value:
+                    values.append((f, value))
+            out.append((lead, values))
+        if not (out[0][1] or out[1][1]):
+            raise DataError("instance renders no features; cannot build a prompt")
+        yield out
 
 
 def build_prompt(raw: dict, schema: FeatureSchema, template: PromptTemplate) -> str:
-    """Render one raw row as a prompt string. Context-side fields are folded
-    into the user sentence."""
-    user_fields = schema.side_fields("user") + schema.side_fields("context")
-    item_fields = schema.side_fields("item")
-    user_sent, n_user = _side_sentence(user_fields, raw, template, template.user_prefix)
-    item_sent, n_item = _side_sentence(item_fields, raw, template, template.item_prefix)
-    if n_user + n_item == 0:
-        raise DataError("instance renders no features; cannot build a prompt")
-    return f"{user_sent}. {item_sent}."
+    """Render one raw row as a prompt string."""
+    user, item = [", ".join([*lead, *[_clause(f, v, template.variant)
+                                      for f, v in values]])
+                  for lead, values in next(_rendered([raw], schema, template))]
+    return f"{user}. {item}."
 
 
 class Tokenizer:
@@ -118,7 +119,8 @@ class Tokenizer:
 
     @staticmethod
     def fit(corpus, max_tokens: int = DEFAULT_MAX_TOKENS) -> "Tokenizer":
-        """Lowercased vocabulary of every token in the corpus."""
+        """Lowercased vocabulary of every token in the corpus of texts, each
+        id in the order its token is first seen."""
         corpus = list(corpus)
         if not corpus:
             raise DataError("cannot fit a tokenizer on an empty corpus")
@@ -148,3 +150,28 @@ class Tokenizer:
             out[i, :len(ids)] = ids
             mask[i, :len(ids)] = 1.0
         return out, mask
+
+
+def fit_tokenizer(prepared, cfg: RunConfig) -> Tokenizer:
+    """The run's tokenizer: a fit on the distinct spans of the train prompts
+    of `prepared` in first-seen order, equal to a fit on the prompts. Those
+    join leads and clauses by ", " and ".", a clause's elements by SEQ_SEP;
+    no token crosses a span, and each lowercases alone as in the prompt (see
+    README). A clause holds only its value's first element, and each
+    (field, first element) renders one clause."""
+    spans, seen = {}, set()  # a dict keeps its keys in first-insertion order
+    for sides in _rendered(prepared.train.raw_rows, prepared.schema,
+                           template_from(cfg)):
+        for lead, values in sides:
+            spans.update(dict.fromkeys(lead))
+            for i, (f, value) in enumerate(values, len(lead)):
+                if i:
+                    spans[", "] = None
+                first, *rest = value.split(SEQ_SEP)
+                if (f.name, first) not in seen:
+                    seen.add((f.name, first))
+                    spans[_clause(f, first, cfg.prompt_variant)] = None
+                for element in rest:
+                    spans[SEQ_SEP] = spans[element] = None
+            spans["."] = None
+    return Tokenizer.fit(spans, max_tokens=cfg.text.max_tokens)

@@ -26,6 +26,8 @@
   before it was fused into one op or one pass
 - the digest that ends a checkpoint, for checkpoint bytes a test builds or
   rewrites
+- the tokenizer fit on every rendered prompt of a split, as
+  `fit_tokenizer` fit it before it walked each distinct cell once
 """
 
 from __future__ import annotations
@@ -535,7 +537,6 @@ def tiny_pipeline(seed: int = 0, backbone: str = "autoint",
     from ctrl.align import AlignmentModel
     from ctrl.data import prepare_splits
     from ctrl.params import ParamStore
-    from ctrl.prompt import Tokenizer, build_prompt
     from ctrl.synthetic import SyntheticSpec, generate
 
     rows, schema, _ = generate(SyntheticSpec(
@@ -546,10 +547,18 @@ def tiny_pipeline(seed: int = 0, backbone: str = "autoint",
                           dropout=dropout, **align_overrides)
     store = ParamStore()
     model = AlignmentModel(store, fitted, vocab_size=64, cfg=cfg)
-    corpus = [build_prompt(r, fitted, model.template) for r in train.raw_rows]
-    tokenizer = Tokenizer.fit(corpus, max_tokens=cfg.text.max_tokens)
+    tokenizer = fit_on_prompts(train.raw_rows, fitted, cfg)
     assert tokenizer.vocab_size <= 64
     return model, tokenizer, (train, val, test), cfg
+
+
+def fit_on_prompts(rows, schema, cfg):
+    """The Tokenizer fit on the prompt of every row in `rows`, rendered with
+    `cfg`'s template and capped at its `text.max_tokens`."""
+    from ctrl.prompt import Tokenizer, build_prompt, template_from
+    template = template_from(cfg)
+    return Tokenizer.fit([build_prompt(r, schema, template) for r in rows],
+                         max_tokens=cfg.text.max_tokens)
 
 
 def reference_end_to_end_train(model, head, train_split, val_split, tokenizer,

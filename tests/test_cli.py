@@ -281,7 +281,10 @@ def _rewrite_header(ckpt, old: str, new: str) -> None:
 @pytest.mark.parametrize("old, new, named", [
     ('"backbone":"mlp"', '"backbone":"mlq"', "'mlq'"),
     ('"cross_layers"', '"cross_layerr"', "'cross_layerr'"),
-], ids=["value", "key"])
+    ('"hidden":[16,8]', '"hidden":[16,0]', "hidden widths must be >= 1"),
+    ('"d_proj":8', '"d_proj":0', "d_proj must be >= 1"),
+    ('"weight_decay":0.01', '"weight_decay":-1.0', "weight_decay must be >= 0"),
+], ids=["value", "key", "hidden", "d_proj", "weight_decay"])
 @pytest.mark.parametrize("argv, ckpt, product", [
     (["evaluate"], "model.ckpt", "report.json"),
     (["finetune", "--init", "{ckpt}"], "align.ckpt", "model.ckpt"),

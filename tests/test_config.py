@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import re
 
 import pytest
 
@@ -160,3 +161,38 @@ def test_negative_warmup_steps_are_refused_before_prepare_writes(tmp_path,
                  "--config", str(cfg_path), "--out", str(tmp_path / "run")]) == 1
     assert "warmup_steps must be >= 0" in capsys.readouterr().err
     assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("blob, message", [
+    ({"model": {"backbone": "mlp", "hidden": [0]}},
+     "hidden widths must be >= 1, got [0]"),
+    ({"model": {"hidden": [16, -8]}}, "hidden widths must be >= 1, got [16, -8]"),
+    ({"align": {"d_proj": -4}}, "m_subspaces and d_proj must be >= 1"),
+    ({"align": {"d_proj": 0}}, "m_subspaces and d_proj must be >= 1"),
+    ({"align": {"weight_decay": -1.0}}, "weight_decay must be >= 0"),
+], ids=["hidden-zero", "hidden-negative", "d_proj-negative", "d_proj-zero",
+        "weight_decay"])
+def test_a_width_or_decay_out_of_range_is_refused_before_prepare_writes(
+        tmp_path, capsys, blob, message):
+    """`hidden: [0]` trained a zero-width tower to val AUC 0.5, a negative
+    d_proj died in numpy and 0 in xavier_uniform when align ran, and a
+    negative weight decay was taken."""
+    with pytest.raises(UsageError, match=re.escape(message)):
+        RunConfig.from_dict(blob)
+    data = tmp_path / "data"
+    assert main(["gen-synthetic", "--out", str(data), "--rows", "20"]) == 0
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(blob), encoding="utf-8")
+    assert main(["prepare", "--data", str(data / "data.csv"),
+                 "--schema", str(data / "schema.json"),
+                 "--config", str(cfg_path), "--out", str(tmp_path / "run")]) == 1
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
+
+
+def test_the_smallest_widths_and_no_decay_are_taken():
+    cfg = RunConfig.from_dict({"model": {"hidden": [1]},
+                               "align": {"m_subspaces": 1, "d_proj": 1,
+                                         "weight_decay": 0}})
+    assert cfg.model.hidden == (1,) and cfg.align.d_proj == 1
+    assert cfg.align.weight_decay == 0
