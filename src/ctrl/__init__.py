@@ -15,10 +15,10 @@ _TRIM_THRESHOLD = 2 * _MMAP_THRESHOLD  # where its dynamic rule would put trim
 def _pin_malloc_thresholds() -> None:
     """Keep each batch loop's working set mapped from one batch to the next.
 
-    An untaped forward frees its whole working set after every batch. Under
-    glibc's dynamic thresholds that memory is unmapped or trimmed and the
-    next batch faults it in again, ~6,000 minor faults per 128-row
-    text-tower batch. Pinned where the dynamic rule tops out (setting them
+    An untaped forward frees its whole working set after every tile or
+    batch. Under glibc's dynamic thresholds that memory is unmapped or
+    trimmed and the next pass faults it in again, ~6,000 minor faults per
+    128-row text-tower batch. Pinned where the dynamic rule tops out (setting them
     also stops the rule), it stays in the heap. Overrides MALLOC_MMAP_THRESHOLD_ and MALLOC_TRIM_THRESHOLD_;
     does nothing where the C library has no `mallopt` (musl, macOS, Windows).
     """

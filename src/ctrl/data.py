@@ -11,6 +11,7 @@ import csv
 import hashlib
 import json
 from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import Iterator, Optional
 
 import numpy as np
@@ -73,6 +74,15 @@ class FeatureSchema:
         for a categorical field, max_seq_len for a sequence field."""
         return tuple(1 if f.kind == "categorical" else self.max_seq_len
                      for f in self.fields)
+
+    @cached_property
+    def prompt_sides(self) -> tuple:
+        """The fields each side of a prompt renders, user side then item
+        side, in schema order: the user side renders the user fields, then
+        the context fields. Worked out once per schema."""
+        return tuple(tuple(f for side in sides for f in self.fields
+                           if f.side == side)
+                     for sides in (("user", "context"), ("item",)))
 
     @property
     def fitted(self) -> bool:

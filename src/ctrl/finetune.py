@@ -64,11 +64,17 @@ def bce_loss(preds: DTensor, labels) -> DTensor:
 
 
 def predict_scores(encoder: CollaborativeEncoder, head: CtrHead,
-                   split: EncodedSplit, batch_size: int = 4096) -> np.ndarray:
-    out = []
+                   split: EncodedSplit, batch_size: int = 512) -> np.ndarray:
+    """Each row's click probability, (N,): untaped passes over batches of
+    ``batch_size`` rows in split order, written in place into the output,
+    so the working set is a batch's whatever N is."""
+    out = np.empty(split.n)
+    start = 0
     for batch in batches(split, batch_size, "eval"):
-        out.append(ad.run_pass(lambda: head(encoder(batch, train=False))).data)
-    return np.concatenate(out)
+        out[start:start + batch.n] = ad.run_pass(
+            lambda: head(encoder(batch, train=False))).data
+        start += batch.n
+    return out
 
 
 @dataclass

@@ -66,10 +66,9 @@ def _rendered(rows, schema: FeatureSchema, template: PromptTemplate):
     non-empty cell, context fields on the user side. A sequence's value is
     its non-empty elements joined by SEQ_SEP; with none, it is empty."""
     prefixed = template.variant == 1
-    sides = [((prefix,) if prefixed else (),
-              [f for side in names for f in schema.fields if f.side == side])
-             for prefix, names in ((template.user_prefix, ("user", "context")),
-                                   (template.item_prefix, ("item",)))]
+    sides = [((prefix,) if prefixed else (), fields) for prefix, fields
+             in zip((template.user_prefix, template.item_prefix),
+                    schema.prompt_sides)]
     for raw in rows:
         out = []
         for lead, fields in sides:

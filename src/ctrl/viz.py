@@ -22,20 +22,47 @@ from .data import EncodedSplit, batches
 from .exceptions import DataError, NumericError, UsageError
 from .prompt import build_prompt
 
+# Rows of one tile of the untaped tower and head passes: their working set,
+# mostly the text tower's (N, H, L, L) attention scores, is a tile's, not a
+# batch's. A multiple of 8: under OpenBLAS, tiles of 2, 3, 5 or 7 rows
+# changed the tabular tower's bits and multiples of 4 did not, as its
+# matrix-vector kernels take rows four at a time. Each row then meets the
+# kernels it meets in one pass over its batch, and keeps its bits.
+_TILE_ROWS = 64
+
+
+def _row_tiles(n: int) -> list:
+    """Slices of _TILE_ROWS rows over range(n). A one-row remainder joins
+    the tile before it: a one-row matmul is a matrix-vector product in
+    numpy, whose bits differ from the same row's in a larger product."""
+    starts = list(range(0, n - 1, _TILE_ROWS)) or [0]
+    return [slice(a, b) for a, b in zip(starts, starts[1:] + [n])]
+
 
 def tower_representations(model, split: EncodedSplit, tokenizer,
                           batch_size: int = 256):
-    """Projected representations for every row: (h_text (N, D), h_tab (N, D))."""
-    texts, tabs = [], []
+    """Projected representations for every row: (h_text (N, D), h_tab (N, D)).
+
+    Prompts are rendered and encoded a batch of ``batch_size`` rows at a
+    time; the towers run untaped on tiles of `_TILE_ROWS` rows of each
+    batch, written in place into the outputs, so their working set is a
+    tile's whatever the batch size. A row's bits do not depend on the tile."""
+    shape = (split.n, model.cfg.align.d_proj)
+    h_text, h_tab = np.empty(shape), np.empty(shape)
+    start = 0
     for batch in batches(split, batch_size, "eval"):
         prompts = [build_prompt(r, model.collab.schema, model.template)
                    for r in batch.raw_rows]
         ids, mask = tokenizer.encode_batch(prompts)
-        h_text, h_tab = ad.run_pass(
-            lambda: model.projected(batch, ids, mask, train=False))
-        texts.append(h_text.data)
-        tabs.append(h_tab.data)
-    return np.concatenate(texts), np.concatenate(tabs)
+        for t in _row_tiles(batch.n):
+            tile = EncodedSplit(batch.schema, batch.ids[t], batch.valid[t],
+                                batch.labels[t], batch.raw_rows[t])
+            text, tab = ad.run_pass(lambda: model.projected(
+                tile, ids[t], mask[t], train=False))
+            rows = slice(start + t.start, start + t.stop)
+            h_text[rows], h_tab[rows] = text.data, tab.data
+        start += batch.n
+    return h_text, h_tab
 
 
 def dump_embeddings(model, split: EncodedSplit, tokenizer, path,
@@ -77,9 +104,19 @@ def read_embeddings(path):
 
 def head_gap(model, h_text, h_tab, batch_size: int = 256):
     """`paired_gap` of projected (N, D) representations, scored through the
-    model's own sub-space heads."""
-    return paired_gap(model.text_sub(ad.DTensor(h_text)).data,
-                      model.tab_sub(ad.DTensor(h_tab)).data, batch_size)
+    model's own sub-space heads. The heads run on tiles of `_TILE_ROWS`
+    rows, written in place into the (N, M, d) sub-representations."""
+    m = model.cfg.align.m_subspaces
+    d = model.cfg.align.d_proj // m
+
+    def subs(head, h):
+        out = np.empty((len(h), m, d))
+        for t in _row_tiles(len(h)):
+            out[t] = head(ad.DTensor(h[t])).data
+        return out
+
+    return paired_gap(subs(model.text_sub, h_text),
+                      subs(model.tab_sub, h_tab), batch_size)
 
 
 def paired_gap(text: np.ndarray, tab: np.ndarray, batch_size: int = 256):

@@ -1,16 +1,23 @@
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from ctrl.align import maxsim, unit_rows
+from ctrl import viz
+from ctrl.align import AlignmentModel, maxsim, unit_rows
 from ctrl.autodiff import DTensor
+from ctrl.config import ModelConfig, RunConfig, TextConfig
+from ctrl.data import build_vocab, encode
 from ctrl.exceptions import DataError, UsageError
+from ctrl.finetune import CtrHead, predict_scores
+from ctrl.params import ParamStore, rng_for
+from ctrl.synthetic import SyntheticSpec, generate
 from ctrl.viz import (dump_embeddings, paired_gap, project_2d,
                       read_embeddings, tower_representations,
                       write_projection)
 
-from helpers import tiny_pipeline
+from helpers import fit_on_prompts, tiny_pipeline
 
 
 def unit(x):
@@ -162,6 +169,83 @@ def test_tower_representations_batching_invariance():
     # BLAS may block the matmuls differently per batch shape, so allow ULPs
     assert np.allclose(a[0], b[0], atol=1e-12)
     assert np.allclose(a[1], b[1], atol=1e-12)
+
+
+@pytest.fixture(scope="module")
+def bench_model():
+    """The perfbench widths at initialization: dcn tower, text d_model 32
+    over H = 2 heads, 60-token prompts, maxsim over M = 4; 1,100 rows."""
+    rows, schema, _ = generate(SyntheticSpec(
+        n_rows=1100, n_fields=10, vocab_size=50, rule="logistic",
+        flip_noise=0.15, seed=0, history_len=3))
+    fitted = build_vocab(rows, schema)
+    cfg = RunConfig(
+        model=ModelConfig(backbone="dcn", d=8, hidden=(64, 32),
+                          cross_layers=3),
+        text=TextConfig(d_model=32, n_layers=1, n_heads=2, d_ff=64,
+                        max_tokens=96))
+    tok = fit_on_prompts(rows, fitted, cfg)
+    store = ParamStore()
+    model = AlignmentModel(store, fitted, tok.vocab_size, cfg)
+    head = CtrHead(store, model.collab.out_dim, rng_for(0, "ctr"))
+    return model, tok, head, rows
+
+
+def test_evaluation_working_set_is_bounded_by_the_tile(bench_model,
+                                                       monkeypatch):
+    # The towers and heads; paired_gap's all-pairs tiles are batch_size
+    # rows a side by design, (512 M)^2 similarities at 512 rows, and
+    # tests/test_gap.py bounds them. One pass per batch peaked at ~79 MB
+    # at 512 rows and ~12 MB at 64; in tiles, ~12 MB at both.
+    model, tok, _, rows = bench_model
+    split = encode(rows[:1024], model.collab.schema)
+    monkeypatch.setattr(viz, "paired_gap", lambda text, tab, batch_size: None)
+
+    def peak(batch_size):
+        tracemalloc.start()
+        try:
+            h_text, h_tab = tower_representations(model, split, tok,
+                                                  batch_size)
+            viz.head_gap(model, h_text, h_tab, batch_size)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    small, large = peak(64), peak(512)
+    assert large <= 1.25 * small, (small, large)
+
+
+@pytest.mark.parametrize("n", [
+    1100,  # batches of 512, 512 and 76 rows: 76 is a tile and a 12-row tail
+    1089,  # a last batch of 65 rows: its one-row remainder joins its tile
+    1025,  # a last batch of one row
+])
+def test_tiling_changes_no_byte(bench_model, monkeypatch, n):
+    model, tok, head, rows = bench_model
+    split = encode(rows[:n], model.collab.schema)
+    subs = []
+    real = viz.paired_gap
+    monkeypatch.setattr(viz, "paired_gap",
+                        lambda text, tab, batch_size: subs.append(
+                            (text, tab)) or real(text, tab, batch_size))
+
+    def run():
+        h = tower_representations(model, split, tok, 512)
+        return h, viz.head_gap(model, *h, 512)
+
+    tiled, gap = run()
+    monkeypatch.setattr(viz, "_TILE_ROWS", 4096)  # one pass per batch
+    whole, whole_gap = run()
+    for got, want in zip(tiled + subs[0], whole + subs[1]):
+        assert got.tobytes() == want.tobytes()
+    assert gap == whole_gap
+    scores = predict_scores(model.collab, head, split)
+    one_pass = predict_scores(model.collab, head, split, 4096)
+    # a one-row batch is a matrix-vector product in numpy, whose bits may
+    # differ from the same row's in a larger product
+    same = slice(None, -1) if n % 512 == 1 else slice(None)
+    assert scores[same].tobytes() == one_pass[same].tobytes()
+    assert np.allclose(scores, one_pass, rtol=1e-12, atol=0.0)
 
 
 def test_read_embeddings_errors(tmp_path):
