@@ -288,7 +288,9 @@ def batches(split: EncodedSplit, batch_size: int, mode: str,
             seed: int = 0) -> Iterator[EncodedSplit]:
     """Yield each batch as an EncodedSplit of its rows. align: shuffled,
     partial tail dropped (keeps the in-batch negative count constant). train:
-    shuffled, tail kept. eval: original order."""
+    shuffled, tail kept. eval: original order, and a one-row tail joins the
+    batch before it: a one-row matmul is a matrix-vector product in numpy,
+    whose bits differ from the same row's in a larger product."""
     if mode not in BATCH_MODES:
         raise UsageError(f"unknown batch mode '{mode}'")
     if batch_size < 1:
@@ -301,8 +303,11 @@ def batches(split: EncodedSplit, batch_size: int, mode: str,
     if mode in ("align", "train"):
         order = rng_for(seed, f"batches:{mode}").permutation(n)
     stop = (n // batch_size) * batch_size if mode == "align" else n
-    for start in range(0, stop, batch_size):
-        idx = order[start:start + batch_size]
+    starts = list(range(0, stop, batch_size))
+    if mode == "eval" and n > batch_size > 1 and n % batch_size == 1:
+        del starts[-1]
+    for start, end in zip(starts, starts[1:] + [stop]):
+        idx = order[start:end]
         yield EncodedSplit(
             schema=split.schema,
             ids=split.ids[idx],

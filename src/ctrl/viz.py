@@ -129,8 +129,11 @@ def paired_gap(text: np.ndarray, tab: np.ndarray, batch_size: int = 256):
     text's M sub-representations of the best inner product against the
     tabular ones (maxsim / M). Cosine is that score with M = 1 on unit rows.
 
-    Both sides are tiled at ``batch_size`` rows, so the working set is
-    O(batch_size^2 M^2) whatever N is."""
+    Both sides are tiled at ``batch_size`` rows, and the kernel holds one
+    (batch_size·M, batch_size) block per sub-space at a time, so the
+    working set is O(batch_size^2 M) whatever N is (O(batch_size^2 M^2)
+    for a column tile whose row count is not a multiple of 16, which the
+    kernel takes in one product to keep its bits)."""
     text = np.asarray(text, dtype=np.float64)
     tab = np.asarray(tab, dtype=np.float64)
     if text.shape != tab.shape or text.ndim != 3:

@@ -8,6 +8,8 @@
 - the single-stage training loop as written before it was merged
 - the engine compositions that attention and the maxsim op fused:
   one-direction late interaction and masked attention
+- the late interaction kernel as one product against every sub-space,
+  as written before it took one product per sub-space
 - the pairwise late interaction and cosine scores of one row against one row
 - layer and batch normalization forward passes as written before they
   reused the centered input (numpy's `var` recomputes the mean)
@@ -191,6 +193,17 @@ def maxsim_matrix(subs_a: DTensor, subs_b: DTensor) -> DTensor:
     sims = ad.reshape(sims, (n, m, nb, mb))
     best = max_(sims, axis=3)  # (n, m, nb)
     return ad.sum_(best, axis=1)  # (n, nb)
+
+
+def one_product_late_interaction(a: np.ndarray, b_major: np.ndarray,
+                                 mb: int):
+    """`align.late_interaction` from one (N·M, d)×(d, Mb·Nb) product and a
+    max over the Mb axis of its (N, M, Mb, Nb) similarities. Returns the
+    (N, Nb) scores and the (N, M, Nb) best matches."""
+    n, m, d = a.shape
+    sims = (a.reshape(n * m, d) @ b_major.T).reshape(n, m, mb, -1)
+    best = sims.max(axis=2)
+    return best.sum(axis=1), best
 
 
 def maxsim(subs_i, subs_j) -> DTensor:

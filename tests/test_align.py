@@ -1,4 +1,5 @@
 import csv
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,9 +7,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ctrl.autodiff as ad
+from ctrl import align
 from ctrl.autodiff import DTensor, Tape
 from ctrl.align import (AlignmentModel, SubspaceHead, align_train, infonce,
-                        unit_rows, write_curve)
+                        late_interaction, unit_rows, write_curve)
 from ctrl.align import maxsim as maxsim_op
 from ctrl.data import batches
 from ctrl.exceptions import ShapeError, UsageError
@@ -16,7 +18,8 @@ from ctrl.params import ParamStore, rng_for
 from ctrl.prompt import build_prompt
 
 from helpers import (check_grads, composed_infonce, cosine, cosine_matrix,
-                     evaluate_ccl, maxsim, maxsim_matrix, store_grad_check,
+                     evaluate_ccl, maxsim, maxsim_matrix,
+                     one_product_late_interaction, store_grad_check,
                      tiny_pipeline)
 
 LOG_1P_EXP_NEG1 = 0.31326168751822286  # log(1 + e^-1)
@@ -104,6 +107,79 @@ def test_maxsim_op_gradients_match_finite_differences():
 def test_maxsim_op_shape_check():
     with pytest.raises(ShapeError):
         maxsim_op(DTensor(np.zeros((2, 2, 3))), DTensor(np.zeros((2, 2, 4))))
+
+
+def _tied(a, b):
+    """Small integers, so many inner products tie exactly, and every
+    sub-representation of each row of b equal to its first."""
+    a, b = np.round(a), np.round(b)
+    b[:, 1:] = b[:, :1]
+    return a, b
+
+
+@pytest.mark.parametrize("ties", [False, True])
+@pytest.mark.parametrize("m,mb", [(1, 1), (1, 4), (4, 1), (4, 4)])
+def test_late_interaction_keeps_the_one_product_bits(m, mb, ties):
+    """One product per sub-space where the kernel takes it (Nb a multiple
+    of 16, a block of at least 4,096 entries), one product of every
+    sub-space elsewhere: a partial group of 16 columns, a small block, one
+    row or one column. Either way scores and best matches keep every byte
+    of the one-product kernel."""
+    rng = rng_for(3, "late")
+    for d in (8, 32):
+        for n in (1, 2, 3, 128, 129):
+            for nb in (1, 2, 3, 16, 128, 129):
+                a, b = rng.normal(size=(n, m, d)), rng.normal(size=(nb, mb, d))
+                if ties:
+                    a, b = _tied(a, b)
+                b_major = b.transpose(1, 0, 2).reshape(mb * nb, d)
+                got = late_interaction(a, b_major, mb)
+                want = one_product_late_interaction(a, b_major, mb)
+                assert got[0].shape == (n, nb) and got[1].shape == (n, m, nb)
+                for g, w in zip(got, want):
+                    assert g.tobytes() == w.tobytes(), (d, n, nb)
+
+
+@pytest.mark.parametrize("ties", [False, True])
+def test_maxsim_op_bits_do_not_depend_on_the_products(monkeypatch, ties):
+    """A batch of 128 rows at M = 4 takes one product per sub-space,
+    forward and in the recomputing backward; its scores and adjoints keep
+    the bytes of the one product that small inputs take."""
+    rng = rng_for(4, "late")
+    a, b = rng.normal(size=(128, 4, 8)), rng.normal(size=(128, 4, 8))
+    if ties:
+        a, b = _tied(a, b)
+
+    def run():
+        ta, tb = DTensor(a, requires_grad=True), DTensor(b, requires_grad=True)
+        with Tape() as tape:
+            s_a, s_b = maxsim_op(ta, tb), maxsim_op(tb, ta)
+            tape.backward(_pair_loss(s_a, s_b))
+        return s_a.data, s_b.data, ta.grad, tb.grad
+
+    per_sub_space = run()
+    monkeypatch.setattr(align, "_OWN_PRODUCT_MIN", 2 ** 62)
+    for got, want in zip(per_sub_space, run()):
+        assert got.tobytes() == want.tobytes()
+
+
+def test_a_taped_maxsim_pair_keeps_only_the_best_matches():
+    """Both directions of maxsim and InfoNCE at N = 512, M = 4, d = 32,
+    forward and backward. With the (N, M, Mb, Nb) similarities on the tape
+    the traced heap peaked at 120.1 MiB; with only the (N, M, Nb) best
+    matches, at 56.1 MiB."""
+    rng = rng_for(6, "late")
+    a = DTensor(rng.normal(size=(512, 4, 32)), requires_grad=True)
+    b = DTensor(rng.normal(size=(512, 4, 32)), requires_grad=True)
+    tracemalloc.start()
+    try:
+        with Tape() as tape:
+            tape.backward(ad.add(infonce(maxsim_op(a, b), 0.1),
+                                 infonce(maxsim_op(b, a), 0.1)))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 80 * 2 ** 20, f"traced heap peaked at {peak / 2 ** 20:.1f} MiB"
 
 
 def test_maxsim_self_score_is_m_when_normalized():

@@ -222,6 +222,13 @@ def test_batches_counts_and_modes():
     assert [b.n for b in ev] == [32, 32, 32, 4]
     pos = {id(r): i for i, r in enumerate(split.raw_rows)}
     assert [pos[id(r)] for b in ev for r in b.raw_rows] == list(range(100))
+    # a one-row eval tail joins the batch before it
+    short = encode(rows[:97], fitted)
+    ev = list(batches(short, 32, "eval"))
+    assert [b.n for b in ev] == [32, 32, 33]
+    assert [pos[id(r)] for b in ev for r in b.raw_rows] == list(range(97))
+    assert [b.n for b in batches(short, 32, "train")] == [32, 32, 32, 1]
+    assert [b.n for b in batches(short, 1, "eval")] == [1] * 97
 
 
 def test_batches_deterministic_shuffle():

@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import textwrap
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -70,6 +71,20 @@ def test_shape_mismatch_is_rejected():
         paired_gap(np.zeros((4, 2, 3)), np.zeros((4, 3, 3)))
 
 
+def test_paired_gap_heap_is_a_few_blocks():
+    # 1,024 rows, M = 4, d = 32, tiles of 128 rows: one (512, 512) product
+    # per tile pair peaked at 2.88 MiB, one (512, 128) block per sub-space
+    # at 1.38 MiB
+    text, tab = np.random.default_rng(0).normal(size=(2, 1024, 4, 32))
+    tracemalloc.start()
+    try:
+        paired_gap(text, tab, 128)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * 2 ** 20, f"traced heap peaked at {peak / 2 ** 20:.2f} MiB"
+
+
 CHILD = textwrap.dedent("""
     import resource
 
@@ -99,7 +114,8 @@ CHILD = textwrap.dedent("""
 
 def test_gap_memory_is_bounded_by_the_batch():
     # All pairs of 8,000 rows with M = 2 is a (16000, 16000) float64 matrix,
-    # 2 GB before the max and its masks; tiles of 128 rows need ~0.5 MB.
+    # 2 GB before the max and its masks; tiles of 128 rows need a few
+    # (256, 128) blocks, ~0.25 MB each.
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(TESTS.parent / "src"), str(TESTS)]

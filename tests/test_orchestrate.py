@@ -212,6 +212,7 @@ def test_evaluate_is_deterministic(workdir, tmp_path):
 EVAL_CHILD = textwrap.dedent("""
     import resource
     import sys
+    import tracemalloc
 
     from ctrl.checkpoint import save_checkpoint
     from ctrl.config import ModelConfig, RunConfig
@@ -234,7 +235,12 @@ EVAL_CHILD = textwrap.dedent("""
     report = evaluate_ckpt(prepared, sys.argv[1])
     after = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
     assert report.n_examples == 60000
-    print((after - before) / 1024.0)
+    # set-up's peak RSS can hide the evaluation's; the traced heap cannot
+    tracemalloc.start()
+    evaluate_ckpt(prepared, sys.argv[1])
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    print((after - before) / 1024.0, peak / 1e6)
 """)
 
 
@@ -242,8 +248,9 @@ def test_evaluate_memory_is_bounded_by_the_batch(tmp_path):
     # The perfbench tower (dcn, d = 8, hidden (64, 32), 3 cross layers) on
     # 60,000 rows of 11 fields. Scored in batches of 512 rows, as
     # evaluate_ckpt does, its traced heap peaked at ~5.9 MB (~17.5 MB in
-    # batches of 4,096) and peak RSS stayed at set-up's; one forward pass
-    # over the whole split grew it by ~271 MB (2 vCPUs, numpy 2.4).
+    # batches of 4,096) and peak RSS stayed at set-up's, so the RSS bound
+    # alone reads 0 MB; one forward pass over the whole split grew RSS by
+    # ~271 MB (2 vCPUs, numpy 2.4). The heap bound catches 4,096-row batches.
     tests = Path(__file__).resolve().parent
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
@@ -253,8 +260,9 @@ def test_evaluate_memory_is_bounded_by_the_batch(tmp_path):
                            str(tmp_path / "model.ckpt")], env=env,
                           capture_output=True, text=True, timeout=600)
     assert proc.returncode == 0, proc.stderr
-    growth_mb = float(proc.stdout.strip().splitlines()[-1])
+    growth_mb, heap_mb = map(float, proc.stdout.strip().splitlines()[-1].split())
     assert growth_mb < 100.0, f"peak RSS grew by {growth_mb:.1f} MB"
+    assert heap_mb < 10.0, f"traced heap peaked at {heap_mb:.1f} MB"
 
 
 def test_load_alignment_model_restores_tensors(workdir, tmp_path):

@@ -2,6 +2,7 @@
 config under configs/ loads and prepares a work directory through `ctrl`."""
 
 import importlib.util
+import json
 import os
 import subprocess
 import sys
@@ -33,14 +34,19 @@ def _identity_runs():
     return module
 
 
-@pytest.mark.parametrize("script", ["diff_runs.py", "identity_runs.py"])
+# each script's help names this flag
+HELP_FLAGS = {"diff_runs.py": "--rtol", "identity_runs.py": "--out",
+              "paired_runs.py": "--seeds"}
+
+
+@pytest.mark.parametrize("script", sorted(HELP_FLAGS))
 def test_script_help_exits_zero(script):
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     proc = subprocess.run([sys.executable, str(ROOT / "scripts" / script),
                            "--help"], env=env, capture_output=True, text=True,
                           timeout=60)
     assert proc.returncode == 0, proc.stderr
-    assert ("--rtol" if script == "diff_runs.py" else "--out") in proc.stdout
+    assert HELP_FLAGS[script] in proc.stdout
 
 
 def test_experiment_configs_load_and_prepare(tmp_path):
@@ -81,3 +87,68 @@ def test_identity_runs_record_reports_what_it_changed(tmp_path, monkeypatch,
     assert report == [f"changed: {rel}", "environment unchanged",
                       f"recorded {golden}"]
     assert golden.read_text(encoding="utf-8") == fresh
+
+
+# A stand-in perfbench/run.py: it logs its side and seed to the file beside
+# its checkout, and prints the result line of its checkout's STUB.json.
+STUB_RUN = """\
+import argparse, json, pathlib
+ap = argparse.ArgumentParser()
+for flag in ("--workload", "--seed", "--seconds"):
+    ap.add_argument(flag)
+args = ap.parse_args()
+here = pathlib.Path(__file__).resolve().parent.parent
+with open(here.parent / "order.log", "a") as fh:
+    fh.write(f"{here.name} {args.seed} {args.workload}\\n")
+print("perfbench: environment record")
+print(json.dumps(json.loads((here / "STUB.json").read_text())))
+"""
+
+
+def _stub_checkout(root: Path, name: str, rate: float, correct=True,
+                   failed=0) -> Path:
+    checkout = root / name
+    (checkout / "perfbench").mkdir(parents=True)
+    (checkout / "perfbench" / "run.py").write_text(STUB_RUN)
+    (checkout / "STUB.json").write_text(json.dumps({
+        "correct": correct, "attempted": 3, "failed": failed,
+        "metrics": {"rows_per_s": {"value": rate, "unit": "1/s"},
+                    "peak_rss_mb": {"value": 100.0, "unit": "MB"}}}))
+    return checkout
+
+
+def _paired_runs(*args):
+    return subprocess.run([sys.executable, str(ROOT / "scripts" /
+                                               "paired_runs.py"), *map(str, args)],
+                          capture_output=True, text=True, timeout=60)
+
+
+def test_paired_runs_alternate_sides_and_report_medians(tmp_path):
+    parent = _stub_checkout(tmp_path, "parent", 100.0)
+    change = _stub_checkout(tmp_path, "change", 110.0)
+    proc = _paired_runs(parent, change, "--workload", "gap-score",
+                        "--seeds", "0-2,0-2", "--seconds", "1")
+    assert proc.returncode == 0, proc.stderr
+    order = (tmp_path / "order.log").read_text().split("\n")[:-1]
+    assert order == ["parent 0 gap-score", "change 0 gap-score",
+                     "change 1 gap-score", "parent 1 gap-score",
+                     "parent 2 gap-score", "change 2 gap-score",
+                     "change 0 gap-score", "parent 0 gap-score",
+                     "parent 1 gap-score", "change 1 gap-score",
+                     "change 2 gap-score", "parent 2 gap-score"]
+    out = proc.stdout.splitlines()
+    assert "  rows_per_s: 100 -> 110 (+10.00%)" in out
+    assert "median relative change over 6 pairs" in out
+    assert "  rows_per_s: +10.00% (min +10.00%, max +10.00%)" in out
+    assert "  peak_rss_mb: +0.00% (min +0.00%, max +0.00%)" in out
+
+
+@pytest.mark.parametrize("correct,failed", [(False, 0), (True, 1)])
+def test_paired_runs_refuse_a_run_that_failed(tmp_path, correct, failed):
+    parent = _stub_checkout(tmp_path, "parent", 100.0)
+    change = _stub_checkout(tmp_path, "change", 110.0, correct, failed)
+    proc = _paired_runs(parent, change, "--workload", "finetune",
+                        "--seeds", "0", "--seconds", "1")
+    assert proc.returncode == 1
+    assert f"correct={correct} failed={failed}" in proc.stderr
+    assert "median" not in proc.stdout
