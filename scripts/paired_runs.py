@@ -13,7 +13,9 @@ machine's speed favours neither. A run whose last line reports `correct`
 false or `failed` > 0 stops the script with status 1: its figures measure
 broken work. Each pair's metrics are printed as parent, change and relative
 change, (change - parent) / parent, then each metric's median relative
-change over the pairs.
+change over the pairs, then how many pairs the change won on each metric:
+pairs where it moved the way the parent's `BENCHMARK.json` calls `better`.
+A tie wins nothing; a metric that file does not name shows no count.
 """
 
 import argparse
@@ -62,6 +64,18 @@ def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
     return {name: m["value"] for name, m in result["metrics"].items()}
 
 
+def directions(checkout: Path) -> dict:
+    """+1 for each metric `BENCHMARK.json` in `checkout` calls higher-better,
+    -1 for lower-better, by name; empty without the file."""
+    path = checkout / "BENCHMARK.json"
+    if not path.is_file():
+        return {}
+    bench = json.loads(path.read_text(encoding="utf-8"))
+    return {m["name"]: 1 if m["better"] == "higher" else -1
+            for section in ("end_to_end", "per_layer")
+            for m in bench.get(section, [])}
+
+
 def relative(parent: float, change: float) -> float:
     return (change - parent) / parent if parent else float("nan")
 
@@ -81,7 +95,8 @@ def main(argv=None) -> int:
     if args.seconds <= 0:
         ap.error("--seconds must be > 0")
     checkouts = dict(zip(SIDES, (args.parent, args.change)))
-    changes = {}
+    better = directions(args.parent)
+    changes, wins = {}, {}
     for i, seed in enumerate(args.seeds):
         order = SIDES if i % 2 == 0 else SIDES[::-1]
         try:
@@ -94,12 +109,16 @@ def main(argv=None) -> int:
         for name in sorted(set(got["parent"]) & set(got["change"])):
             p, c = got["parent"][name], got["change"][name]
             changes.setdefault(name, []).append(relative(p, c))
+            wins[name] = wins.get(name, 0) + ((c - p) * better.get(name, 0) > 0)
             print(f"  {name}: {p:.6g} -> {c:.6g} ({relative(p, c):+.2%})",
                   flush=True)
     print(f"median relative change over {len(args.seeds)} pairs")
     for name, values in sorted(changes.items()):
         print(f"  {name}: {statistics.median(values):+.2%} "
               f"(min {min(values):+.2%}, max {max(values):+.2%})")
+    print(f"pairs the change won, of {len(args.seeds)}")
+    for name in sorted(changes):
+        print(f"  {name}: {wins[name] if name in better else '-'}")
     return 0
 
 

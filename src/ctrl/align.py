@@ -59,74 +59,62 @@ _COLUMN_GROUP = 16
 _OWN_PRODUCT_MIN = 4096
 
 
-def _sub_space_products(a2: np.ndarray, b_major: np.ndarray, mb: int,
-                        out: np.ndarray = None):
+def _sub_space_products(a2: np.ndarray, b_major: np.ndarray, mb: int):
     """Yield, for r = 0 .. Mb-1, the (N·M, Nb) inner products of the rows
     of a2 with the other side's r-th sub-representations, each entry the
-    same bits as in the one product a2 @ b_major.T. With `out`, an
-    (N·M, Mb, Nb) array, block r is out[:, r]. Without it, the first block
-    is a new array and the later ones share one buffer."""
+    same bits as in the one product a2 @ b_major.T. The first block is a
+    new array and the later ones share one buffer."""
     rows, nb = len(a2), len(b_major) // mb
     if mb == 1 or nb % _COLUMN_GROUP or rows * nb < _OWN_PRODUCT_MIN:
-        sims = np.matmul(a2, b_major.T, out=None if out is None
-                         else out.reshape(rows, mb * nb))
-        yield from sims.reshape(rows, mb, nb).transpose(1, 0, 2)
+        yield from (a2 @ b_major.T).reshape(rows, mb, nb).transpose(1, 0, 2)
         return
-    if out is None:
-        buf = np.empty((rows, nb))
-        targets = [np.empty((rows, nb))] + [buf] * (mb - 1)
-    else:
-        targets = out.transpose(1, 0, 2)
+    targets = [np.empty((rows, nb))] + [np.empty((rows, nb))] * (mb - 1)
     for r, target in enumerate(targets):
         yield np.matmul(a2, b_major[r * nb:(r + 1) * nb].T, out=target)
 
 
 def late_interaction(a: np.ndarray, b_major: np.ndarray, mb: int):
-    """The maxsim forward kernel on plain arrays. a: (N, M, d); b_major:
+    """The maxsim scores on plain arrays, untaped. a: (N, M, d); b_major:
     (Mb·Nb, d), the other side laid out sub-space-major (row r·Nb + j is its
     row j's r-th sub-representation). Returns the (N, Nb) scores, the sum
-    over M of the best inner product over Mb, and the (N, M, Nb) best
-    matches. It takes one (N·M, d)×(d, Nb) product per sub-space r of the
-    other side and folds each into a running elementwise maximum, in order
-    of r, so its working set is two (N·M, Nb) blocks: it never forms the
-    (N, M, Mb, Nb) similarities."""
+    over M of the best inner product over Mb. It takes one (N·M, d)×(d, Nb)
+    product per sub-space r of the other side and folds each into a running
+    elementwise maximum, in order of r, so its working set is two (N·M, Nb)
+    blocks: it never forms the (N, M, Mb, Nb) similarities."""
     n, m, d = a.shape
     blocks = _sub_space_products(a.reshape(n * m, d), b_major, mb)
     best = next(blocks)
     for block in blocks:
         np.maximum(best, block, out=best)
-    # a view into the one product when the sub-spaces shared it
-    best = np.ascontiguousarray(best.reshape(n, m, -1))
-    return best.sum(axis=1), best
+    return best.reshape(n, m, -1).sum(axis=1)
 
 
 def maxsim(subs_a: DTensor, subs_b: DTensor) -> DTensor:
     """All-pairs late interaction scores of subs_a: (N, M, d) against
-    subs_b: (Nb, Mb, d), (N, Nb) with rows indexed by subs_a. Only the
-    (N, M, Nb) best matches stay on the tape. The backward pass recomputes
-    each sub-space's block into the adjoint's own memory, as FlashAttention
-    recomputes its scores, and routes each adjoint to the first maximal
-    partner, the entry argmax would pick."""
+    subs_b: (Nb, Mb, d), (N, Nb) with rows indexed by subs_a, the bits of
+    `late_interaction`. Only the index of the first sub-space reaching each
+    best match, the one argmax picks, stays on the tape (in the narrowest
+    dtype that holds Mb - 1); the backward takes two products on it."""
     n, m, d = subs_a.shape
     nb, mb, db = subs_b.shape
     if d != db:
         raise ShapeError("sub-representation widths differ")
     a2 = subs_a.data.reshape(n * m, d)
     b_major = subs_b.data.transpose(1, 0, 2).reshape(mb * nb, d)
-    scores, best = late_interaction(subs_a.data, b_major, mb)
+    blocks = _sub_space_products(a2, b_major, mb)
+    best = next(blocks)
+    first = np.zeros(best.shape, dtype=np.min_scalar_type(mb - 1))
+    gain = np.empty(best.shape, dtype=bool)
+    for r, block in enumerate(blocks, 1):
+        np.greater(block, best, out=gain)
+        np.maximum(best, block, out=best)
+        # r only grows, so the latest gain holds the first maximal index
+        np.maximum(first, gain * first.dtype.type(r), out=first)
+    scores = best.reshape(n, m, nb).sum(axis=1)
 
     def bwd(g):
-        gs = np.empty((n * m, mb, nb))
-        g = g[:, None, :]
-        free = np.ones(best.shape, dtype=bool)
-        blocks = _sub_space_products(a2, b_major, mb, out=gs)
-        for r, block in enumerate(blocks):
-            hit = block.reshape(best.shape) == best
-            hit &= free
-            free ^= hit
-            # block r's memory: it is not read again
-            np.multiply(g, hit, out=gs.reshape(n, m, mb, nb)[:, :, r])
-        gs = gs.reshape(n * m, mb * nb)
+        hit = first.reshape(n, m, 1, nb) == np.arange(mb)[:, None]
+        gs = (g[:, None, None, :] * hit).reshape(n * m, mb * nb)
         gb = (gs.T @ a2).reshape(mb, nb, d)
         return (gs @ b_major).reshape(n, m, d), gb.transpose(1, 0, 2)
 

@@ -52,13 +52,15 @@ def write_csv(path, header, rows) -> None:
 @contextmanager
 def reading(path):
     """Yield `path` open for reading as UTF-8 text, with newlines left as
-    they are (what `csv` needs). A file that cannot be opened or read raises
-    DataError naming it."""
+    they are (what `csv` needs). A file that cannot be opened or read, or
+    that is not UTF-8, raises DataError naming it."""
     try:
         with open(path, "r", encoding="utf-8", newline="") as fh:
             yield fh
     except OSError as e:
         raise DataError(f"cannot read {path}: {e.strerror}") from e
+    except UnicodeDecodeError as e:
+        raise DataError(f"{path}: not valid UTF-8: {e}") from e
 
 
 def read_json(path):
@@ -66,5 +68,5 @@ def read_json(path):
     try:
         with reading(path) as fh:
             return json.load(fh)
-    except (json.JSONDecodeError, UnicodeDecodeError) as e:
+    except json.JSONDecodeError as e:
         raise DataError(f"{path}: not valid JSON: {e}") from e

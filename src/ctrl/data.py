@@ -109,6 +109,14 @@ class FeatureSchema:
                           vocab=fd.get("vocab"))
                 for fd in d["fields"]
             )
+            for f in fields:  # a JSON object's keys are always strings
+                ids = (list(f.vocab.values()) if isinstance(f.vocab, dict)
+                       else [0])
+                if f.vocab is not None and (
+                        any(type(i) is not int for i in ids)
+                        or sorted(ids) != list(range(1, len(ids) + 1))):
+                    raise DataError(f"field '{f.name}': vocab must give each "
+                                    "value its own id from 1 to its size")
             return FeatureSchema(fields=fields,
                                  max_seq_len=d.get("max_seq_len", DEFAULT_MAX_SEQ_LEN))
         except (KeyError, TypeError) as e:

@@ -146,7 +146,7 @@ def paired_gap(text: np.ndarray, tab: np.ndarray, batch_size: int = 256):
         # sub-space-major, as late_interaction takes it, once per column tile
         cols = tab[j0:j0 + batch_size].transpose(1, 0, 2).reshape(-1, d)
         for i0 in range(0, n, batch_size):
-            s = late_interaction(text[i0:i0 + batch_size], cols, m)[0] / m
+            s = late_interaction(text[i0:i0 + batch_size], cols, m) / m
             total += s.sum()
             if i0 == j0:
                 trace += np.trace(s)

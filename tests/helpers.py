@@ -199,11 +199,10 @@ def one_product_late_interaction(a: np.ndarray, b_major: np.ndarray,
                                  mb: int):
     """`align.late_interaction` from one (N·M, d)×(d, Mb·Nb) product and a
     max over the Mb axis of its (N, M, Mb, Nb) similarities. Returns the
-    (N, Nb) scores and the (N, M, Nb) best matches."""
+    (N, Nb) scores."""
     n, m, d = a.shape
     sims = (a.reshape(n * m, d) @ b_major.T).reshape(n, m, mb, -1)
-    best = sims.max(axis=2)
-    return best.sum(axis=1), best
+    return sims.max(axis=2).sum(axis=1)
 
 
 def maxsim(subs_i, subs_j) -> DTensor:

@@ -529,6 +529,61 @@ def test_a_schema_that_parses_but_is_invalid_exits_2_naming_it(
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("fault", ["list", "shifted"])
+def test_a_schema_vocab_that_is_not_the_ids_from_1_exits_2_naming_it(
+        workdir, tmp_path, capsys, fault):
+    """A list `vocab` crashed `prepare` with an AttributeError; ids shifted
+    by 1,000 passed `prepare` and crashed `finetune` with a ShapeError."""
+    _, data, run = workdir
+    _copy(run, tmp_path, PREPARED)
+    path = tmp_path / "schema.json"
+    schema = json.loads(path.read_text(encoding="utf-8"))
+    vocab = schema["fields"][0]["vocab"]
+    schema["fields"][0]["vocab"] = (
+        sorted(vocab) if fault == "list"
+        else {v: i + 1000 for v, i in vocab.items()})
+    path.write_text(json.dumps(schema), encoding="utf-8")
+    capsys.readouterr()
+    assert main(["prepare", "--data", str(data / "data.csv"),
+                 "--schema", str(path), "--out", str(tmp_path / "out")]) == 2
+    assert main(["finetune", "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 2, err
+    for line in err:
+        assert line.startswith(f"error: {path}: "), line
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["prepare", "evaluate", "project2d"])
+def test_a_file_that_is_not_utf8_exits_2_naming_it(workdir, tmp_path, capsys,
+                                                   command):
+    """Each command exited 1 with a UnicodeDecodeError traceback."""
+    _, data, run = workdir
+    if command == "prepare":
+        _copy(data, tmp_path, ("data.csv",))
+        bad = tmp_path / "data.csv"
+        argv = ["prepare", "--data", str(bad),
+                "--schema", str(data / "schema.json"),
+                "--out", str(tmp_path / "out")]
+    elif command == "evaluate":
+        _copy(run, tmp_path, PREPARED)
+        bad = tmp_path / "test.csv"
+        argv = ["evaluate", "--out", str(tmp_path)]
+    else:
+        bad = tmp_path / "embeddings.csv"
+        bad.write_text("row_id,modality,v0\n0,tab,0.5\n0,text,0.25\n",
+                       encoding="utf-8")
+        argv = ["project2d", "--embeddings", str(bad)]
+    # the last cell's last character becomes a byte UTF-8 never starts with
+    bad.write_bytes(bad.read_bytes()[:-2] + b"\xff\n")
+    capsys.readouterr()
+    assert main(argv) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1, err
+    assert err[0].startswith(f"error: {bad}: not valid UTF-8"), err
+    assert not (tmp_path / "out").exists()
+
+
 def test_malformed_embedding_dump_exits_2(tmp_path, capsys):
     dump = tmp_path / "embeddings.csv"
     dump.write_text("row_id,modality,v0,v1\n0,tab,0.5,nan?\n",

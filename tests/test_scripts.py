@@ -105,15 +105,27 @@ print(json.dumps(json.loads((here / "STUB.json").read_text())))
 """
 
 
+# the stand-in benchmark declaration; setup_s is a metric no run reports,
+# and traced.calls one it does not name
+STUB_BENCHMARK = {
+    "end_to_end": [{"name": "rows_per_s", "better": "higher"},
+                   {"name": "peak_rss_mb", "better": "lower"},
+                   {"name": "setup_s", "better": "lower"}],
+    "per_layer": [{"name": "step.p50_ms", "better": "lower"}]}
+
+
 def _stub_checkout(root: Path, name: str, rate: float, correct=True,
-                   failed=0) -> Path:
+                   failed=0, rss=100.0) -> Path:
     checkout = root / name
     (checkout / "perfbench").mkdir(parents=True)
     (checkout / "perfbench" / "run.py").write_text(STUB_RUN)
+    (checkout / "BENCHMARK.json").write_text(json.dumps(STUB_BENCHMARK))
     (checkout / "STUB.json").write_text(json.dumps({
         "correct": correct, "attempted": 3, "failed": failed,
         "metrics": {"rows_per_s": {"value": rate, "unit": "1/s"},
-                    "peak_rss_mb": {"value": 100.0, "unit": "MB"}}}))
+                    "peak_rss_mb": {"value": rss, "unit": "MB"},
+                    "step.p50_ms": {"value": 1000.0 / rate, "unit": "ms"},
+                    "traced.calls": {"value": rate, "unit": "count"}}}))
     return checkout
 
 
@@ -141,6 +153,28 @@ def test_paired_runs_alternate_sides_and_report_medians(tmp_path):
     assert "median relative change over 6 pairs" in out
     assert "  rows_per_s: +10.00% (min +10.00%, max +10.00%)" in out
     assert "  peak_rss_mb: +0.00% (min +0.00%, max +0.00%)" in out
+
+
+def test_paired_runs_count_the_pairs_the_change_won(tmp_path):
+    """Each metric's direction comes from the parent's BENCHMARK.json,
+    which is read and left as it was; a tie wins nothing, and a metric the
+    file does not name gets no count."""
+    parent = _stub_checkout(tmp_path, "parent", 100.0)
+    change = _stub_checkout(tmp_path, "change", 90.0, rss=80.0)
+    declared = (parent / "BENCHMARK.json").read_bytes()
+    proc = _paired_runs(parent, change, "--workload", "gap-score",
+                        "--seeds", "0-2", "--seconds", "1")
+    assert proc.returncode == 0, proc.stderr
+    out = proc.stdout.splitlines()
+    counts = out[out.index("pairs the change won, of 3") + 1:]
+    assert counts == ["  peak_rss_mb: 3", "  rows_per_s: 0",
+                      "  step.p50_ms: 0", "  traced.calls: -"]
+    tied = _paired_runs(parent, parent, "--workload", "gap-score",
+                        "--seeds", "0", "--seconds", "1").stdout.splitlines()
+    assert tied[tied.index("pairs the change won, of 1") + 1:] == [
+        "  peak_rss_mb: 0", "  rows_per_s: 0", "  step.p50_ms: 0",
+        "  traced.calls: -"]
+    assert (parent / "BENCHMARK.json").read_bytes() == declared
 
 
 @pytest.mark.parametrize("correct,failed", [(False, 0), (True, 1)])
