@@ -65,8 +65,8 @@ class FeatureSchema:
             raise UsageError("schema needs at least one user-side field")
         if not any(f.side == "item" for f in self.fields):
             raise UsageError("schema needs at least one item-side field")
-        if self.max_seq_len < 1:
-            raise UsageError("max_seq_len must be >= 1")
+        if type(self.max_seq_len) is not int or self.max_seq_len < 1:
+            raise UsageError("max_seq_len must be an integer >= 1")
 
     @property
     def widths(self) -> tuple:
@@ -236,6 +236,14 @@ class EncodedSplit:
     def n(self) -> int:
         return int(self.labels.shape[0])
 
+    def take(self, rows) -> "EncodedSplit":
+        """The split of `rows`, a slice (its arrays are views) or an int
+        index array (copies), in that order."""
+        raw = (self.raw_rows[rows] if isinstance(rows, slice)
+               else [self.raw_rows[i] for i in rows.tolist()])
+        return EncodedSplit(self.schema, self.ids[rows], self.valid[rows],
+                            self.labels[rows], raw)
+
 
 def encode(rows, schema: FeatureSchema) -> EncodedSplit:
     if not schema.fitted:
@@ -292,13 +300,23 @@ def epoch_seed(seed: int, epoch: int) -> int:
     return seed * 1_000_003 + epoch
 
 
+def row_tiles(n: int, size: int) -> list:
+    """Slices of `size` rows over range(n), none when n = 0. A one-row
+    remainder joins the tile before it: numpy runs a one-row matmul as a
+    matrix-vector product, whose bits differ from the same row's in a
+    larger product."""
+    starts = list(range(0, n, size))
+    if n > size > 1 and n % size == 1:
+        del starts[-1]
+    return [slice(a, b) for a, b in zip(starts, starts[1:] + [n])]
+
+
 def batches(split: EncodedSplit, batch_size: int, mode: str,
             seed: int = 0) -> Iterator[EncodedSplit]:
     """Yield each batch as an EncodedSplit of its rows. align: shuffled,
     partial tail dropped (keeps the in-batch negative count constant). train:
-    shuffled, tail kept. eval: original order, and a one-row tail joins the
-    batch before it: a one-row matmul is a matrix-vector product in numpy,
-    whose bits differ from the same row's in a larger product."""
+    shuffled, tail kept. eval: the `row_tiles` of the split in order, as
+    views."""
     if mode not in BATCH_MODES:
         raise UsageError(f"unknown batch mode '{mode}'")
     if batch_size < 1:
@@ -306,20 +324,10 @@ def batches(split: EncodedSplit, batch_size: int, mode: str,
     if mode == "align" and batch_size < 2:
         raise UsageError("alignment batches need batch_size >= 2 "
                          "(in-batch negatives require at least one other row)")
-    n = split.n
-    order = np.arange(n)
-    if mode in ("align", "train"):
-        order = rng_for(seed, f"batches:{mode}").permutation(n)
-    stop = (n // batch_size) * batch_size if mode == "align" else n
-    starts = list(range(0, stop, batch_size))
-    if mode == "eval" and n > batch_size > 1 and n % batch_size == 1:
-        del starts[-1]
-    for start, end in zip(starts, starts[1:] + [stop]):
-        idx = order[start:end]
-        yield EncodedSplit(
-            schema=split.schema,
-            ids=split.ids[idx],
-            valid=split.valid[idx],
-            labels=split.labels[idx],
-            raw_rows=[split.raw_rows[i] for i in idx.tolist()],
-        )
+    if mode == "eval":
+        yield from map(split.take, row_tiles(split.n, batch_size))
+        return
+    order = rng_for(seed, f"batches:{mode}").permutation(split.n)
+    stop = split.n - split.n % batch_size if mode == "align" else split.n
+    for start in range(0, stop, batch_size):
+        yield split.take(order[start:start + batch_size])

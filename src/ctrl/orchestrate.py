@@ -309,11 +309,8 @@ def _sweep_cell(prepared: Prepared, cell_dir: str, cfg_dict: dict,
     cfg = RunConfig.from_dict(cfg_dict)
     cfg = replace(cfg, align=replace(cfg.align, temperature=tau,
                                      batch_size=batch))
-    cell = Path(cell_dir)
-    align_stage(prepared, cfg, cell)
-    finetune_stage(prepared, cfg, cell, init_ckpt=cell / "align.ckpt")
-    report = evaluate_ckpt(prepared, cell / "model.ckpt",
-                           report_path=cell / "report.json")
+    arm = "ctrl" if cfg.align.similarity == "maxsim" else "cosine_sim"
+    report = run_arm(arm, prepared, cfg, cell_dir)
     return {"tau": tau, "batch": batch,
             "auc": report.auc, "logloss": report.logloss}
 

@@ -18,7 +18,7 @@ import numpy as np
 from . import autodiff as ad
 from .align import late_interaction
 from .artifacts import reading, write_csv
-from .data import EncodedSplit, batches
+from .data import EncodedSplit, batches, row_tiles
 from .exceptions import DataError, NumericError, UsageError
 from .prompt import build_prompt
 
@@ -31,22 +31,14 @@ from .prompt import build_prompt
 _TILE_ROWS = 64
 
 
-def _row_tiles(n: int) -> list:
-    """Slices of _TILE_ROWS rows over range(n). A one-row remainder joins
-    the tile before it: a one-row matmul is a matrix-vector product in
-    numpy, whose bits differ from the same row's in a larger product."""
-    starts = list(range(0, n - 1, _TILE_ROWS)) or [0]
-    return [slice(a, b) for a, b in zip(starts, starts[1:] + [n])]
-
-
 def tower_representations(model, split: EncodedSplit, tokenizer,
                           batch_size: int = 256):
     """Projected representations for every row: (h_text (N, D), h_tab (N, D)).
 
-    Prompts are rendered and encoded a batch of ``batch_size`` rows at a
-    time; the towers run untaped on tiles of `_TILE_ROWS` rows of each
-    batch, written in place into the outputs, so their working set is a
-    tile's whatever the batch size. A row's bits do not depend on the tile."""
+    Prompts are rendered and encoded an eval batch at a time; the towers
+    run untaped on each batch's `row_tiles` of `_TILE_ROWS` rows, written
+    in place into the outputs, so their working set is a tile's whatever
+    the batch size, and a row's bits do not depend on the tile."""
     shape = (split.n, model.cfg.align.d_proj)
     h_text, h_tab = np.empty(shape), np.empty(shape)
     start = 0
@@ -54,11 +46,9 @@ def tower_representations(model, split: EncodedSplit, tokenizer,
         prompts = [build_prompt(r, model.collab.schema, model.template)
                    for r in batch.raw_rows]
         ids, mask = tokenizer.encode_batch(prompts)
-        for t in _row_tiles(batch.n):
-            tile = EncodedSplit(batch.schema, batch.ids[t], batch.valid[t],
-                                batch.labels[t], batch.raw_rows[t])
+        for t in row_tiles(batch.n, _TILE_ROWS):
             text, tab = ad.run_pass(lambda: model.projected(
-                tile, ids[t], mask[t], train=False))
+                batch.take(t), ids[t], mask[t], train=False))
             rows = slice(start + t.start, start + t.stop)
             h_text[rows], h_tab[rows] = text.data, tab.data
         start += batch.n
@@ -104,14 +94,14 @@ def read_embeddings(path):
 
 def head_gap(model, h_text, h_tab, batch_size: int = 256):
     """`paired_gap` of projected (N, D) representations, scored through the
-    model's own sub-space heads. The heads run on tiles of `_TILE_ROWS`
-    rows, written in place into the (N, M, d) sub-representations."""
+    model's own sub-space heads, run on `row_tiles` of `_TILE_ROWS` rows
+    written in place into the (N, M, d) sub-representations."""
     m = model.cfg.align.m_subspaces
     d = model.cfg.align.d_proj // m
 
     def subs(head, h):
         out = np.empty((len(h), m, d))
-        for t in _row_tiles(len(h)):
+        for t in row_tiles(len(h), _TILE_ROWS):
             out[t] = head(ad.DTensor(h[t])).data
         return out
 

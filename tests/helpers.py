@@ -22,6 +22,8 @@
   `ctrl.autodiff` as they were: sub, exp, log, mean, max (first maximum
   takes a tie) and logsumexp composed from them
 - a schema's field by name
+- the two row-range cuts that `data.row_tiles` replaced: eval-mode
+  `batches` and viz's tiles, each as written before
 - the field embeddings as one lookup per field and a taped masked mean per
   sequence field, binary cross entropy and InfoNCE composed from taped
   primitives, and AdamW updating one parameter at a time, each as written
@@ -450,6 +452,22 @@ def field(schema, name: str):
         if f.name == name:
             return f
     raise KeyError(name)
+
+
+def eval_batch_cut(n: int, size: int) -> list:
+    """Row ranges of eval-mode `data.batches` before `data.row_tiles`: the
+    batch starts, less the last one when it would hold a single row."""
+    starts = list(range(0, n, size))
+    if n > size > 1 and n % size == 1:
+        del starts[-1]
+    return [slice(a, b) for a, b in zip(starts, starts[1:] + [n])]
+
+
+def viz_tile_cut(n: int, size: int) -> list:
+    """Row ranges of viz's tiles before `data.row_tiles`: starts short of
+    the last row, or one tile of all n."""
+    starts = list(range(0, n - 1, size)) or [0]
+    return [slice(a, b) for a, b in zip(starts, starts[1:] + [n])]
 
 
 def columns(schema) -> list:

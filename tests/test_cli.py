@@ -554,6 +554,24 @@ def test_a_schema_vocab_that_is_not_the_ids_from_1_exits_2_naming_it(
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("value", [2.5, True])
+def test_a_max_seq_len_that_is_not_an_int_exits_2_naming_the_schema(
+        workdir, tmp_path, capsys, value):
+    """2.5 crashed `prepare` with a TypeError from `encode`; true was taken
+    as 1 and written back into the prepared schema."""
+    _, data, _ = workdir
+    path = tmp_path / "schema.json"
+    schema = json.loads((data / "schema.json").read_text(encoding="utf-8"))
+    schema["max_seq_len"] = value
+    path.write_text(json.dumps(schema), encoding="utf-8")
+    capsys.readouterr()
+    assert main(["prepare", "--data", str(data / "data.csv"),
+                 "--schema", str(path), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"error: {path}: "), err
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("command", ["prepare", "evaluate", "project2d"])
 def test_a_file_that_is_not_utf8_exits_2_naming_it(workdir, tmp_path, capsys,
                                                    command):

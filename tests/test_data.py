@@ -1,18 +1,23 @@
+import ast
 import json
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import ctrl
 from ctrl.data import (EncodedSplit, FeatureSchema, FieldSpec, batches,
                        build_vocab, canonical_schema_json, encode, load_schema,
-                       prepare_splits, read_csv_rows, save_schema, schema_hash,
-                       split_by_time, split_cell)
+                       prepare_splits, read_csv_rows, row_tiles, save_schema,
+                       schema_hash, split_by_time, split_cell)
 from ctrl.exceptions import DataError, UsageError
 
-from helpers import field, field_ids
+from helpers import eval_batch_cut, field, field_ids, viz_tile_cut
+
+SRC = Path(ctrl.__file__).parent
 
 
 def movie_schema(max_seq_len=10):
@@ -254,6 +259,67 @@ def test_batches_align_requires_two():
         next(batches(split, 1, "align"))
     with pytest.raises(UsageError):
         next(batches(split, 4, "nope"))
+
+
+@pytest.mark.parametrize("size", [1, 2, 3, 4, 8, 64, 128, 512])
+def test_row_tiles_cut_as_the_two_cuts_they_replace(size):
+    for n in range(301):
+        tiles = row_tiles(n, size)
+        assert tiles == eval_batch_cut(n, size), n
+        # viz cut no empty array, and no tiles of one row
+        if n and size > 1:
+            assert tiles == viz_tile_cut(n, size), n
+        assert [i for t in tiles for i in range(n)[t]] == list(range(n))
+        one_row = [t for t in tiles if t.stop - t.start == 1]
+        assert one_row == (tiles if size == 1 or n == 1 else [])
+
+
+@pytest.mark.parametrize("rows", [slice(3, 11), slice(19, 20),
+                                  np.array([7, 0, 19, 7, 4]),
+                                  np.array([], dtype=np.int64)])
+def test_take_is_the_hand_built_split_of_its_rows(rows):
+    split = encode(tiny_rows(20), build_vocab(tiny_rows(20), movie_schema()))
+    idx = np.arange(split.n)[rows]
+    got = split.take(rows)
+    assert got.schema is split.schema and got.n == len(idx)
+    for name in ("ids", "valid", "labels"):
+        want = getattr(split, name)[idx]
+        assert getattr(got, name).dtype == want.dtype
+        assert np.array_equal(getattr(got, name), want)
+    assert len(got.raw_rows) == len(idx)
+    assert all(a is split.raw_rows[i] for a, i in zip(got.raw_rows, idx))
+    # a slice's arrays are views, as eval batches and viz's tiles need
+    assert np.shares_memory(got.ids, split.ids) == (
+        isinstance(rows, slice))
+
+
+def _encoded_split_calls(path: Path) -> list:
+    """(file, enclosing function) of each `EncodedSplit(...)` call."""
+    sites = []
+
+    def visit(node, where):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, child.name)
+                continue
+            if isinstance(child, ast.Call):
+                f = child.func
+                if getattr(f, "id", getattr(f, "attr", None)) == "EncodedSplit":
+                    sites.append((path.name, where))
+            visit(child, where)
+
+    visit(ast.parse(path.read_text(encoding="utf-8")), None)
+    return sites
+
+
+def test_only_encode_and_take_build_an_encoded_split():
+    sites = [s for p in sorted(SRC.glob("*.py"))
+             for s in _encoded_split_calls(p)]
+    assert sorted(sites) == [("data.py", "encode"), ("data.py", "take")]
+    # and no other module cuts its own row ranges
+    viz = ast.parse((SRC / "viz.py").read_text(encoding="utf-8"))
+    assert [f.name for f in ast.walk(viz)
+            if isinstance(f, ast.FunctionDef) and "tile" in f.name] == []
 
 
 def test_read_csv_rows_errors(tmp_path):
