@@ -13,9 +13,11 @@ machine's speed favours neither. A run whose last line reports `correct`
 false or `failed` > 0 stops the script with status 1: its figures measure
 broken work. Each pair's metrics are printed as parent, change and relative
 change, (change - parent) / parent, then each metric's median relative
-change over the pairs, then how many pairs the change won on each metric:
-pairs where it moved the way the parent's `BENCHMARK.json` calls `better`.
-A tie wins nothing; a metric that file does not name shows no count.
+change over the pairs, then each side's median and interquartile range
+(Q1 to Q3, the inclusive quartiles of `statistics.quantiles`) over the
+pairs, then how many pairs the change won on each metric: pairs where it
+moved the way the parent's `BENCHMARK.json` calls `better`. A tie wins
+nothing; a metric that file does not name shows no count.
 """
 
 import argparse
@@ -80,6 +82,13 @@ def relative(parent: float, change: float) -> float:
     return (change - parent) / parent if parent else float("nan")
 
 
+def spread(values: list) -> str:
+    """`median (IQR q1 to q3)` of one side's values of a metric."""
+    q1, _, q3 = (statistics.quantiles(values, n=4, method="inclusive")
+                 if len(values) > 1 else values * 3)
+    return f"{statistics.median(values):.6g} (IQR {q1:.6g} to {q3:.6g})"
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("parent", type=Path, help="the parent's checkout")
@@ -96,7 +105,7 @@ def main(argv=None) -> int:
         ap.error("--seconds must be > 0")
     checkouts = dict(zip(SIDES, (args.parent, args.change)))
     better = directions(args.parent)
-    changes, wins = {}, {}
+    changes, wins, seen = {}, {}, {side: {} for side in SIDES}
     for i, seed in enumerate(args.seeds):
         order = SIDES if i % 2 == 0 else SIDES[::-1]
         try:
@@ -109,6 +118,8 @@ def main(argv=None) -> int:
         for name in sorted(set(got["parent"]) & set(got["change"])):
             p, c = got["parent"][name], got["change"][name]
             changes.setdefault(name, []).append(relative(p, c))
+            for side in SIDES:
+                seen[side].setdefault(name, []).append(got[side][name])
             wins[name] = wins.get(name, 0) + ((c - p) * better.get(name, 0) > 0)
             print(f"  {name}: {p:.6g} -> {c:.6g} ({relative(p, c):+.2%})",
                   flush=True)
@@ -116,6 +127,11 @@ def main(argv=None) -> int:
     for name, values in sorted(changes.items()):
         print(f"  {name}: {statistics.median(values):+.2%} "
               f"(min {min(values):+.2%}, max {max(values):+.2%})")
+    print(f"median and interquartile range of each side over "
+          f"{len(args.seeds)} pairs")
+    for name in sorted(changes):
+        print(f"  {name}: parent {spread(seen['parent'][name])}; "
+              f"change {spread(seen['change'][name])}")
     print(f"pairs the change won, of {len(args.seeds)}")
     for name in sorted(changes):
         print(f"  {name}: {wins[name] if name in better else '-'}")

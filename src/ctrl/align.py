@@ -24,7 +24,7 @@ from .config import AlignConfig, RunConfig
 from .data import EncodedSplit, batches, epoch_seed
 from .encoders import CollaborativeEncoder, Linear, TextEncoder
 from .exceptions import NumericError, ShapeError, UsageError
-from .optim import AdamW, WarmupSchedule
+from .optim import AdamW
 from .params import ParamStore, rng_for
 from .prompt import Tokenizer, build_prompt, template_from
 
@@ -239,7 +239,6 @@ def align_train(model: AlignmentModel, split: EncodedSplit,
     all heads. On a non-finite loss the last good parameter state is restored
     and training stops."""
     store = model.store
-    sched = WarmupSchedule(cfg.start_lr, cfg.peak_lr, cfg.warmup_steps)
     opt = AdamW(store, weight_decay=cfg.weight_decay)
     drop_rng = rng_for(seed, "align.dropout")
     curve = []
@@ -252,7 +251,7 @@ def align_train(model: AlignmentModel, split: EncodedSplit,
             prompts = [build_prompt(r, model.collab.schema, model.template)
                        for r in batch.raw_rows]
             ids, mask = tokenizer.encode_batch(prompts)
-            lr = sched.lr_at(step)
+            lr = cfg.lr_at(step)
             # a state is only known good once its forward pass came out finite
             pre_step = store.snapshot()
             try:

@@ -1,7 +1,7 @@
 """Artifact I/O. Every file the package writes goes through `replacing`, so an
-artifact is its previous version or complete, never truncated; every file it
-reads as text is opened through `reading`. Text is UTF-8 with "\\n" line
-ends."""
+artifact is its previous version or complete, never truncated, and its
+directory is made on the way; every file it reads as text is opened through
+`reading`. Text is UTF-8 with "\\n" line ends."""
 
 import csv
 import json
@@ -9,7 +9,7 @@ import os
 import secrets
 from contextlib import contextmanager
 
-from .exceptions import DataError
+from .exceptions import DataError, UsageError
 
 
 @contextmanager
@@ -18,13 +18,21 @@ def replacing(path, binary: bool = False):
     ends normally. On an exception the file is deleted and the exception
     re-raised; `path` is left as it was. Nothing is fsynced. The file is
     created as `open(path, "w")` would create it, so the umask sets its mode
-    bits."""
+    bits. Missing parent directories are made first; a path that cannot be
+    made or opened raises UsageError naming it."""
     head, name = os.path.split(os.fspath(path))
     # unique per process and per call, so concurrent writers never share one
     tmp = os.path.join(head,
                        f".{name}.{os.getpid()}.{secrets.token_hex(4)}.tmp")
-    fh = (open(tmp, "xb") if binary
-          else open(tmp, "x", encoding="utf-8", newline=""))
+    try:
+        os.makedirs(head or os.curdir, exist_ok=True)
+        fh = (open(tmp, "xb") if binary
+              else open(tmp, "x", encoding="utf-8", newline=""))
+    except FileExistsError as e:  # a file stands where a directory must be
+        raise UsageError(f"cannot write {path}: {e.filename} is not a "
+                         "directory") from e
+    except OSError as e:
+        raise UsageError(f"cannot write {path}: {e.strerror}") from e
     try:
         with fh:
             yield fh

@@ -9,8 +9,9 @@ Subcommands operate on a working directory created by `prepare` (or
     ctrl finetune --out run/ --init run/align.ckpt
     ctrl evaluate --out run/
 
-Exit codes: 0 success, 1 bad usage, 2 unreadable/invalid data or
-checkpoint, 3 numeric failure (non-finite loss).
+Exit codes: 0 success, 1 bad usage or an output path that cannot be
+written, 2 unreadable/invalid data or checkpoint, 3 numeric failure
+(non-finite loss).
 """
 
 from __future__ import annotations
@@ -24,8 +25,8 @@ from pathlib import Path
 from .artifacts import write_json
 from .config import BACKBONES, PROMPT_VARIANTS, SIMILARITIES, RunConfig, load_config
 from .data import load_schema, read_csv_rows, save_schema, write_csv_rows
-from .exceptions import (CheckpointError, DataError, NumericError, UsageError)
-from .orchestrate import (ARM_NAMES, align_stage, evaluate_ckpt,
+from .exceptions import DataError, NumericError, UsageError
+from .orchestrate import (ARM_NAMES, SPLIT_FILES, align_stage, evaluate_ckpt,
                           end_to_end_stage, finetune_stage,
                           load_alignment_model, load_prepared,
                           prepare_workdir, run_ablation, run_sweep)
@@ -92,8 +93,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--out", required=True, help="prepared working directory")
     sp.add_argument("--ckpt", default=None,
                     help="checkpoint path (default: OUT/model.ckpt)")
-    sp.add_argument("--split", choices=("train", "val", "test"),
-                    default="test")
+    sp.add_argument("--split", choices=SPLIT_FILES, default="test")
 
     sp = sub.add_parser("ablate", help="run arms and compare against the "
                                        "no-alignment baseline")
@@ -118,8 +118,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--out", required=True, help="prepared working directory")
     sp.add_argument("--ckpt", default=None,
                     help="stage-1 checkpoint (default: OUT/align.ckpt)")
-    sp.add_argument("--split", choices=("train", "val", "test"),
-                    default="test")
+    sp.add_argument("--split", choices=SPLIT_FILES, default="test")
     sp.add_argument("--dest", default=None,
                     help="output CSV (default: OUT/embeddings.csv)")
 
@@ -271,7 +270,6 @@ def cmd_gen_synthetic(args) -> int:
                          history_len=args.history)
     rows, schema, meta = generate(spec)
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     write_csv_rows(rows, schema, out / "data.csv")
     save_schema(schema, out / "schema.json")
     write_json(out / "meta.json", json.dumps(meta, sort_keys=True))
@@ -306,7 +304,7 @@ def main(argv=None) -> int:
     except UsageError as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
-    except (DataError, CheckpointError) as e:
+    except DataError as e:  # CheckpointError included
         print(f"error: {e}", file=sys.stderr)
         return 2
     except NumericError as e:

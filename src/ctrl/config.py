@@ -103,6 +103,16 @@ class AlignConfig:
         if self.weight_decay < 0:
             raise UsageError("weight_decay must be >= 0")
 
+    def lr_at(self, step: int) -> float:
+        """Stage 1's learning rate at `step`: a linear ramp from start_lr to
+        peak_lr over warmup_steps, then flat at peak_lr."""
+        if step < 0:
+            raise UsageError(f"step must be non-negative, got {step}")
+        if self.warmup_steps == 0 or step >= self.warmup_steps:
+            return self.peak_lr
+        frac = step / self.warmup_steps
+        return self.start_lr + (self.peak_lr - self.start_lr) * frac
+
 
 @dataclass(frozen=True)
 class FinetuneConfig:

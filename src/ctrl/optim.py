@@ -1,4 +1,4 @@
-"""AdamW with decoupled weight decay, plus the linear warm-up schedule.
+"""AdamW with decoupled weight decay.
 
 Plain Adam is AdamW with weight_decay=0; the fine-tuning stage uses it
 that way. The moments are flat vectors over the parameters in sorted name
@@ -9,7 +9,6 @@ successor tensors are read-only views of the step's new flat array.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -23,31 +22,6 @@ from .params import ParamStore
 _BETA1 = 0.9
 _BETA2 = 0.999
 _EPS = 1e-8
-
-
-@dataclass(frozen=True)
-class WarmupSchedule:
-    """Linear ramp from start_lr to peak_lr over warmup_steps, then flat."""
-
-    start_lr: float
-    peak_lr: float
-    warmup_steps: int
-
-    def __post_init__(self):
-        if self.start_lr < 0 or self.peak_lr < 0:
-            raise UsageError("learning rates must be non-negative")
-        if self.peak_lr < self.start_lr:
-            raise UsageError("peak_lr must be at least start_lr")
-        if self.warmup_steps < 0:
-            raise UsageError("warmup_steps must be non-negative")
-
-    def lr_at(self, step: int) -> float:
-        if step < 0:
-            raise UsageError(f"step must be non-negative, got {step}")
-        if self.warmup_steps == 0 or step >= self.warmup_steps:
-            return self.peak_lr
-        frac = step / self.warmup_steps
-        return self.start_lr + (self.peak_lr - self.start_lr) * frac
 
 
 class AdamW:

@@ -71,7 +71,6 @@ def prepare_workdir(out_dir, rows, schema: FeatureSchema,
                     cfg: RunConfig) -> Prepared:
     """Time-split raw rows, fit vocabularies on train, write all artifacts."""
     out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     *splits, fitted = prepare_splits(rows, schema, cfg.split_ratios)
     save_schema(fitted, out / "schema.json")
     save_config(cfg, out / "config.json")
@@ -114,10 +113,7 @@ def align_stage(prepared: Prepared, cfg: RunConfig, out_dir) -> dict:
         raise UsageError("train split is smaller than one alignment batch; "
                          "lower align.batch_size")
     out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    tokenizer = fit_tokenizer(prepared, cfg)
-    store = ParamStore()
-    model = AlignmentModel(store, prepared.schema, tokenizer.vocab_size, cfg)
+    model, tokenizer = _alignment_model(prepared, cfg)
     pre = alignment_gap(model, prepared.val, tokenizer, cfg.align.batch_size)
     result = align_train(model, prepared.train, tokenizer, cfg.align,
                          cfg.seed, curve_path=out / "curve.csv")
@@ -134,9 +130,18 @@ def align_stage(prepared: Prepared, cfg: RunConfig, out_dir) -> dict:
         {"pre": {"paired": pre[0], "unpaired": pre[1], "gap": pre[2]},
          "post": {"paired": post[0], "unpaired": post[1], "gap": post[2]},
          "head": cfg.align.similarity, "split": "val"}, sort_keys=True))
-    save_checkpoint(out / "align.ckpt", store, prepared.hash, cfg.to_dict(),
-                    extra={"stage": "align", **summary})
+    save_checkpoint(out / "align.ckpt", model.store, prepared.hash,
+                    cfg.to_dict(), extra={"stage": "align", **summary})
     return summary
+
+
+def _alignment_model(prepared: Prepared, cfg: RunConfig):
+    """A freshly initialized AlignmentModel of `cfg` on its own store, and the
+    tokenizer it reads: fit on `prepared`'s train split. Returns
+    (model, tokenizer)."""
+    tokenizer = fit_tokenizer(prepared, cfg)
+    return AlignmentModel(ParamStore(), prepared.schema, tokenizer.vocab_size,
+                          cfg), tokenizer
 
 
 def _load_run_checkpoint(prepared: Prepared, ckpt_path):
@@ -154,10 +159,8 @@ def load_alignment_model(prepared: Prepared, ckpt_path):
     refit the tokenizer it was trained with. Returns (model, tokenizer); the
     config is `model.cfg`."""
     ckpt, cfg = _load_run_checkpoint(prepared, ckpt_path)
-    tokenizer = fit_tokenizer(prepared, cfg)
-    store = ParamStore()
-    model = AlignmentModel(store, prepared.schema, tokenizer.vocab_size, cfg)
-    restore_into(store, ckpt)
+    model, tokenizer = _alignment_model(prepared, cfg)
+    restore_into(model.store, ckpt)
     return model, tokenizer
 
 
@@ -178,7 +181,6 @@ def finetune_stage(prepared: Prepared, cfg: RunConfig, out_dir,
     `init_ckpt` warm-starts the tower from a stage-1 checkpoint; model.ckpt
     records the sha256 of the bytes it restored, not the file's path."""
     out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     store, enc, head = _fresh_ctr_model(prepared, cfg)
     init_digest = ""
     if init_ckpt is not None:
@@ -205,15 +207,13 @@ def end_to_end_stage(prepared: Prepared, cfg: RunConfig,
     """Single-stage arm: supervised loss plus weighted contrastive loss,
     trained jointly from scratch."""
     out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    tokenizer = fit_tokenizer(prepared, cfg)
-    store = ParamStore()
-    model = AlignmentModel(store, prepared.schema, tokenizer.vocab_size, cfg)
-    head = CtrHead(store, model.collab.out_dim, rng_for(cfg.seed, "ctr"))
+    model, tokenizer = _alignment_model(prepared, cfg)
+    head = CtrHead(model.store, model.collab.out_dim, rng_for(cfg.seed, "ctr"))
     result = end_to_end_train(model, head, prepared.train, prepared.val,
                               tokenizer, cfg.finetune, cfg.seed,
                               history_path=out / "history.csv")
-    save_checkpoint(out / "model.ckpt", store, prepared.hash, cfg.to_dict(),
+    save_checkpoint(out / "model.ckpt", model.store, prepared.hash,
+                    cfg.to_dict(),
                     extra={"stage": "end_to_end",
                            "lambda_ccl": cfg.finetune.lambda_ccl,
                            "best_epoch": result.best_epoch,
@@ -272,8 +272,9 @@ def run_ablation(prepared: Prepared, cfg: RunConfig, out_dir,
     """All requested arms with a shared stage-2 recipe; scores are reported
     as lift over the no-alignment baseline when it is present."""
     out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     arms = tuple(arms)
+    if not arms:
+        raise UsageError(f"no arm to run; expected some of {ARM_NAMES}")
     for arm in arms:
         if arm not in ARM_NAMES:
             raise UsageError(f"unknown arm '{arm}', expected one of {ARM_NAMES}")
@@ -326,7 +327,6 @@ def run_sweep(work_dir, cfg: RunConfig, taus, batch_sizes, out_dir,
     if parallel < 1:
         raise UsageError("--parallel must be >= 1")
     out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     grid = {}  # cell directory name -> (tau, batch)
     for tau in taus:
         for batch in batch_sizes:

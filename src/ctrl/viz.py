@@ -55,11 +55,13 @@ def tower_representations(model, split: EncodedSplit, tokenizer,
     return h_text, h_tab
 
 
-def dump_embeddings(model, split: EncodedSplit, tokenizer, path,
-                    batch_size: int = 256):
+def dump_embeddings(model, split: EncodedSplit, tokenizer, path):
     """Write 2N records: one per row per modality. Columns are row_id,
-    modality (tab|text), then the representation coordinates."""
-    h_text, h_tab = tower_representations(model, split, tokenizer, batch_size)
+    modality (tab|text), then the representation coordinates. Prompts are
+    rendered in batches of the model's `align.batch_size`, as stage 1
+    scores its gap: a batch's pad width moves the text tower's bits."""
+    h_text, h_tab = tower_representations(model, split, tokenizer,
+                                          model.cfg.align.batch_size)
     d = h_text.shape[1]
     write_csv(path, ["row_id", "modality"] + [f"v{i}" for i in range(d)],
               ([i, modality] + [repr(float(v)) for v in h[i]]
@@ -86,6 +88,9 @@ def read_embeddings(path):
             except ValueError as e:
                 raise DataError(f"{path}: line {reader.line_num}: "
                                 f"{e}") from e
+            if not np.isfinite(vecs[-1]).all():
+                raise DataError(f"{path}: line {reader.line_num}: "
+                                "a coordinate is not finite")
             modalities.append(row[1])
     if not vecs:
         raise DataError(f"{path}: no embedding records")

@@ -144,13 +144,14 @@ _WRITE_MODE = set("wax+")
 
 
 def _opens_for_writing(call: ast.Call) -> bool:
-    """Whether a call writes a file: `.write_text`, `.write_bytes`, `os.open`,
-    or `open`/`Path.open` with a write, append, exclusive or update mode, or
-    a mode that is not a literal."""
+    """Whether a call writes a file or makes a directory: `.write_text`,
+    `.write_bytes`, `os.open`, `Path.mkdir`, `os.mkdir`, `os.makedirs`, or
+    `open`/`Path.open` with a write, append, exclusive or update mode, or a
+    mode that is not a literal."""
     func = call.func
     name = func.attr if isinstance(func, ast.Attribute) else \
         getattr(func, "id", None)
-    if name in ("write_text", "write_bytes"):
+    if name in ("write_text", "write_bytes", "mkdir", "makedirs"):
         return True
     if name != "open":
         return False
@@ -180,7 +181,7 @@ def test_only_the_artifacts_module_writes_files():
     assert len(others) > 10
     assert [site for p in others for site in _write_sites(p)] == []
     # the gate sees the writes it exists to confine
-    assert len(_write_sites(SRC / "artifacts.py")) == 2
+    assert len(_write_sites(SRC / "artifacts.py")) == 3
 
 
 @pytest.mark.parametrize("source, writes", [
@@ -199,6 +200,8 @@ def test_only_the_artifacts_module_writes_files():
     ("p.write_text('x')", True),
     ("p.write_bytes(b'x')", True),
     ("p.read_bytes()", False),
+    ("Path(p).mkdir(parents=True)", True),
+    ("os.makedirs(p, exist_ok=True)", True),
 ])
 def test_the_gate_recognizes_writes(source, writes):
     assert _opens_for_writing(ast.parse(source, mode="eval").body) is writes

@@ -9,7 +9,9 @@ import pytest
 from ctrl.checkpoint import (DIGEST_BYTES, FORMAT_VERSION, load_checkpoint,
                              save_checkpoint)
 from ctrl.cli import main
+from ctrl.orchestrate import load_alignment_model, load_prepared
 from ctrl.params import ParamStore
+from ctrl.viz import tower_representations
 from helpers import sealed
 
 pytestmark = pytest.mark.filterwarnings("ignore:l2_normalize")
@@ -829,3 +831,102 @@ def test_alignment_diverging_after_some_steps_exits_3_with_a_checkpoint(
     assert ckpt.extra["steps"] == 9 and ckpt.extra["diverged"] is True
     assert main(["finetune", "--out", str(tmp_path),
                  "--init", str(tmp_path / "align.ckpt")]) == 0
+
+
+def _one_error_line(capsys, start: str) -> str:
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith(start), err
+    return lines[0]
+
+
+def test_prepare_into_a_file_exits_1_naming_the_path(workdir, tmp_path,
+                                                     capsys):
+    _, data, _ = workdir
+    taken = tmp_path / "taken"
+    taken.write_text("a file, not a directory\n")
+    capsys.readouterr()
+    assert main(["prepare", "--data", str(data / "data.csv"),
+                 "--schema", str(data / "schema.json"),
+                 "--out", str(taken)]) == 1
+    line = _one_error_line(capsys, f"error: cannot write {taken}")
+    assert line.endswith(f"{taken} is not a directory")
+    assert taken.read_text() == "a file, not a directory\n"
+
+
+def test_gen_synthetic_into_a_file_exits_1_naming_the_path(tmp_path, capsys):
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    assert main(["gen-synthetic", "--out", str(taken), "--rows", "50"]) == 1
+    _one_error_line(capsys, f"error: cannot write {taken}")
+    assert main(["gen-synthetic", "--out", str(taken / "sub"),
+                 "--rows", "50"]) == 1
+    _one_error_line(capsys, f"error: cannot write {taken / 'sub'}")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["taken"]
+
+
+def test_dump_embeddings_makes_the_destination_directory(aligned, tmp_path):
+    dest = tmp_path / "new" / "deeper" / "x.csv"
+    assert main(["dump-embeddings", "--out", str(aligned), "--split", "val",
+                 "--dest", str(dest)]) == 0
+    assert dest.read_text().startswith("row_id,modality,v0,")
+    assert sorted(p.name for p in dest.parent.iterdir()) == ["x.csv"]
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_a_non_finite_embedding_coordinate_exits_2(tmp_path, capsys, value):
+    dump = tmp_path / "embeddings.csv"
+    dump.write_text("row_id,modality,v0,v1\n0,tab,0.5,1.5\n1,tab,0.25,1.0\n"
+                    f"0,text,{value},0.5\n1,text,0.5,0.75\n", encoding="utf-8")
+    assert main(["project2d", "--embeddings", str(dump)]) == 2
+    _one_error_line(capsys, f"error: {dump}: line 4: ")
+    assert not (tmp_path / "projection.csv").exists()
+
+
+def test_ablate_with_no_arm_exits_1_and_keeps_the_tables(workdir, tmp_path,
+                                                         capsys):
+    _, _, run = workdir
+    _copy(run, tmp_path, PREPARED)
+    tables = {name: f"{name} of an earlier run\n".encode()
+              for name in ("ablation.csv", "ablation.json")}
+    for name, body in tables.items():
+        (tmp_path / name).write_bytes(body)
+    capsys.readouterr()
+    assert main(["ablate", "--out", str(tmp_path), "--arms", ","]) == 1
+    _one_error_line(capsys, "error: no arm to run")
+    for name, body in tables.items():
+        assert (tmp_path / name).read_bytes() == body
+
+
+def test_dump_embeddings_renders_at_the_alignment_batch_size(tmp_path):
+    """Rows of a block of 40 lose 0 to 3 of their cells, so prompt lengths
+    vary and a batch's pad width depends on where it is cut. The dump holds
+    the text tower's bits at `align.batch_size`, the batches stage 1 scores
+    its gap in."""
+    cfg = dict(SMALL_CONFIG, split_ratios=[1, 1, 1],
+               align=dict(SMALL_CONFIG["align"], batch_size=24))
+    (tmp_path / "cfg.json").write_text(json.dumps(cfg), encoding="utf-8")
+    data, run = tmp_path / "data", tmp_path / "run"
+    assert main(["gen-synthetic", "--out", str(data), "--rows", "900",
+                 "--fields", "4", "--vocab", "5", "--history", "2",
+                 "--seed", "5"]) == 0
+    header, *rows = (data / "data.csv").read_text().splitlines()
+    assert header.startswith("f0,f1,f2,f3,")
+    rows = [",".join([""] * ((i // 40) % 4) + row.split(",")[(i // 40) % 4:])
+            for i, row in enumerate(rows)]
+    (data / "data.csv").write_text("\n".join([header] + rows) + "\n")
+    assert main(["prepare", "--data", str(data / "data.csv"),
+                 "--schema", str(data / "schema.json"),
+                 "--config", str(tmp_path / "cfg.json"),
+                 "--out", str(run)]) == 0
+    assert main(["align", "--out", str(run)]) == 0
+    assert main(["dump-embeddings", "--out", str(run), "--split", "val"]) == 0
+    _, prepared = load_prepared(run)
+    model, tok = load_alignment_model(prepared, run / "align.ckpt")
+    h_text, _ = tower_representations(model, prepared.val, tok, 24)
+    n = prepared.val.n
+    text_rows = (run / "embeddings.csv").read_text().splitlines()[1 + n:]
+    assert text_rows == [",".join([str(i), "text"]
+                                  + [repr(float(v)) for v in h_text[i]])
+                         for i in range(n)]

@@ -3,6 +3,8 @@ import json
 import re
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ctrl.cli import main
 from ctrl.config import (AlignConfig, FinetuneConfig, ModelConfig, RunConfig,
@@ -196,3 +198,44 @@ def test_the_smallest_widths_and_no_decay_are_taken():
                                          "weight_decay": 0}})
     assert cfg.model.hidden == (1,) and cfg.align.d_proj == 1
     assert cfg.align.weight_decay == 0
+
+
+def _warmup(start_lr, peak_lr, warmup_steps) -> AlignConfig:
+    return AlignConfig(start_lr=start_lr, peak_lr=peak_lr,
+                       warmup_steps=warmup_steps)
+
+
+def test_lr_at_paper_points():
+    cfg = _warmup(start_lr=1e-5, peak_lr=5e-4, warmup_steps=1000)
+    assert cfg.lr_at(0) == pytest.approx(1e-5, abs=1e-15)
+    assert cfg.lr_at(500) == pytest.approx(2.55e-4, abs=1e-12)
+    assert cfg.lr_at(1000) == pytest.approx(5e-4, abs=1e-15)
+    assert cfg.lr_at(5000) == pytest.approx(5e-4, abs=1e-15)
+
+
+def test_lr_at_zero_warmup_is_flat():
+    cfg = _warmup(start_lr=1e-5, peak_lr=3e-4, warmup_steps=0)
+    assert cfg.lr_at(0) == 3e-4
+    assert cfg.lr_at(10) == 3e-4
+
+
+def test_lr_at_validation():
+    with pytest.raises(UsageError):
+        _warmup(start_lr=-1.0, peak_lr=1.0, warmup_steps=5)
+    with pytest.raises(UsageError):
+        _warmup(start_lr=2.0, peak_lr=1.0, warmup_steps=5)
+    cfg = _warmup(start_lr=1e-5, peak_lr=5e-4, warmup_steps=10)
+    with pytest.raises(UsageError):
+        cfg.lr_at(-1)
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.integers(min_value=1, max_value=2000), st.integers(min_value=0, max_value=3000))
+def test_lr_at_monotone_then_flat(warmup, step):
+    cfg = _warmup(start_lr=1e-5, peak_lr=5e-4, warmup_steps=warmup)
+    lr = cfg.lr_at(step)
+    assert 1e-5 <= lr <= 5e-4
+    if step >= warmup:
+        assert lr == 5e-4
+    else:
+        assert lr <= cfg.lr_at(step + 1)

@@ -3,14 +3,12 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 import ctrl
 import ctrl.autodiff as ad
 from ctrl.autodiff import DTensor, Tape
 from ctrl.exceptions import NumericError, UsageError
-from ctrl.optim import AdamW, WarmupSchedule
+from ctrl.optim import AdamW
 from ctrl.params import ParamStore, rng_for, xavier_uniform
 
 from helpers import ReferenceAdamW
@@ -240,38 +238,3 @@ def test_only_the_optimizer_drives_a_taped_step():
     assert calls.pop("autodiff.py") == ["node.backward"]
     assert {name: c for name, c in calls.items() if c} == {}
 
-
-def test_warmup_schedule_paper_points():
-    sched = WarmupSchedule(start_lr=1e-5, peak_lr=5e-4, warmup_steps=1000)
-    assert sched.lr_at(0) == pytest.approx(1e-5, abs=1e-15)
-    assert sched.lr_at(500) == pytest.approx(2.55e-4, abs=1e-12)
-    assert sched.lr_at(1000) == pytest.approx(5e-4, abs=1e-15)
-    assert sched.lr_at(5000) == pytest.approx(5e-4, abs=1e-15)
-
-
-def test_warmup_schedule_zero_warmup_is_flat():
-    sched = WarmupSchedule(start_lr=1e-5, peak_lr=3e-4, warmup_steps=0)
-    assert sched.lr_at(0) == 3e-4
-    assert sched.lr_at(10) == 3e-4
-
-
-def test_warmup_schedule_validation():
-    with pytest.raises(UsageError):
-        WarmupSchedule(start_lr=-1.0, peak_lr=1.0, warmup_steps=5)
-    with pytest.raises(UsageError):
-        WarmupSchedule(start_lr=2.0, peak_lr=1.0, warmup_steps=5)
-    sched = WarmupSchedule(start_lr=1e-5, peak_lr=5e-4, warmup_steps=10)
-    with pytest.raises(UsageError):
-        sched.lr_at(-1)
-
-
-@settings(max_examples=50, deadline=None)
-@given(st.integers(min_value=1, max_value=2000), st.integers(min_value=0, max_value=3000))
-def test_warmup_schedule_monotone_then_flat(warmup, step):
-    sched = WarmupSchedule(start_lr=1e-5, peak_lr=5e-4, warmup_steps=warmup)
-    lr = sched.lr_at(step)
-    assert 1e-5 <= lr <= 5e-4
-    if step >= warmup:
-        assert lr == 5e-4
-    else:
-        assert lr <= sched.lr_at(step + 1)

@@ -90,7 +90,8 @@ def test_identity_runs_record_reports_what_it_changed(tmp_path, monkeypatch,
 
 
 # A stand-in perfbench/run.py: it logs its side and seed to the file beside
-# its checkout, and prints the result line of its checkout's STUB.json.
+# its checkout, and prints the result line of its checkout's STUB.json, each
+# metric times the seed's factor in its optional "scale" map.
 STUB_RUN = """\
 import argparse, json, pathlib
 ap = argparse.ArgumentParser()
@@ -101,7 +102,11 @@ here = pathlib.Path(__file__).resolve().parent.parent
 with open(here.parent / "order.log", "a") as fh:
     fh.write(f"{here.name} {args.seed} {args.workload}\\n")
 print("perfbench: environment record")
-print(json.dumps(json.loads((here / "STUB.json").read_text())))
+stub = json.loads((here / "STUB.json").read_text())
+scale = stub.pop("scale", {}).get(args.seed, 1)
+for metric in stub["metrics"].values():
+    metric["value"] *= scale
+print(json.dumps(stub))
 """
 
 
@@ -115,7 +120,7 @@ STUB_BENCHMARK = {
 
 
 def _stub_checkout(root: Path, name: str, rate: float, correct=True,
-                   failed=0, rss=100.0) -> Path:
+                   failed=0, rss=100.0, scale=None) -> Path:
     checkout = root / name
     (checkout / "perfbench").mkdir(parents=True)
     (checkout / "perfbench" / "run.py").write_text(STUB_RUN)
@@ -125,7 +130,8 @@ def _stub_checkout(root: Path, name: str, rate: float, correct=True,
         "metrics": {"rows_per_s": {"value": rate, "unit": "1/s"},
                     "peak_rss_mb": {"value": rss, "unit": "MB"},
                     "step.p50_ms": {"value": 1000.0 / rate, "unit": "ms"},
-                    "traced.calls": {"value": rate, "unit": "count"}}}))
+                    "traced.calls": {"value": rate, "unit": "count"}},
+        "scale": scale or {}}))
     return checkout
 
 
@@ -175,6 +181,27 @@ def test_paired_runs_count_the_pairs_the_change_won(tmp_path):
         "  peak_rss_mb: 0", "  rows_per_s: 0", "  step.p50_ms: 0",
         "  traced.calls: -"]
     assert (parent / "BENCHMARK.json").read_bytes() == declared
+
+
+def test_paired_runs_report_each_sides_median_and_quartiles(tmp_path):
+    scale = {"0": 1, "1": 2, "2": 3, "3": 4}
+    parent = _stub_checkout(tmp_path, "parent", 100.0, scale=scale)
+    change = _stub_checkout(tmp_path, "change", 110.0, scale=scale)
+    proc = _paired_runs(parent, change, "--workload", "gap-score",
+                        "--seeds", "0-3", "--seconds", "1")
+    assert proc.returncode == 0, proc.stderr
+    out = proc.stdout.splitlines()
+    head = out.index("median and interquartile range of each side over "
+                     "4 pairs")
+    assert out[head + 1:head + 3] == [
+        "  peak_rss_mb: parent 250 (IQR 175 to 325); "
+        "change 250 (IQR 175 to 325)",
+        "  rows_per_s: parent 250 (IQR 175 to 325); "
+        "change 275 (IQR 192.5 to 357.5)"]
+    one = _paired_runs(parent, change, "--workload", "gap-score",
+                       "--seeds", "3", "--seconds", "1").stdout.splitlines()
+    assert "  rows_per_s: parent 400 (IQR 400 to 400); " \
+           "change 440 (IQR 440 to 440)" in one
 
 
 @pytest.mark.parametrize("correct,failed", [(False, 0), (True, 1)])
