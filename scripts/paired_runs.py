@@ -15,9 +15,19 @@ broken work. Each pair's metrics are printed as parent, change and relative
 change, (change - parent) / parent, then each metric's median relative
 change over the pairs, then each side's median and interquartile range
 (Q1 to Q3, the inclusive quartiles of `statistics.quantiles`) over the
-pairs, then how many pairs the change won on each metric: pairs where it
-moved the way the parent's `BENCHMARK.json` calls `better`. A tie wins
-nothing; a metric that file does not name shows no count.
+pairs. Then each end-to-end metric that the parent's `BENCHMARK.json` gives
+a `bound` gets one verdict, with the bound as a fraction of the parent's
+median:
+
+- "worse past its bound" when the change's median is worse than the
+  parent's by more than the bound;
+- "unresolved" when the parent's interquartile range is wider than the
+  bound and not every change run reads better than every parent run;
+- "within its bound" otherwise.
+
+Last comes how many pairs the change won on each metric: pairs where it
+moved the way that file calls `better`. A tie wins nothing; a metric that
+file does not name shows no count.
 """
 
 import argparse
@@ -66,27 +76,56 @@ def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
     return {name: m["value"] for name, m in result["metrics"].items()}
 
 
-def directions(checkout: Path) -> dict:
-    """+1 for each metric `BENCHMARK.json` in `checkout` calls higher-better,
-    -1 for lower-better, by name; empty without the file."""
+def declared(checkout: Path) -> tuple:
+    """What `BENCHMARK.json` in `checkout` declares, as two dicts by metric
+    name: +1 for each metric it calls higher-better and -1 for lower-better,
+    and the `bound` of each end-to-end metric that has one. Both are empty
+    without the file."""
     path = checkout / "BENCHMARK.json"
     if not path.is_file():
-        return {}
+        return {}, {}
     bench = json.loads(path.read_text(encoding="utf-8"))
-    return {m["name"]: 1 if m["better"] == "higher" else -1
-            for section in ("end_to_end", "per_layer")
-            for m in bench.get(section, [])}
+    better = {m["name"]: 1 if m["better"] == "higher" else -1
+              for section in ("end_to_end", "per_layer")
+              for m in bench.get(section, [])}
+    bounds = {m["name"]: m["bound"] for m in bench.get("end_to_end", [])
+              if "bound" in m}
+    return better, bounds
 
 
 def relative(parent: float, change: float) -> float:
     return (change - parent) / parent if parent else float("nan")
 
 
+def quartiles(values: list) -> tuple:
+    """(Q1, Q3), the inclusive quartiles of one side's values of a metric."""
+    if len(values) == 1:
+        return values[0], values[0]
+    q1, _, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return q1, q3
+
+
 def spread(values: list) -> str:
     """`median (IQR q1 to q3)` of one side's values of a metric."""
-    q1, _, q3 = (statistics.quantiles(values, n=4, method="inclusive")
-                 if len(values) > 1 else values * 3)
+    q1, q3 = quartiles(values)
     return f"{statistics.median(values):.6g} (IQR {q1:.6g} to {q3:.6g})"
+
+
+def verdict(parent: list, change: list, better: int, bound: float) -> str:
+    """The no-regression verdict on one metric whose runs may move by at most
+    `bound`, a fraction of the parent's median; `better` is +1 when higher
+    is better and -1 when lower is. The change is worse past its bound when
+    its median is; the comparison is unresolved when the parent's own
+    interquartile range is wider than the bound and not every change run
+    reads better than every parent run."""
+    median = statistics.median(parent)
+    if better * (statistics.median(change) - median) < -bound * abs(median):
+        return "worse past its bound"
+    q1, q3 = quartiles(parent)
+    if q3 - q1 > bound * abs(median) and \
+            min(better * v for v in change) <= max(better * v for v in parent):
+        return "unresolved"
+    return "within its bound"
 
 
 def main(argv=None) -> int:
@@ -104,7 +143,7 @@ def main(argv=None) -> int:
     if args.seconds <= 0:
         ap.error("--seconds must be > 0")
     checkouts = dict(zip(SIDES, (args.parent, args.change)))
-    better = directions(args.parent)
+    better, bounds = declared(args.parent)
     changes, wins, seen = {}, {}, {side: {} for side in SIDES}
     for i, seed in enumerate(args.seeds):
         order = SIDES if i % 2 == 0 else SIDES[::-1]
@@ -132,6 +171,11 @@ def main(argv=None) -> int:
     for name in sorted(changes):
         print(f"  {name}: parent {spread(seen['parent'][name])}; "
               f"change {spread(seen['change'][name])}")
+    print("verdict on each end-to-end metric with a bound")
+    for name in sorted(set(bounds) & set(changes)):
+        said = verdict(seen["parent"][name], seen["change"][name],
+                       better[name], bounds[name])
+        print(f"  {name}: {said} ({bounds[name]:.0%})")
     print(f"pairs the change won, of {len(args.seeds)}")
     for name in sorted(changes):
         print(f"  {name}: {wins[name] if name in better else '-'}")

@@ -49,43 +49,19 @@ class SubspaceHead:
         return ad.l2_normalize(z, axis=2)
 
 
-# OpenBLAS sums a product's last partial group of 16 columns, and every entry
-# of a product with fewer than ~1,200 entries (its small-matrix kernels), in
-# another order than the same entries of a larger product. A sub-space's
-# block is therefore its own product only when it has a multiple of 16
-# columns and at least _OWN_PRODUCT_MIN entries; otherwise all Mb
-# sub-spaces take one product, whose entries are then the same bits.
-_COLUMN_GROUP = 16
-_OWN_PRODUCT_MIN = 4096
-
-
-def _sub_space_products(a2: np.ndarray, b_major: np.ndarray, mb: int):
-    """Yield, for r = 0 .. Mb-1, the (N·M, Nb) inner products of the rows
-    of a2 with the other side's r-th sub-representations, each entry the
-    same bits as in the one product a2 @ b_major.T. The first block is a
-    new array and the later ones share one buffer."""
-    rows, nb = len(a2), len(b_major) // mb
-    if mb == 1 or nb % _COLUMN_GROUP or rows * nb < _OWN_PRODUCT_MIN:
-        yield from (a2 @ b_major.T).reshape(rows, mb, nb).transpose(1, 0, 2)
-        return
-    targets = [np.empty((rows, nb))] + [np.empty((rows, nb))] * (mb - 1)
-    for r, target in enumerate(targets):
-        yield np.matmul(a2, b_major[r * nb:(r + 1) * nb].T, out=target)
-
-
-def late_interaction(a: np.ndarray, b_major: np.ndarray, mb: int):
-    """The maxsim scores on plain arrays, untaped. a: (N, M, d); b_major:
-    (Mb·Nb, d), the other side laid out sub-space-major (row r·Nb + j is its
-    row j's r-th sub-representation). Returns the (N, Nb) scores, the sum
-    over M of the best inner product over Mb. It takes one (N·M, d)×(d, Nb)
-    product per sub-space r of the other side and folds each into a running
-    elementwise maximum, in order of r, so its working set is two (N·M, Nb)
-    blocks: it never forms the (N, M, Mb, Nb) similarities."""
+def late_interaction(a: np.ndarray, b: np.ndarray):
+    """The maxsim scores on plain arrays, untaped. a: (N, M, d); b: (Nb, Mb,
+    d). Returns the (N, Nb) scores, the sum over M of the best inner product
+    over Mb. It takes one (N·M, d)×(d, Nb) product per sub-space r of b and
+    folds each into a running elementwise maximum, in order of r, so its
+    working set is two (N·M, Nb) blocks: it never forms the (N, M, Mb, Nb)
+    similarities."""
     n, m, d = a.shape
-    blocks = _sub_space_products(a.reshape(n * m, d), b_major, mb)
-    best = next(blocks)
-    for block in blocks:
-        np.maximum(best, block, out=best)
+    a2 = a.reshape(n * m, d)
+    best = a2 @ b[:, 0].T
+    block = np.empty_like(best)
+    for r in range(1, b.shape[1]):
+        np.maximum(best, np.matmul(a2, b[:, r].T, out=block), out=best)
     return best.reshape(n, m, -1).sum(axis=1)
 
 
@@ -94,18 +70,19 @@ def maxsim(subs_a: DTensor, subs_b: DTensor) -> DTensor:
     subs_b: (Nb, Mb, d), (N, Nb) with rows indexed by subs_a, the bits of
     `late_interaction`. Only the index of the first sub-space reaching each
     best match, the one argmax picks, stays on the tape (in the narrowest
-    dtype that holds Mb - 1); the backward takes two products on it."""
+    dtype that holds Mb - 1); the backward takes two products per sub-space
+    on it."""
     n, m, d = subs_a.shape
     nb, mb, db = subs_b.shape
     if d != db:
         raise ShapeError("sub-representation widths differ")
-    a2 = subs_a.data.reshape(n * m, d)
-    b_major = subs_b.data.transpose(1, 0, 2).reshape(mb * nb, d)
-    blocks = _sub_space_products(a2, b_major, mb)
-    best = next(blocks)
+    a2, b = subs_a.data.reshape(n * m, d), subs_b.data
+    best = a2 @ b[:, 0].T
+    block = np.empty_like(best)
     first = np.zeros(best.shape, dtype=np.min_scalar_type(mb - 1))
     gain = np.empty(best.shape, dtype=bool)
-    for r, block in enumerate(blocks, 1):
+    for r in range(1, mb):
+        np.matmul(a2, b[:, r].T, out=block)
         np.greater(block, best, out=gain)
         np.maximum(best, block, out=best)
         # r only grows, so the latest gain holds the first maximal index
@@ -113,10 +90,13 @@ def maxsim(subs_a: DTensor, subs_b: DTensor) -> DTensor:
     scores = best.reshape(n, m, nb).sum(axis=1)
 
     def bwd(g):
-        hit = first.reshape(n, m, 1, nb) == np.arange(mb)[:, None]
-        gs = (g[:, None, None, :] * hit).reshape(n * m, mb * nb)
-        gb = (gs.T @ a2).reshape(mb, nb, d)
-        return (gs @ b_major).reshape(n, m, d), gb.transpose(1, 0, 2)
+        hits = first.reshape(n, m, nb)
+        ga, gb = np.zeros((n * m, d)), np.empty((nb, mb, d))
+        for r in range(mb):
+            gs = np.where(hits == r, g[:, None], 0.0).reshape(n * m, nb)
+            ga += gs @ b[:, r]
+            gb[:, r] = gs.T @ a2
+        return ga.reshape(n, m, d), gb
 
     return ad.apply_op("maxsim", (subs_a, subs_b), scores, bwd)
 

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 from dataclasses import dataclass, field
 
 from .artifacts import read_json, write_json
@@ -17,6 +18,15 @@ BACKBONES = ("autoint", "dcn", "mlp")
 SIMILARITIES = ("maxsim", "cosine")
 PROMPT_VARIANTS = (1, 2, 3, 4, 5)  # see ctrl.prompt
 CONFIG_VERSION = 1
+
+
+def _check_finite(cfg) -> None:
+    """Refuse NaN and the infinities in every float field of the config
+    dataclass `cfg`: JSON's NaN and Infinity pass the lower-bound checks."""
+    for f in dataclasses.fields(cfg):
+        value = getattr(cfg, f.name)
+        if isinstance(value, float) and not math.isfinite(value):
+            raise UsageError(f"{f.name} must be a finite number, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -33,6 +43,7 @@ class ModelConfig:
     dropout: float = 0.0
 
     def __post_init__(self):
+        _check_finite(self)
         if self.backbone not in BACKBONES:
             raise UsageError(f"backbone must be one of {BACKBONES}, got '{self.backbone}'")
         if self.d < 1 or self.attn_layers < 1 or self.attn_heads < 1 \
@@ -82,6 +93,7 @@ class AlignConfig:
     weight_decay: float = 0.01
 
     def __post_init__(self):
+        _check_finite(self)
         if self.similarity == "cosine":
             object.__setattr__(self, "m_subspaces", 1)
         if self.temperature <= 0:
@@ -124,6 +136,7 @@ class FinetuneConfig:
     lambda_ccl: float = 1.0  # only read by the single-stage (end-to-end) arm
 
     def __post_init__(self):
+        _check_finite(self)
         if self.lr < 0 or self.lambda_ccl < 0:
             raise UsageError("lr and lambda_ccl must be >= 0")
         if self.batch_size < 1 or self.epochs < 1 or self.patience < 1:

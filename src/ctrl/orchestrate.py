@@ -275,9 +275,11 @@ def run_ablation(prepared: Prepared, cfg: RunConfig, out_dir,
     arms = tuple(arms)
     if not arms:
         raise UsageError(f"no arm to run; expected some of {ARM_NAMES}")
-    for arm in arms:
+    for i, arm in enumerate(arms):
         if arm not in ARM_NAMES:
             raise UsageError(f"unknown arm '{arm}', expected one of {ARM_NAMES}")
+        if arm in arms[:i]:
+            raise UsageError(f"arm '{arm}' is listed more than once")
     reports = {arm: run_arm(arm, prepared, cfg, out / arm) for arm in arms}
 
     base = reports.get("no_align")

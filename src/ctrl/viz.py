@@ -126,22 +126,19 @@ def paired_gap(text: np.ndarray, tab: np.ndarray, batch_size: int = 256):
 
     Both sides are tiled at ``batch_size`` rows, and the kernel holds one
     (batch_size·M, batch_size) block per sub-space at a time, so the
-    working set is O(batch_size^2 M) whatever N is (O(batch_size^2 M^2)
-    for a column tile whose row count is not a multiple of 16, which the
-    kernel takes in one product to keep its bits)."""
+    working set is O(batch_size^2 M) whatever N is."""
     text = np.asarray(text, dtype=np.float64)
     tab = np.asarray(tab, dtype=np.float64)
     if text.shape != tab.shape or text.ndim != 3:
         raise UsageError("sub-representations must be equal (N, M, d) shapes")
     if text.shape[0] < 2:
         raise UsageError("need at least 2 rows to compare paired vs unpaired")
-    n, m, d = text.shape
+    n, m = text.shape[:2]
     trace = total = 0.0
     for j0 in range(0, n, batch_size):
-        # sub-space-major, as late_interaction takes it, once per column tile
-        cols = tab[j0:j0 + batch_size].transpose(1, 0, 2).reshape(-1, d)
         for i0 in range(0, n, batch_size):
-            s = late_interaction(text[i0:i0 + batch_size], cols, m) / m
+            s = late_interaction(text[i0:i0 + batch_size],
+                                 tab[j0:j0 + batch_size]) / m
             total += s.sum()
             if i0 == j0:
                 trace += np.trace(s)

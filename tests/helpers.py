@@ -197,14 +197,14 @@ def maxsim_matrix(subs_a: DTensor, subs_b: DTensor) -> DTensor:
     return ad.sum_(best, axis=1)  # (n, nb)
 
 
-def one_product_late_interaction(a: np.ndarray, b_major: np.ndarray,
-                                 mb: int):
-    """`align.late_interaction` from one (N·M, d)×(d, Mb·Nb) product and a
-    max over the Mb axis of its (N, M, Mb, Nb) similarities. Returns the
-    (N, Nb) scores."""
+def one_product_late_interaction(a: np.ndarray, b: np.ndarray):
+    """`align.late_interaction` from one (N·M, d)×(d, Nb·Mb) product and a
+    max over the Mb axis of its (N, M, Nb, Mb) similarities. a: (N, M, d);
+    b: (Nb, Mb, d). Returns the (N, Nb) scores."""
     n, m, d = a.shape
-    sims = (a.reshape(n * m, d) @ b_major.T).reshape(n, m, mb, -1)
-    return sims.max(axis=2).sum(axis=1)
+    nb, mb, _ = b.shape
+    sims = a.reshape(n * m, d) @ b.reshape(nb * mb, d).T
+    return sims.reshape(n, m, nb, mb).max(axis=3).sum(axis=1)
 
 
 def maxsim(subs_i, subs_j) -> DTensor:

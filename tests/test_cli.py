@@ -899,6 +899,53 @@ def test_ablate_with_no_arm_exits_1_and_keeps_the_tables(workdir, tmp_path,
         assert (tmp_path / name).read_bytes() == body
 
 
+def test_ablate_with_a_repeated_arm_exits_1_and_keeps_the_tables(
+        workdir, tmp_path, capsys):
+    """A repeated arm was trained twice and listed twice."""
+    _, _, run = workdir
+    _copy(run, tmp_path, PREPARED)
+    (tmp_path / "ablation.csv").write_bytes(b"ablation.csv of an earlier run\n")
+    capsys.readouterr()
+    assert main(["ablate", "--out", str(tmp_path), "--arms",
+                 "no_align,no_align"]) == 1
+    _one_error_line(capsys, "error: arm 'no_align' is listed more than once")
+    assert (tmp_path / "ablation.csv").read_bytes() == \
+        b"ablation.csv of an earlier run\n"
+    assert not (tmp_path / "no_align").exists()
+
+
+@pytest.mark.parametrize("section, key, literal", [
+    ("align", "temperature", "NaN"), ("align", "temperature", "Infinity"),
+    ("finetune", "lr", "NaN")])
+def test_a_non_finite_config_number_exits_1_before_prepare_writes(
+        workdir, tmp_path, capsys, section, key, literal):
+    """`prepare` wrote the value into config.json; `align` then diverged at
+    step 0 on a NaN temperature, trained at a constant loss on an infinite
+    one, and `finetune` diverged on a NaN lr."""
+    _, data, _ = workdir
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(f'{{"{section}": {{"{key}": {literal}}}}}',
+                        encoding="utf-8")
+    capsys.readouterr()
+    assert main(["prepare", "--data", str(data / "data.csv"),
+                 "--schema", str(data / "schema.json"),
+                 "--config", str(cfg_path), "--out", str(tmp_path / "run")]) == 1
+    _one_error_line(capsys, f"error: {key} must be a finite number")
+    assert not (tmp_path / "run").exists()
+
+
+def test_a_non_finite_sweep_temperature_fails_as_a_cell(workdir, tmp_path):
+    _, _, run = workdir
+    _copy(run, tmp_path, PREPARED)
+    with pytest.warns(UserWarning, match="1 sweep cell"):
+        assert main(["sweep", "--out", str(tmp_path), "--taus", "nan",
+                     "--batch-sizes", "16"]) == 1
+    failures = json.loads((tmp_path / "sweep" / "sweep_failures.json")
+                          .read_text())
+    assert [f["error"] for f in failures] == [
+        "UsageError: temperature must be a finite number, got nan"]
+
+
 def test_dump_embeddings_renders_at_the_alignment_batch_size(tmp_path):
     """Rows of a block of 40 lose 0 to 3 of their cells, so prompt lengths
     vary and a batch's pad width depends on where it is cut. The dump holds

@@ -192,6 +192,24 @@ def test_a_width_or_decay_out_of_range_is_refused_before_prepare_writes(
     assert not (tmp_path / "run").exists()
 
 
+FLOAT_FIELDS = [(cls, f.name) for cls in (ModelConfig, AlignConfig,
+                                           FinetuneConfig)
+                for f in dataclasses.fields(cls) if isinstance(f.default, float)]
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")],
+                         ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("cls, name", FLOAT_FIELDS,
+                         ids=[name for _, name in FLOAT_FIELDS])
+def test_every_float_field_refuses_a_non_finite_value_naming_it(cls, name,
+                                                                 value):
+    """One check names the field. NaN and +inf passed every lower-bound
+    check: a NaN temperature diverged at alignment's first step, and an
+    infinite one trained at a constant loss of log(batch size)."""
+    with pytest.raises(UsageError, match=f"^{name} must be a finite number"):
+        cls(**{name: value})
+
+
 def test_the_smallest_widths_and_no_decay_are_taken():
     cfg = RunConfig.from_dict({"model": {"hidden": [1]},
                                "align": {"m_subspaces": 1, "d_proj": 1,

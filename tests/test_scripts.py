@@ -113,9 +113,9 @@ print(json.dumps(stub))
 # the stand-in benchmark declaration; setup_s is a metric no run reports,
 # and traced.calls one it does not name
 STUB_BENCHMARK = {
-    "end_to_end": [{"name": "rows_per_s", "better": "higher"},
-                   {"name": "peak_rss_mb", "better": "lower"},
-                   {"name": "setup_s", "better": "lower"}],
+    "end_to_end": [{"name": "rows_per_s", "better": "higher", "bound": 0.25},
+                   {"name": "peak_rss_mb", "better": "lower", "bound": 0.1},
+                   {"name": "setup_s", "better": "lower", "bound": 0.25}],
     "per_layer": [{"name": "step.p50_ms", "better": "lower"}]}
 
 
@@ -202,6 +202,53 @@ def test_paired_runs_report_each_sides_median_and_quartiles(tmp_path):
                        "--seeds", "3", "--seconds", "1").stdout.splitlines()
     assert "  rows_per_s: parent 400 (IQR 400 to 400); " \
            "change 440 (IQR 440 to 440)" in one
+
+
+def _verdicts(parent, change, seeds: str) -> list:
+    proc = _paired_runs(parent, change, "--workload", "gap-score",
+                        "--seeds", seeds, "--seconds", "1")
+    assert proc.returncode == 0, proc.stderr
+    out = proc.stdout.splitlines()
+    head = out.index("verdict on each end-to-end metric with a bound")
+    end = next(i for i, line in enumerate(out)
+               if line.startswith("pairs the change won"))
+    return out[head + 1:end]
+
+
+def test_paired_runs_say_a_change_within_its_bounds(tmp_path):
+    """Only the bounded metrics some run reports get a verdict: not
+    setup_s, which no run reports, nor the per-layer step.p50_ms."""
+    parent = _stub_checkout(tmp_path, "parent", 100.0)
+    change = _stub_checkout(tmp_path, "change", 80.0, rss=109.0)
+    assert _verdicts(parent, change, "0-2") == [
+        "  peak_rss_mb: within its bound (10%)",
+        "  rows_per_s: within its bound (25%)"]
+
+
+def test_paired_runs_say_a_change_worse_past_its_bound(tmp_path):
+    parent = _stub_checkout(tmp_path, "parent", 100.0)
+    change = _stub_checkout(tmp_path, "change", 74.0, rss=111.0)
+    assert _verdicts(parent, change, "0-2") == [
+        "  peak_rss_mb: worse past its bound (10%)",
+        "  rows_per_s: worse past its bound (25%)"]
+
+
+def test_paired_runs_leave_a_noisy_parent_unresolved(tmp_path):
+    """The parent's rows_per_s reads 100 to 400 over the seeds, an
+    interquartile range of 60% of its median, wider than either bound.
+    A change that reads 10% better is unresolved; one whose every run
+    reads better than every parent run is within its bound. On
+    peak_rss_mb that change's worst run only ties the parent's best, which
+    leaves it unresolved."""
+    scale = {"0": 1, "1": 2, "2": 3, "3": 4}
+    parent = _stub_checkout(tmp_path, "parent", 100.0, scale=scale)
+    change = _stub_checkout(tmp_path, "change", 110.0, scale=scale)
+    assert _verdicts(parent, change, "0-3") == [
+        "  peak_rss_mb: unresolved (10%)", "  rows_per_s: unresolved (25%)"]
+    fast = _stub_checkout(tmp_path, "fast", 401.0, rss=25.0, scale=scale)
+    assert _verdicts(parent, fast, "0-3") == [
+        "  peak_rss_mb: unresolved (10%)",
+        "  rows_per_s: within its bound (25%)"]
 
 
 @pytest.mark.parametrize("correct,failed", [(False, 0), (True, 1)])
