@@ -172,10 +172,10 @@ class AlignmentModel:
         else:
             self.tab_sub = self.text_sub = unit_rows
 
-    def projected(self, batch, token_ids, mask, train: bool = False, rng=None,
+    def projected(self, batch, token_ids, mask, train: bool = False,
                   h_col: DTensor = None):
         if h_col is None:
-            h_col = self.collab(batch, train=train, rng=rng)
+            h_col = self.collab(batch, train=train)
         h_tab = self.tab_proj(h_col)
         h_text = self.text_proj(self.text(token_ids, mask))
         return h_text, h_tab
@@ -185,13 +185,13 @@ class AlignmentModel:
         text, tab = self.text_sub(h_text), self.tab_sub(h_tab)
         return maxsim(text, tab), maxsim(tab, text)
 
-    def ccl(self, batch, token_ids, mask, train: bool = False, rng=None,
+    def ccl(self, batch, token_ids, mask, train: bool = False,
             h_col: DTensor = None):
         """Returns (loss, text-to-tabular term, tabular-to-text term).
         `h_col` is the collaborative tower's output for `batch` when the
         caller has already computed it; the tower is not run again."""
         h_text, h_tab = self.projected(batch, token_ids, mask, train=train,
-                                       rng=rng, h_col=h_col)
+                                       h_col=h_col)
         s_text, s_tab = self.similarity_matrices(h_text, h_tab)
         tau = self.cfg.align.temperature
         l_t2t = infonce(s_text, tau)
@@ -220,7 +220,6 @@ def align_train(model: AlignmentModel, split: EncodedSplit,
     and training stops."""
     store = model.store
     opt = AdamW(store, weight_decay=cfg.weight_decay)
-    drop_rng = rng_for(seed, "align.dropout")
     curve = []
     step = 0
     diverged = False
@@ -236,7 +235,7 @@ def align_train(model: AlignmentModel, split: EncodedSplit,
             pre_step = store.snapshot()
             try:
                 loss, l_t2t, l_tab2text = opt.minimize(lr, lambda: model.ccl(
-                    batch, ids, mask, train=True, rng=drop_rng), drop_rng)
+                    batch, ids, mask, train=True))
             except NumericError as e:
                 warnings.warn(f"alignment diverged at step {step} ({e}); "
                               "restoring last good state")

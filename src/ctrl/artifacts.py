@@ -1,7 +1,7 @@
 """Artifact I/O. Every file the package writes goes through `replacing`, so an
 artifact is its previous version or complete, never truncated, and its
 directory is made on the way; every file it reads as text is opened through
-`reading`. Text is UTF-8 with "\\n" line ends."""
+`reading`. Text is UTF-8 with "\\n" line ends, read past a byte order mark."""
 
 import csv
 import json
@@ -59,11 +59,11 @@ def write_csv(path, header, rows) -> None:
 
 @contextmanager
 def reading(path):
-    """Yield `path` open for reading as UTF-8 text, with newlines left as
-    they are (what `csv` needs). A file that cannot be opened or read, or
-    that is not UTF-8, raises DataError naming it."""
+    """Yield `path` open for reading as UTF-8 text past any byte order mark,
+    with newlines left as they are (what `csv` needs). A file that cannot be
+    opened or read, or that is not UTF-8, raises DataError naming it."""
     try:
-        with open(path, "r", encoding="utf-8", newline="") as fh:
+        with open(path, "r", encoding="utf-8-sig", newline="") as fh:
             yield fh
     except OSError as e:
         raise DataError(f"cannot read {path}: {e.strerror}") from e

@@ -184,14 +184,14 @@ def active_tape() -> Optional[Tape]:
     return _TAPES[-1] if _TAPES else None
 
 
-def run_pass(fn: Callable, rng: Optional[np.random.Generator] = None):
+def run_pass(fn: Callable):
     """Return `fn()`, a DTensor or a tuple of them, computed with per-op
-    checks off; only its outputs are checked. If one is not finite, rewind
-    `rng`, the pass's dropout generator, and replay `fn()` untaped with every
-    op checked, to raise the NumericError naming the op. numpy's warnings
-    are off in both runs, so that NumericError is the one report."""
+    checks off; only its outputs are checked. If one is not finite, replay
+    `fn()` untaped with every op checked, to raise the NumericError naming
+    the op. A pass draws no random numbers, so the replay recomputes the same
+    values. numpy's warnings are off in both runs, so that NumericError is
+    the one report."""
     global op_checks
-    state = None if rng is None else rng.bit_generator.state
     tapes, checks = _TAPES[:], op_checks
     try:
         op_checks = False
@@ -200,8 +200,6 @@ def run_pass(fn: Callable, rng: Optional[np.random.Generator] = None):
             if all(np.isfinite(t.data).all()
                    for t in (out if isinstance(out, tuple) else (out,))):
                 return out
-            if rng is not None:
-                rng.bit_generator.state = state
             op_checks, _TAPES[:] = True, []
             fn()
     finally:
@@ -362,7 +360,7 @@ def sum_(a: DTensor, axis=None, keepdims: bool = False) -> DTensor:
 
 
 # ---------------------------------------------------------------------------
-# Normalization, regularization, lookup
+# Normalization and lookup
 
 
 def l2_normalize(a: DTensor, axis: int = -1) -> DTensor:
@@ -379,20 +377,6 @@ def l2_normalize(a: DTensor, axis: int = -1) -> DTensor:
         return (np.where(dead, 0.0, gx),)
 
     return apply_op("l2_normalize", (a,), out, bwd)
-
-
-def dropout(a: DTensor, rate: float, train: bool, rng: np.random.Generator) -> DTensor:
-    if not 0.0 <= rate < 1.0:
-        raise UsageError(f"dropout: rate must be in [0, 1), got {rate}")
-    if not train or rate == 0.0:
-        return a
-    # Inverted scaling: evaluation is a no-op.
-    keep = (rng.random(a.shape) >= rate) / (1.0 - rate)
-
-    def bwd(g):
-        return (g * keep,)
-
-    return apply_op("dropout", (a,), a.data * keep, bwd)
 
 
 def embedding_lookup(table: DTensor, indices) -> DTensor:

@@ -40,7 +40,6 @@ class ModelConfig:
     attn_head_dim: int = 16
     cross_layers: int = 3
     batch_norm: bool = True
-    dropout: float = 0.0
 
     def __post_init__(self):
         _check_finite(self)
@@ -51,8 +50,6 @@ class ModelConfig:
             raise UsageError("model dimensions must be positive")
         if any(h < 1 for h in self.hidden):
             raise UsageError(f"hidden widths must be >= 1, got {list(self.hidden)}")
-        if not (0.0 <= self.dropout < 1.0):
-            raise UsageError("dropout must be in [0, 1)")
 
 
 @dataclass(frozen=True)

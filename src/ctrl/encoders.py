@@ -72,13 +72,12 @@ class LayerNorm:
 
 
 class MLPStack:
-    """linear -> batch norm -> relu -> dropout, repeated over `hidden`."""
+    """linear -> batch norm -> relu, repeated over `hidden`."""
 
     def __init__(self, store, prefix, d_in, hidden, rng,
-                 batch_norm: bool = True, dropout: float = 0.0):
+                 batch_norm: bool = True):
         self.layers = []
         self.norms = []
-        self.dropout = dropout
         d = d_in
         for i, h in enumerate(hidden):
             # bias is redundant under batch norm (beta plays that role)
@@ -89,14 +88,12 @@ class MLPStack:
             d = h
         self.d_out = d
 
-    def __call__(self, x: DTensor, train: bool, rng=None) -> DTensor:
+    def __call__(self, x: DTensor, train: bool) -> DTensor:
         for lin, norm in zip(self.layers, self.norms):
             x = lin(x)
             if norm is not None:
                 x = norm(x, train)
             x = ad.relu(x)
-            if self.dropout > 0.0:
-                x = ad.dropout(x, self.dropout, train=train, rng=rng)
         return x
 
 
@@ -255,13 +252,13 @@ class CollaborativeEncoder:
             self.cross = [CrossLayer(store, f"{prefix}.cross{i}", flat, rng)
                           for i in range(cfg.cross_layers)]
             self.mlp = MLPStack(store, f"{prefix}.mlp", flat, cfg.hidden, rng,
-                                batch_norm=cfg.batch_norm, dropout=cfg.dropout)
+                                batch_norm=cfg.batch_norm)
             self.out_dim = self.mlp.d_out
             self.head = Linear(store, f"{prefix}.out", flat + self.mlp.d_out,
                                self.out_dim, rng)
         else:  # mlp
             self.mlp = MLPStack(store, f"{prefix}.mlp", flat, cfg.hidden, rng,
-                                batch_norm=cfg.batch_norm, dropout=cfg.dropout)
+                                batch_norm=cfg.batch_norm)
             self.out_dim = self.mlp.d_out
 
     def field_embeddings(self, batch: EncodedSplit) -> DTensor:
@@ -300,7 +297,7 @@ class CollaborativeEncoder:
 
         return ad.apply_op("field_embeddings", tables, out.reshape(len(ids), -1), bwd)
 
-    def __call__(self, batch: EncodedSplit, train: bool = False, rng=None) -> DTensor:
+    def __call__(self, batch: EncodedSplit, train: bool = False) -> DTensor:
         flat = self.field_embeddings(batch)
         if self.cfg.backbone == "autoint":
             x = ad.reshape(flat, (flat.shape[0], self.n_fields, self.cfg.d))
@@ -311,9 +308,9 @@ class CollaborativeEncoder:
             x = flat
             for layer in self.cross:
                 x = layer(flat, x)
-            deep = self.mlp(flat, train=train, rng=rng)
+            deep = self.mlp(flat, train=train)
             return self.head(ad.concat([x, deep], axis=1))
-        return self.mlp(flat, train=train, rng=rng)
+        return self.mlp(flat, train=train)
 
     def param_names(self) -> list:
         pre = self.prefix + "."

@@ -22,7 +22,7 @@ from .encoders import CollaborativeEncoder, Linear
 from .exceptions import NumericError, UsageError
 from .metrics import LOG_EPS, auc, logloss
 from .optim import AdamW
-from .params import ParamStore, rng_for
+from .params import ParamStore
 from .prompt import build_prompt
 
 
@@ -94,13 +94,12 @@ def _train(opt: AdamW, batch_loss, encoder, head: CtrHead,
            train_split: EncodedSplit, val_split: EncodedSplit,
            cfg: FinetuneConfig, seed: int, label: str,
            history_path=None) -> FinetuneResult:
-    """The supervised loop: one taped step of `batch_loss(batch, dropout_rng)
-    -> (loss to minimize, supervised loss to record)` per shuffled batch,
-    validation AUC/logloss of `head(encoder(.))` after every epoch, early
-    stopping on AUC. The best-epoch state of `opt.store` is restored before
-    returning; a non-finite step stops training."""
+    """The supervised loop: one taped step of `batch_loss(batch) -> (loss to
+    minimize, supervised loss to record)` per shuffled batch, validation
+    AUC/logloss of `head(encoder(.))` after every epoch, early stopping on
+    AUC. The best-epoch state of `opt.store` is restored before returning; a
+    non-finite step stops training."""
     store = opt.store
-    drop_rng = rng_for(seed, "finetune.dropout")
     history = []
     best = store.snapshot()
     best_auc, best_epoch, bad_epochs = -np.inf, -1, 0
@@ -110,8 +109,7 @@ def _train(opt: AdamW, batch_loss, encoder, head: CtrHead,
         try:
             for batch in batches(train_split, cfg.batch_size, "train",
                                  seed=epoch_seed(seed, epoch)):
-                _, supervised = opt.minimize(
-                    cfg.lr, lambda: batch_loss(batch, drop_rng), drop_rng)
+                _, supervised = opt.minimize(cfg.lr, lambda: batch_loss(batch))
                 losses.append(supervised.item())
         except NumericError as e:
             warnings.warn(f"{label} diverged in epoch {epoch} ({e}); "
@@ -148,8 +146,8 @@ def finetune(encoder: CollaborativeEncoder, head: CtrHead,
                                      if n.startswith(head.prefix)]
     opt = AdamW(store, names=names, weight_decay=0.0)
 
-    def batch_loss(batch, rng):
-        preds = head(encoder(batch, train=True, rng=rng))
+    def batch_loss(batch):
+        preds = head(encoder(batch, train=True))
         loss = bce_loss(preds, batch.labels)
         return loss, loss
 
@@ -165,11 +163,11 @@ def end_to_end_train(model, head: CtrHead, train_split: EncodedSplit,
     supervised trajectory matches plain fine-tuning step for step."""
     encoder = model.collab
 
-    def batch_loss(batch, rng):
+    def batch_loss(batch):
         prompts = [build_prompt(r, encoder.schema, model.template)
                    for r in batch.raw_rows]
         ids, mask = tokenizer.encode_batch(prompts)
-        h_col = encoder(batch, train=True, rng=rng)
+        h_col = encoder(batch, train=True)
         l_ctr = bce_loss(head(h_col), batch.labels)
         l_ccl = model.ccl(batch, ids, mask, h_col=h_col)[0]
         loss = ad.add(l_ctr, ad.mul(DTensor(cfg.lambda_ccl), l_ccl))

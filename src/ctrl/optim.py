@@ -83,14 +83,14 @@ class AdamW:
         for name, p, flat in zip(self.names, params, np.split(new, self._cuts)):
             self.store.replace(name, DTensor._from_op(flat.reshape(p.shape), True, None))
 
-    def minimize(self, lr: float, fn: Callable, rng=None) -> tuple:
+    def minimize(self, lr: float, fn: Callable) -> tuple:
         """One training step: run the pass `fn() -> (loss, ...)` on a tape
-        through `autodiff.run_pass`, with `rng` its dropout generator, then
-        backpropagate from the loss and step at `lr`. Returns `fn`'s outputs.
-        A non-finite pass raises NumericError and replaces no parameter."""
+        through `autodiff.run_pass`, then backpropagate from the loss and step
+        at `lr`. Returns `fn`'s outputs. A non-finite pass raises NumericError
+        and replaces no parameter."""
         # called through ad and self: tests patch run_pass, perfbench's tracer step
         with Tape() as tape:
-            out = ad.run_pass(fn, rng)
+            out = ad.run_pass(fn)
         tape.backward(out[0])
         self.step(lr)
         return out

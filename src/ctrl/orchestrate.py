@@ -16,12 +16,14 @@ Checkpoints embed their own RunConfig, and loaders rebuild model topology
 from that embedded copy, so a checkpoint remains readable after the
 directory's config.json is edited; their trailing digest (see
 `ctrl.checkpoint`) refuses a changed copy. No tokenizer is stored: readers
-refit it from the train split and the checkpoint's config.
+refit it from the train split and the checkpoint's config, and refuse one
+whose vocabulary digest is not the checkpoint's `extra.vocab`.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import warnings
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
@@ -131,7 +133,8 @@ def align_stage(prepared: Prepared, cfg: RunConfig, out_dir) -> dict:
          "post": {"paired": post[0], "unpaired": post[1], "gap": post[2]},
          "head": cfg.align.similarity, "split": "val"}, sort_keys=True))
     save_checkpoint(out / "align.ckpt", model.store, prepared.hash,
-                    cfg.to_dict(), extra={"stage": "align", **summary})
+                    cfg.to_dict(), extra={"stage": "align",
+                                          "vocab": tokenizer.digest, **summary})
     return summary
 
 
@@ -156,11 +159,15 @@ def _load_run_checkpoint(prepared: Prepared, ckpt_path):
 
 def load_alignment_model(prepared: Prepared, ckpt_path):
     """Rebuild an AlignmentModel from its checkpoint's embedded config, and
-    refit the tokenizer it was trained with. Returns (model, tokenizer); the
-    config is `model.cfg`."""
+    refit the tokenizer it was trained with, checked against the vocabulary
+    digest the checkpoint records. Returns (model, tokenizer); the config is
+    `model.cfg`."""
     ckpt, cfg = _load_run_checkpoint(prepared, ckpt_path)
     model, tokenizer = _alignment_model(prepared, cfg)
     restore_into(model.store, ckpt)
+    if ckpt.extra.get("vocab") != tokenizer.digest:  # reordered train rows
+        raise CheckpointError(f"{ckpt_path}: vocabulary digest missing or not "
+                              "that of the tokenizer refit from train.csv")
     return model, tokenizer
 
 
@@ -215,6 +222,7 @@ def end_to_end_stage(prepared: Prepared, cfg: RunConfig,
     save_checkpoint(out / "model.ckpt", model.store, prepared.hash,
                     cfg.to_dict(),
                     extra={"stage": "end_to_end",
+                           "vocab": tokenizer.digest,
                            "lambda_ccl": cfg.finetune.lambda_ccl,
                            "best_epoch": result.best_epoch,
                            "best_val_auc": result.best_val_auc,
@@ -361,7 +369,8 @@ def run_sweep(work_dir, cfg: RunConfig, taus, batch_sizes, out_dir,
             try:
                 rows.append(result())
             except Exception as e:  # noqa: BLE001 - cell isolation
-                failures.append({"tau": tau, "batch": batch,
+                failures.append({"tau": tau if math.isfinite(tau) else str(tau),
+                                 "batch": batch,
                                  "error": f"{type(e).__name__}: {e}"})
 
     write_csv(out / "sweep.csv", ["tau", "batch", "auc", "logloss"],
@@ -370,5 +379,6 @@ def run_sweep(work_dir, cfg: RunConfig, taus, batch_sizes, out_dir,
     if failures:
         warnings.warn(f"{len(failures)} sweep cell(s) failed; see "
                       f"{out / 'sweep_failures.json'}")
-        write_json(out / "sweep_failures.json", json.dumps(failures, indent=2))
+        write_json(out / "sweep_failures.json",
+                   json.dumps(failures, indent=2, allow_nan=False))
     return rows, failures

@@ -15,6 +15,8 @@ rendered:
 
 from __future__ import annotations
 
+import hashlib
+import json
 import re
 import warnings
 from dataclasses import dataclass
@@ -111,6 +113,13 @@ class Tokenizer:
     @property
     def vocab_size(self) -> int:
         return len(self.vocab) + 2  # reserved pad + unk
+
+    @property
+    def digest(self) -> str:
+        """sha256 of the tokens in id order and of `max_tokens`."""
+        tokens = sorted(self.vocab, key=self.vocab.get)
+        return hashlib.sha256(json.dumps([tokens, self.max_tokens])
+                              .encode("utf-8")).hexdigest()
 
     @staticmethod
     def _split(text: str) -> list:

@@ -534,8 +534,7 @@ def store_grad_check(store, forward, names=None, sample: int | None = 5,
 
 
 def tiny_run_config(seed: int = 0, backbone: str = "autoint",
-                    similarity: str = "maxsim", dropout: float = 0.0,
-                    **align_overrides):
+                    similarity: str = "maxsim", **align_overrides):
     """A full RunConfig small enough for finite-difference checks."""
     from ctrl.config import (AlignConfig, FinetuneConfig, ModelConfig,
                              RunConfig, TextConfig)
@@ -547,7 +546,7 @@ def tiny_run_config(seed: int = 0, backbone: str = "autoint",
         seed=seed,
         model=ModelConfig(backbone=backbone, d=4, hidden=(8, 6),
                           attn_layers=1, attn_heads=2, attn_head_dim=3,
-                          cross_layers=2, dropout=dropout),
+                          cross_layers=2),
         text=TextConfig(d_model=8, n_layers=1, n_heads=2, d_ff=16,
                         max_tokens=32),
         align=AlignConfig(**align_kwargs),
@@ -557,8 +556,7 @@ def tiny_run_config(seed: int = 0, backbone: str = "autoint",
 
 def tiny_pipeline(seed: int = 0, backbone: str = "autoint",
                   similarity: str = "maxsim", n_rows: int = 24,
-                  history_len: int = 2, dropout: float = 0.0,
-                  **align_overrides):
+                  history_len: int = 2, **align_overrides):
     """Synthetic rows -> splits -> tokenizer -> AlignmentModel, all tiny.
 
     Returns (model, tokenizer, splits, cfg) where splits is
@@ -574,7 +572,7 @@ def tiny_pipeline(seed: int = 0, backbone: str = "autoint",
         flip_noise=0.0, seed=seed, history_len=history_len))
     train, val, test, fitted = prepare_splits(rows, schema)
     cfg = tiny_run_config(seed=seed, backbone=backbone, similarity=similarity,
-                          dropout=dropout, **align_overrides)
+                          **align_overrides)
     store = ParamStore()
     model = AlignmentModel(store, fitted, vocab_size=64, cfg=cfg)
     tokenizer = fit_on_prompts(train.raw_rows, fitted, cfg)
@@ -605,14 +603,12 @@ def reference_end_to_end_train(model, head, train_split, val_split, tokenizer,
     from ctrl.finetune import bce_loss, predict_scores
     from ctrl.metrics import auc, logloss
     from ctrl.optim import AdamW
-    from ctrl.params import rng_for
     from ctrl.prompt import build_prompt
 
     store = model.store
     opt = AdamW(store, weight_decay=0.0)
     lam = cfg.lambda_ccl
     tau = model.cfg.align.temperature
-    drop_rng = rng_for(seed, "finetune.dropout")
     history = []
     best = store.snapshot()
     best_auc, best_epoch, bad_epochs = -np.inf, -1, 0
@@ -627,7 +623,7 @@ def reference_end_to_end_train(model, head, train_split, val_split, tokenizer,
                            for r in batch.raw_rows]
                 ids, mask = tokenizer.encode_batch(prompts)
                 with Tape() as tape:
-                    h_col = encoder(batch, train=True, rng=drop_rng)
+                    h_col = encoder(batch, train=True)
                     preds = head(h_col)
                     l_ctr = bce_loss(preds, batch.labels)
                     h_tab = model.tab_proj(h_col)

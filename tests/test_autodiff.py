@@ -121,17 +121,15 @@ def test_backward_leaves_of_one_add_do_not_share_a_grad_array():
 
 @pytest.mark.parametrize("similarity", ["maxsim", "cosine"])
 def test_backward_matches_the_pre_pass_sweep_bit_for_bit(similarity):
-    model, tok, (train, _, _), _ = tiny_pipeline(seed=3, similarity=similarity,
-                                                 dropout=0.1)
+    model, tok, (train, _, _), _ = tiny_pipeline(seed=3, similarity=similarity)
     batch = next(batches(train, 4, "align", seed=0))
     ids, mask = tok.encode_batch([build_prompt(r, model.collab.schema,
                                                model.template)
                                   for r in batch.raw_rows])
 
-    def record():  # the same pass each time: the same dropout draws
+    def record():
         with Tape() as tape:
-            loss, _, _ = model.ccl(batch, ids, mask, train=True,
-                                   rng=np.random.default_rng(0))
+            loss, _, _ = model.ccl(batch, ids, mask, train=True)
         return tape, loss
 
     tape, loss = record()
@@ -210,7 +208,7 @@ def test_backward_consumes_its_tape():
 
 def test_one_taped_ccl_step_keeps_only_what_its_adjoints_read():
     model, tok, (train, _, _), _ = tiny_pipeline(seed=0, n_rows=120,
-                                                 backbone="dcn", dropout=0.1)
+                                                 backbone="dcn")
     batch = next(batches(train, 32, "align", seed=0))
     ids, mask = tok.encode_batch([build_prompt(r, model.collab.schema,
                                                model.template)
@@ -219,8 +217,7 @@ def test_one_taped_ccl_step_keeps_only_what_its_adjoints_read():
     tracemalloc.start()
     try:
         with Tape() as tape:
-            loss, _, _ = model.ccl(batch, ids, mask, train=True,
-                                   rng=np.random.default_rng(0))
+            loss, _, _ = model.ccl(batch, ids, mask, train=True)
         tape.backward(loss)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
@@ -274,33 +271,6 @@ def test_l2_normalize_zero_vector_warns_and_passes_zero():
     assert np.array_equal(y.data, np.zeros((1, 3)))
     tape.backward(loss)
     assert np.array_equal(x.grad, np.zeros((1, 3)))
-
-
-def test_dropout_eval_is_noop():
-    rng = np.random.default_rng(0)
-    x = DTensor(np.ones((4, 4)))
-    y = ad.dropout(x, 0.5, train=False, rng=rng)
-    assert y is x
-
-
-def test_dropout_inverted_scaling_and_grad():
-    rng = np.random.default_rng(7)
-    x = DTensor(np.ones((1000,)), requires_grad=True)
-    with Tape() as tape:
-        y = ad.dropout(x, 0.25, train=True, rng=rng)
-        loss = ad.sum_(y)
-    kept = y.data != 0.0
-    assert np.allclose(y.data[kept], 1.0 / 0.75)
-    tape.backward(loss)
-    assert np.allclose(x.grad[kept], 1.0 / 0.75)
-    assert np.allclose(x.grad[~kept], 0.0)
-    # expectation preserved
-    assert abs(y.data.mean() - 1.0) < 0.1
-
-
-def test_dropout_rate_validation():
-    with pytest.raises(UsageError):
-        ad.dropout(DTensor([1.0]), 1.0, train=True, rng=np.random.default_rng(0))
 
 
 def test_batch_norm_train_normalizes_and_updates_running():
@@ -551,7 +521,6 @@ def test_determinism_same_seed_same_values():
         w = DTensor(rng.normal(size=(5, 2)), requires_grad=True)
         with Tape() as tape:
             h = ad.relu(ad.matmul(x, w))
-            h = ad.dropout(h, 0.3, train=True, rng=np.random.default_rng(9))
             loss = mean(ad.mul(h, h))
         tape.backward(loss)
         return loss.item(), x.grad.copy(), w.grad.copy()
@@ -582,28 +551,6 @@ def test_l2_normalize_property(rows, cols, seed):
     x[np.abs(x).sum(axis=1) == 0] += 1.0
     y = ad.l2_normalize(DTensor(x), axis=1)
     assert np.abs(np.linalg.norm(y.data, axis=1) - 1.0).max() < 1e-12
-
-
-def _overflowing_pass(rng, drawn):
-    """exp overflows, then log keeps the infinity: the pass returns inf.
-    Each call records the dropout draws it made."""
-    keep = ad.dropout(DTensor(np.full(4, 800.0)), 0.5, train=True, rng=rng)
-    drawn.append(keep.data.copy())
-    return log(exp(keep)), neg(keep)
-
-
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
-def test_run_pass_replays_from_the_same_dropout_state_to_name_the_op():
-    rng, drawn = np.random.default_rng(5), []
-    with pytest.raises(NumericError, match="^exp: produced non-finite"):
-        ad.run_pass(lambda: _overflowing_pass(rng, drawn), rng)
-    assert len(drawn) == 2 and np.array_equal(drawn[0], drawn[1])
-    # the generator ends where one pass checked op by op leaves it
-    once = np.random.default_rng(5)
-    with pytest.raises(NumericError, match="^exp"):
-        _overflowing_pass(once, [])
-    assert rng.bit_generator.state == once.bit_generator.state
-    assert ad.op_checks
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")

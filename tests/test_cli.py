@@ -383,8 +383,8 @@ def test_a_config_value_of_the_wrong_type_is_refused_naming_it(
 
 
 @pytest.mark.parametrize("section, key, value", [
-    ("align", "normalize_subreps", True), ("model", "d_col", 0)],
-    ids=["normalize_subreps", "d_col"])
+    ("align", "normalize_subreps", True), ("model", "d_col", 0),
+    ("model", "dropout", 0.0)], ids=["normalize_subreps", "d_col", "dropout"])
 def test_a_removed_setting_is_refused_naming_it(aligned, tmp_path, capsys,
                                                 section, key, value):
     """A config.json or checkpoint that still holds a removed setting is
@@ -473,6 +473,47 @@ def test_dump_embeddings_refuses_a_checkpoint_without_a_tensor_of_the_model(
         f"error: {tmp_path / 'align.ckpt'}: checkpoint lacks "
         "collab.mlp.bn0.running_mean\n")
     assert not (tmp_path / "embeddings.csv").exists()
+
+
+def _reorder_train_rows(run) -> None:
+    header, *rows = (run / "train.csv").read_text().splitlines()
+    rows = [rows[i] for i in np.random.default_rng(0).permutation(len(rows))]
+    (run / "train.csv").write_text("\n".join([header] + rows) + "\n")
+
+
+@pytest.mark.parametrize("fault", [
+    # the refit takes token ids in row order: the text tower was trained on
+    # other ids
+    _reorder_train_rows,
+    lambda run: _edit_header(run / "align.ckpt",
+                             lambda h: h["extra"].pop("vocab")),
+], ids=["reordered-train-rows", "no-digest"])
+def test_dump_embeddings_refuses_a_vocabulary_it_cannot_match(
+        aligned, tmp_path, capsys, fault):
+    _copy(aligned, tmp_path, PREPARED + ("align.ckpt",))
+    fault(tmp_path)
+    capsys.readouterr()
+    assert main(["dump-embeddings", "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err == (
+        f"error: {tmp_path / 'align.ckpt'}: vocabulary digest missing or "
+        "not that of the tokenizer refit from train.csv\n")
+    assert not (tmp_path / "embeddings.csv").exists()
+
+
+def test_prepare_reads_inputs_that_open_with_a_byte_order_mark(workdir,
+                                                               tmp_path):
+    root, data, _ = workdir
+    for name in ("data.csv", "schema.json"):
+        (tmp_path / name).write_bytes(b"\xef\xbb\xbf" + (data / name).read_bytes())
+    outs = {}
+    for kind, src in (("plain", data), ("bom", tmp_path)):
+        out = tmp_path / kind
+        assert main(["prepare", "--data", str(src / "data.csv"),
+                     "--schema", str(src / "schema.json"),
+                     "--config", str(root / "cfg.json"), "--out", str(out)]) == 0
+        outs[kind] = {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+    assert sorted(outs["bom"]) == sorted(PREPARED)
+    assert outs["bom"] == outs["plain"]
 
 
 def test_dump_embeddings_refuses_a_two_stage_model_checkpoint(
@@ -940,10 +981,13 @@ def test_a_non_finite_sweep_temperature_fails_as_a_cell(workdir, tmp_path):
     with pytest.warns(UserWarning, match="1 sweep cell"):
         assert main(["sweep", "--out", str(tmp_path), "--taus", "nan",
                      "--batch-sizes", "16"]) == 1
+    def refuse(name):
+        raise AssertionError(f"sweep_failures.json holds {name}, not JSON")
+
     failures = json.loads((tmp_path / "sweep" / "sweep_failures.json")
-                          .read_text())
-    assert [f["error"] for f in failures] == [
-        "UsageError: temperature must be a finite number, got nan"]
+                          .read_text(), parse_constant=refuse)
+    assert [(f["tau"], f["error"]) for f in failures] == [
+        ("nan", "UsageError: temperature must be a finite number, got nan")]
 
 
 def test_dump_embeddings_renders_at_the_alignment_batch_size(tmp_path):

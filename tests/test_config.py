@@ -20,7 +20,7 @@ NO_DEFAULTS = RunConfig(
     split_ratios=(6, 2, 2),
     model=ModelConfig(backbone="dcn", d=6, hidden=(12, 5), attn_layers=3,
                       attn_heads=3, attn_head_dim=5, cross_layers=2,
-                      batch_norm=False, dropout=0.25),
+                      batch_norm=False),
     text=TextConfig(d_model=12, n_layers=3, n_heads=3, d_ff=20,
                     max_tokens=40),
     align=AlignConfig(temperature=0.3, batch_size=17, similarity="cosine",

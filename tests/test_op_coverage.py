@@ -1,9 +1,9 @@
 """Gate: every op a training step records has a finite-difference check.
 
 The recorded ops come from one taped contrastive step and one taped BCE
-step, in train mode with dropout, over every backbone and both similarity
-heads. A new op (a fused kernel, say) that lands without a case in
-FD_CASES fails here, and so does a case for an op no step records.
+step, in train mode, over every backbone and both similarity heads. A new
+op (a fused kernel, say) that lands without a case in FD_CASES fails here,
+and so does a case for an op no step records.
 """
 
 import numpy as np
@@ -83,8 +83,6 @@ FD_CASES = {
     "sum": (lambda t: _weighted(ad.sum_(t["a"], axis=1)), {"a": A}),
     "l2_normalize": (lambda t: _weighted(ad.l2_normalize(t["a"], axis=1)),
                      {"a": A}),
-    "dropout": (lambda t: _weighted(ad.dropout(
-        t["a"], 0.5, train=True, rng=np.random.default_rng(3))), {"a": A}),
     "embedding_lookup": (lambda t: _weighted(ad.embedding_lookup(
         t["table"], np.array([[0, 2], [2, 4]]))),
         {"table": _r.normal(size=(5, 3))}),
@@ -111,17 +109,16 @@ FD_CASES = {
 
 def _recorded_ops(backbone: str, similarity: str) -> set:
     model, tokenizer, (train, _, _), _ = tiny_pipeline(
-        backbone=backbone, similarity=similarity, dropout=0.1)
+        backbone=backbone, similarity=similarity)
     batch = next(batches(train, 4, "align", seed=0))
     prompts = [build_prompt(r, model.collab.schema, model.template)
                for r in batch.raw_rows]
     ids, mask = tokenizer.encode_batch(prompts)
-    rng = np.random.default_rng(0)
     with Tape() as ccl_tape:
-        model.ccl(batch, ids, mask, train=True, rng=rng)
+        model.ccl(batch, ids, mask, train=True)
     head = CtrHead(model.store, model.collab.out_dim, rng_for(0, "ctr"))
     with Tape() as bce_tape:
-        bce_loss(head(model.collab(batch, train=True, rng=rng)), batch.labels)
+        bce_loss(head(model.collab(batch, train=True)), batch.labels)
     return {n.op for n in ccl_tape.nodes + bce_tape.nodes}
 
 
@@ -157,8 +154,6 @@ OVERFLOW_CASES = {
     "div": lambda: ad.div(_big(), _big(value=0.5)),
     "matmul": lambda: ad.matmul(_big(), _big()),
     "sum": lambda: ad.sum_(_big(), axis=1),
-    "dropout": lambda: ad.dropout(_big((4, 4)), 0.5, train=True,
-                                  rng=np.random.default_rng(3)),
     "batch_norm": lambda: ad.batch_norm(_big((2, 3)), _big(3, 1.0),
                                         _big(3, 0.0), np.zeros(3),
                                         np.ones(3), train=True),

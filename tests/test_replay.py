@@ -27,20 +27,20 @@ pytestmark = [pytest.mark.filterwarnings("ignore:l2_normalize"),
               pytest.mark.filterwarnings("ignore::RuntimeWarning")]
 
 
-def _every_op_checked(fn, rng=None):
+def _every_op_checked(fn):
     return fn()
 
 
-def _train(kind, backbone, dropout, poison=None):
+def _train(kind, backbone, poison=None):
     """Train a tiny model until it diverges. Returns (divergence warnings,
     result, store bytes)."""
     if kind == "align":
         model, tok, (train, _, _), cfg = tiny_pipeline(
-            seed=12, backbone=backbone, dropout=dropout, peak_lr=1e12,
+            seed=12, backbone=backbone, peak_lr=1e12,
             warmup_steps=0, epochs=3)
     else:
         model, tok, (train, val, _), cfg = tiny_pipeline(
-            seed=11, n_rows=40, backbone=backbone, dropout=dropout)
+            seed=11, n_rows=40, backbone=backbone)
         head = CtrHead(model.store, model.collab.out_dim, rng_for(11, "ctr"))
         ft_cfg = FinetuneConfig(lr=1e160, batch_size=8, epochs=3, patience=3,
                                 lambda_ccl=0.5)
@@ -63,25 +63,23 @@ def _train(kind, backbone, dropout, poison=None):
     return said, res, state
 
 
-@pytest.mark.parametrize("dropout", [0.0, 0.1])
 @pytest.mark.parametrize("backbone", ["autoint", "dcn", "mlp"])
 @pytest.mark.parametrize("kind", ["align", "finetune", "end_to_end"])
-def test_divergence_matches_checking_every_op(monkeypatch, kind, backbone,
-                                              dropout):
-    said, res, state = _train(kind, backbone, dropout)
+def test_divergence_matches_checking_every_op(monkeypatch, kind, backbone):
+    said, res, state = _train(kind, backbone)
     assert res.diverged and len(said) == 1
     monkeypatch.setattr(ad, "run_pass", _every_op_checked)
-    assert _train(kind, backbone, dropout) == (said, res, state)
+    assert _train(kind, backbone) == (said, res, state)
 
 
 def test_overflowing_weight_is_named_in_the_warning(monkeypatch):
     # dcn crosses x0 * (x w): 1e200 embeddings square past the float range
-    got = _train("align", "dcn", 0.1, poison="collab.emb.f0")
+    got = _train("align", "dcn", poison="collab.emb.f0")
     assert got[0] == ["alignment diverged at step 0 (mul: produced "
                       "non-finite values); restoring last good state"]
     assert got[1].steps == 0 and got[1].curve == []
     monkeypatch.setattr(ad, "run_pass", _every_op_checked)
-    assert _train("align", "dcn", 0.1, poison="collab.emb.f0") == got
+    assert _train("align", "dcn", poison="collab.emb.f0") == got
 
 
 def _eval_errors(backbone):
