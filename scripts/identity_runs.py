@@ -22,7 +22,8 @@ Run it at two commits into two directories, then compare them:
 
 `tests/golden/identity.sha256` holds the sha256 of every file the runs
 write, and the environment they were written in: the numpy version, the
-BLAS library's name and version, and the machine. `tests/test_identity.py`
+BLAS library's name and version, the machine, and the BLAS kernel family
+picked for its CPU. `tests/test_identity.py`
 compares a fresh run with it. A change that moves a bit on purpose
 re-records it, and the script prints each file whose digest changed, was
 added or was removed, and whether the environment changed:
@@ -31,6 +32,7 @@ added or was removed, and whether the environment changed:
 """
 
 import argparse
+import ctypes
 import hashlib
 import platform
 import tempfile
@@ -90,6 +92,19 @@ def cli_runs(out: Path, cfg: RunConfig) -> None:
             raise SystemExit(f"ctrl {argv[0]} exited {code}")
 
 
+def kernels() -> str:
+    """The kernel family numpy's bundled OpenBLAS picked for this CPU at
+    load time (it is built for many), or "unknown" when the library numpy
+    links exports no `scipy_openblas_get_corename64_`."""
+    try:
+        lib = ctypes.CDLL(np._core._multiarray_umath.__file__)
+        corename = lib.scipy_openblas_get_corename64_
+    except (AttributeError, OSError):  # numpy < 2, or another BLAS
+        return "unknown"
+    corename.argtypes, corename.restype = [], ctypes.c_char_p
+    return corename().decode()
+
+
 def environment() -> dict:
     """What the runs' bits depend on besides the code: BLAS kernels differ
     by library, version and CPU."""
@@ -99,7 +114,7 @@ def environment() -> dict:
     except (TypeError, KeyError):  # numpy < 1.26 has no dict mode
         blas = "unknown"
     return {"numpy": np.__version__, "blas": blas,
-            "machine": platform.machine()}
+            "machine": platform.machine(), "kernels": kernels()}
 
 
 def digests(out: Path) -> dict:

@@ -145,9 +145,6 @@ class RunConfig:
     version: int = CONFIG_VERSION
     seed: int = 0
     prompt_variant: int = 1
-    user_prefix: str = "This is a user"
-    item_prefix: str = "This is an item"
-    split_ratios: tuple = (8, 1, 1)
     model: ModelConfig = field(default_factory=ModelConfig)
     text: TextConfig = field(default_factory=TextConfig)
     align: AlignConfig = field(default_factory=AlignConfig)

@@ -31,7 +31,6 @@ class FieldSpec:
     name: str
     kind: str
     side: str
-    display: Optional[str] = None  # prompt-facing name; defaults to `name`
     seq_phrase: Optional[str] = None  # natural-language clause for sequence fields
     vocab: Optional[dict] = None  # value -> index (from 1); None until fitted
 
@@ -40,10 +39,9 @@ class FieldSpec:
             raise UsageError(f"field '{self.name}': unknown kind '{self.kind}'")
         if self.side not in SIDES:
             raise UsageError(f"field '{self.name}': unknown side '{self.side}'")
-
-    @property
-    def shown_name(self) -> str:
-        return self.display if self.display is not None else self.name
+        if not isinstance(self.seq_phrase, (str, type(None))):
+            raise UsageError(f"field '{self.name}': seq_phrase must be a "
+                             f"string or null, got {self.seq_phrase!r}")
 
     @property
     def vocab_size(self) -> int:
@@ -94,8 +92,7 @@ class FeatureSchema:
             "max_seq_len": self.max_seq_len,
             "fields": [
                 {"name": f.name, "kind": f.kind, "side": f.side,
-                 "display": f.display, "seq_phrase": f.seq_phrase,
-                 "vocab": f.vocab}
+                 "seq_phrase": f.seq_phrase, "vocab": f.vocab}
                 for f in self.fields
             ],
         }
@@ -103,12 +100,12 @@ class FeatureSchema:
     @staticmethod
     def from_dict(d: dict) -> "FeatureSchema":
         try:
-            fields = tuple(
-                FieldSpec(name=fd["name"], kind=fd["kind"], side=fd["side"],
-                          display=fd.get("display"), seq_phrase=fd.get("seq_phrase"),
-                          vocab=fd.get("vocab"))
-                for fd in d["fields"]
-            )
+            for fd in d["fields"]:  # a removed key is refused, not dropped
+                unknown = sorted(set(fd) - set(FieldSpec.__dataclass_fields__))
+                if unknown:
+                    raise DataError(f"malformed schema: unknown key(s) "
+                                    f"{unknown} in field '{fd['name']}'")
+            fields = tuple(FieldSpec(**fd) for fd in d["fields"])
             for f in fields:  # a JSON object's keys are always strings
                 ids = (list(f.vocab.values()) if isinstance(f.vocab, dict)
                        else [0])
@@ -268,25 +265,21 @@ def encode(rows, schema: FeatureSchema) -> EncodedSplit:
                         raw_rows=list(rows))
 
 
-def split_by_time(rows, ratios=(8, 1, 1)):
-    """Stable time-ordered split into (train, val, test) row lists."""
-    if len(ratios) != 3 or any(r <= 0 for r in ratios):
-        raise UsageError(f"split ratios must be three positive numbers, got {ratios}")
+def split_by_time(rows):
+    """Stable time-ordered 8:1:1 split into (train, val, test) row lists."""
     if len(rows) < 10:
         raise DataError(f"need at least 10 rows to split, got {len(rows)}")
     ordered = sorted(rows, key=lambda r: r["timestamp"])  # stable on ties
     n = len(ordered)
-    total = float(sum(ratios))
-    cut1 = int(n * ratios[0] / total)
-    cut2 = int(n * (ratios[0] + ratios[1]) / total)
+    cut1, cut2 = int(n * 8 / 10.0), int(n * 9 / 10.0)
     return ordered[:cut1], ordered[cut1:cut2], ordered[cut2:]
 
 
-def prepare_splits(rows, schema: FeatureSchema, ratios=(8, 1, 1)):
+def prepare_splits(rows, schema: FeatureSchema):
     """Split raw rows by time, fit vocabularies on train only (an already
     fitted schema is kept as it is), encode all splits. Returns (train, val,
     test, fitted schema)."""
-    train_rows, val_rows, test_rows = split_by_time(rows, ratios)
+    train_rows, val_rows, test_rows = split_by_time(rows)
     fitted = schema if schema.fitted else build_vocab(train_rows, schema)
     return (encode(train_rows, fitted), encode(val_rows, fitted),
             encode(test_rows, fitted), fitted)

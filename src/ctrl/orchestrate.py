@@ -73,7 +73,7 @@ def prepare_workdir(out_dir, rows, schema: FeatureSchema,
                     cfg: RunConfig) -> Prepared:
     """Time-split raw rows, fit vocabularies on train, write all artifacts."""
     out = Path(out_dir)
-    *splits, fitted = prepare_splits(rows, schema, cfg.split_ratios)
+    *splits, fitted = prepare_splits(rows, schema)
     save_schema(fitted, out / "schema.json")
     save_config(cfg, out / "config.json")
     for name, split in zip(SPLIT_FILES, splits):

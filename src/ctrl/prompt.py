@@ -45,9 +45,7 @@ class PromptTemplate:
 
 
 def template_from(cfg: RunConfig) -> PromptTemplate:
-    return PromptTemplate(variant=cfg.prompt_variant,
-                          user_prefix=cfg.user_prefix,
-                          item_prefix=cfg.item_prefix)
+    return PromptTemplate(variant=cfg.prompt_variant)
 
 
 _FORMATS = {2: "{name}-{value}", 3: "{value}", 4: "Field-{value}",
@@ -56,10 +54,10 @@ _FORMATS = {2: "{name}-{value}", 3: "{value}", 4: "Field-{value}",
 
 def _clause(field, value: str, variant: int) -> str:
     if variant != 1:
-        return _FORMATS[variant].format(name=field.shown_name, value=value)
+        return _FORMATS[variant].format(name=field.name, value=value)
     if field.kind == "sequence" and field.seq_phrase is not None:
         return f"{field.seq_phrase} {value}"
-    return f"{field.shown_name} is {value}"
+    return f"{field.name} is {value}"
 
 
 def _rendered(rows, schema: FeatureSchema, template: PromptTemplate):

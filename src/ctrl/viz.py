@@ -29,6 +29,7 @@ from .prompt import build_prompt
 # matrix-vector kernels take rows four at a time. Each row then meets the
 # kernels it meets in one pass over its batch, and keeps its bits.
 _TILE_ROWS = 64
+MODALITIES = ("tab", "text")  # of an embedding dump's records, in file order
 
 
 def tower_representations(model, split: EncodedSplit, tokenizer,
@@ -65,18 +66,22 @@ def dump_embeddings(model, split: EncodedSplit, tokenizer, path):
     d = h_text.shape[1]
     write_csv(path, ["row_id", "modality"] + [f"v{i}" for i in range(d)],
               ([i, modality] + [repr(float(v)) for v in h[i]]
-               for modality, h in (("tab", h_tab), ("text", h_text))
+               for modality, h in zip(MODALITIES, (h_tab, h_text))
                for i in range(h.shape[0])))
     return h_text, h_tab
 
 
 def read_embeddings(path):
+    """(row ids, modalities, (R, D) coordinates) of a `dump_embeddings` file;
+    one that is not such a file of at least 3 records is a DataError."""
     ids, modalities, vecs = [], [], []
     with reading(path) as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header is None or header[:2] != ["row_id", "modality"]:
             raise DataError(f"{path}: not an embedding dump")
+        if len(header) < 3:
+            raise DataError(f"{path}: no coordinate columns")
         for row in reader:
             if len(row) != len(header):
                 raise DataError(f"{path}: line {reader.line_num} has "
@@ -91,9 +96,13 @@ def read_embeddings(path):
             if not np.isfinite(vecs[-1]).all():
                 raise DataError(f"{path}: line {reader.line_num}: "
                                 "a coordinate is not finite")
+            if row[1] not in MODALITIES:
+                raise DataError(f"{path}: line {reader.line_num}: modality "
+                                f"must be one of {MODALITIES}, got {row[1]!r}")
             modalities.append(row[1])
-    if not vecs:
-        raise DataError(f"{path}: no embedding records")
+    if len(vecs) < 3:
+        raise DataError(f"{path}: {len(vecs)} embedding record(s); a "
+                        "projection needs at least 3")
     return np.array(ids), modalities, np.array(vecs)
 
 

@@ -24,6 +24,7 @@
 - a schema's field by name
 - the two row-range cuts that `data.row_tiles` replaced: eval-mode
   `batches` and viz's tiles, each as written before
+- the cut points of `split_by_time` as written when it took split ratios
 - the field embeddings as one lookup per field and a taped masked mean per
   sequence field, binary cross entropy and InfoNCE composed from taped
   primitives, and AdamW updating one parameter at a time, each as written
@@ -468,6 +469,14 @@ def viz_tile_cut(n: int, size: int) -> list:
     the last row, or one tile of all n."""
     starts = list(range(0, n - 1, size)) or [0]
     return [slice(a, b) for a, b in zip(starts, starts[1:] + [n])]
+
+
+def ratio_split_cuts(n: int, ratios=(8, 1, 1)) -> tuple:
+    """(end of train, end of val) of n time-ordered rows, as `split_by_time`
+    cut them when it took the split ratios."""
+    total = float(sum(ratios))
+    return (int(n * ratios[0] / total),
+            int(n * (ratios[0] + ratios[1]) / total))
 
 
 def columns(schema) -> list:

@@ -384,37 +384,62 @@ def test_a_config_value_of_the_wrong_type_is_refused_naming_it(
 
 @pytest.mark.parametrize("section, key, value", [
     ("align", "normalize_subreps", True), ("model", "d_col", 0),
-    ("model", "dropout", 0.0)], ids=["normalize_subreps", "d_col", "dropout"])
+    ("model", "dropout", 0.0), ("", "split_ratios", [8, 1, 1]),
+    ("", "user_prefix", "This is a user"),
+    ("", "item_prefix", "This is an item"), ("fields", "display", "Genre")],
+    ids=["normalize_subreps", "d_col", "dropout", "split_ratios",
+         "user_prefix", "item_prefix", "display"])
 def test_a_removed_setting_is_refused_naming_it(aligned, tmp_path, capsys,
                                                 section, key, value):
-    """A config.json or checkpoint that still holds a removed setting is
-    refused, not read without it: `align` exits 1, and each reader of a
-    checkpoint exits 2 naming the file."""
+    """A config.json, checkpoint or schema.json that still holds a removed
+    setting is refused, not read without it: `align` exits 1 on a config
+    key, and each reader of a checkpoint exits 2 naming the file. A
+    checkpoint holds its config but only its schema's hash, so a schema
+    field key (section "fields") goes into schema.json, and `align` and
+    each reader exit 2 naming that file."""
     cfg_run, ckpt_run = tmp_path / "cfg_run", tmp_path / "ckpt_run"
     for run in (cfg_run, ckpt_run):
         run.mkdir()
         _copy(aligned, run, PREPARED + ("align.ckpt",))
-    cfg = json.loads((cfg_run / "config.json").read_text())
-    cfg[section][key] = value
-    (cfg_run / "config.json").write_text(json.dumps(cfg), encoding="utf-8")
     assert main(["finetune", "--out", str(ckpt_run)]) == 0
 
-    def add(header):
-        header["config"][section][key] = value
-    for ckpt in ("align.ckpt", "model.ckpt"):
-        _edit_header(ckpt_run / ckpt, add)
-    named = f"malformed config: unknown key(s) ['{key}'] in {section}"
+    def add(doc):
+        if section == "fields":  # the schema's first field
+            doc = doc["fields"][0]
+        elif section:
+            doc = doc[section]
+        doc[key] = value
+    if section == "fields":
+        for run in (cfg_run, ckpt_run):
+            schema = json.loads((run / "schema.json").read_text())
+            add(schema)
+            (run / "schema.json").write_text(json.dumps(schema),
+                                             encoding="utf-8")
+        named = (f"malformed schema: unknown key(s) ['{key}'] in field "
+                 f"'{schema['fields'][0]['name']}'")
+        align_code, align_err = 2, f"{cfg_run / 'schema.json'}: {named}"
+    else:
+        cfg = json.loads((cfg_run / "config.json").read_text())
+        add(cfg)
+        (cfg_run / "config.json").write_text(json.dumps(cfg),
+                                             encoding="utf-8")
+        for ckpt in ("align.ckpt", "model.ckpt"):
+            _edit_header(ckpt_run / ckpt, lambda h: add(h["config"]))
+        named = (f"malformed config: unknown key(s) ['{key}']"
+                 + (f" in {section}" if section else ""))
+        align_code, align_err = 1, named
     capsys.readouterr()
-    assert main(["align", "--out", str(cfg_run)]) == 1
-    assert capsys.readouterr().err == f"error: {named}\n"
+    assert main(["align", "--out", str(cfg_run)]) == align_code
+    assert capsys.readouterr().err == f"error: {align_err}\n"
     assert not (cfg_run / "curve.csv").exists()
     before = (ckpt_run / "model.ckpt").read_bytes()
     for command, flag, ckpt in [("evaluate", "--ckpt", "model.ckpt"),
                                 ("finetune", "--init", "align.ckpt"),
                                 ("dump-embeddings", "--ckpt", "align.ckpt")]:
         path = ckpt_run / ckpt
+        holder = ckpt_run / "schema.json" if section == "fields" else path
         assert main([command, "--out", str(ckpt_run), flag, str(path)]) == 2
-        assert capsys.readouterr().err == f"error: {path}: {named}\n"
+        assert capsys.readouterr().err == f"error: {holder}: {named}\n"
     assert (ckpt_run / "model.ckpt").read_bytes() == before
     assert not (ckpt_run / "report.json").exists()
     assert not (ckpt_run / "embeddings.csv").exists()
@@ -542,13 +567,15 @@ def _break_schema(schema: dict, fault: str) -> dict:
     elif fault == "no_user_field":
         for f in fields:
             f["side"] = "item"
+    elif fault == "seq_phrase":  # rendered as "7 ..." into every prompt
+        next(f for f in fields if f["kind"] == "sequence")["seq_phrase"] = 7
     else:
         del fields[0]["name"]
     return schema
 
 
 @pytest.mark.parametrize("fault", ["kind", "side", "duplicate",
-                                   "no_user_field", "no_name"])
+                                   "no_user_field", "no_name", "seq_phrase"])
 def test_a_schema_that_parses_but_is_invalid_exits_2_naming_it(
         workdir, tmp_path, capsys, fault):
     _, data, run = workdir
@@ -925,6 +952,25 @@ def test_a_non_finite_embedding_coordinate_exits_2(tmp_path, capsys, value):
     assert not (tmp_path / "projection.csv").exists()
 
 
+@pytest.mark.parametrize("content, named", [
+    ("row_id,modality\n0,tab\n1,tab\n0,text\n1,text\n",
+     "no coordinate columns"),
+    ("row_id,modality,v0\n0,tab,0.5\n1,tab,1.5\n0,txt,0.25\n",
+     "line 4: modality must be one of ('tab', 'text'), got 'txt'"),
+    ("row_id,modality,v0\n0,tab,0.5\n0,text,0.25\n",
+     "2 embedding record(s); a projection needs at least 3"),
+], ids=["no-coordinates", "unknown-modality", "two-records"])
+def test_an_embedding_dump_project2d_cannot_read_exits_2_naming_it(
+        tmp_path, capsys, content, named):
+    """The first two wrote a projection (exit 0); two records exited 1 from
+    `project_2d`, as if the command line were at fault."""
+    dump = tmp_path / "embeddings.csv"
+    dump.write_text(content, encoding="utf-8")
+    assert main(["project2d", "--embeddings", str(dump)]) == 2
+    assert _one_error_line(capsys, "error: ") == f"error: {dump}: {named}"
+    assert not (tmp_path / "projection.csv").exists()
+
+
 def test_ablate_with_no_arm_exits_1_and_keeps_the_tables(workdir, tmp_path,
                                                          capsys):
     _, _, run = workdir
@@ -995,8 +1041,7 @@ def test_dump_embeddings_renders_at_the_alignment_batch_size(tmp_path):
     vary and a batch's pad width depends on where it is cut. The dump holds
     the text tower's bits at `align.batch_size`, the batches stage 1 scores
     its gap in."""
-    cfg = dict(SMALL_CONFIG, split_ratios=[1, 1, 1],
-               align=dict(SMALL_CONFIG["align"], batch_size=24))
+    cfg = dict(SMALL_CONFIG, align=dict(SMALL_CONFIG["align"], batch_size=24))
     (tmp_path / "cfg.json").write_text(json.dumps(cfg), encoding="utf-8")
     data, run = tmp_path / "data", tmp_path / "run"
     assert main(["gen-synthetic", "--out", str(data), "--rows", "900",

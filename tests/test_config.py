@@ -16,8 +16,7 @@ from ctrl.exceptions import UsageError
 # stored as the cosine head's value, 1, so only the maxsim twin can keep it
 # away from its default.
 NO_DEFAULTS = RunConfig(
-    seed=7, prompt_variant=3, user_prefix="A user", item_prefix="An item",
-    split_ratios=(6, 2, 2),
+    seed=7, prompt_variant=3,
     model=ModelConfig(backbone="dcn", d=6, hidden=(12, 5), attn_layers=3,
                       attn_heads=3, attn_head_dim=5, cross_layers=2,
                       batch_norm=False),
@@ -103,8 +102,8 @@ def test_from_dict_refuses_a_value_of_another_type_naming_its_field(blob,
 
 
 def test_from_dict_takes_an_int_for_a_float_and_a_tuple_for_a_list():
-    cfg = RunConfig.from_dict({"finetune": {"lr": 1}, "split_ratios": (7, 2, 1)})
-    assert cfg.finetune.lr == 1 and cfg.split_ratios == (7, 2, 1)
+    cfg = RunConfig.from_dict({"finetune": {"lr": 1}, "model": {"hidden": (7, 2)}})
+    assert cfg.finetune.lr == 1 and cfg.model.hidden == (7, 2)
 
 
 def test_zero_text_heads_are_refused_before_dividing():

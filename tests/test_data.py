@@ -15,7 +15,8 @@ from ctrl.data import (EncodedSplit, FeatureSchema, FieldSpec, batches,
                        schema_hash, split_by_time, split_cell)
 from ctrl.exceptions import DataError, UsageError
 
-from helpers import eval_batch_cut, field, field_ids, viz_tile_cut
+from helpers import (eval_batch_cut, field, field_ids, ratio_split_cuts,
+                     viz_tile_cut)
 
 SRC = Path(ctrl.__file__).parent
 
@@ -202,8 +203,14 @@ def test_split_by_time_validation():
     rows = [{"timestamp": t} for t in range(9)]
     with pytest.raises(DataError):
         split_by_time(rows)
-    with pytest.raises(UsageError):
-        split_by_time([{"timestamp": t} for t in range(20)], ratios=(9, 1, 0))
+
+
+def test_split_by_time_cuts_where_the_8_1_1_ratios_cut():
+    """Every split boundary stays where `split_ratios` = (8, 1, 1) put it."""
+    rows = [{"timestamp": t} for t in range(5000)]
+    for n in range(10, 5001):
+        train, val, _ = split_by_time(rows[:n])
+        assert (len(train), len(train) + len(val)) == ratio_split_cuts(n), n
 
 
 @settings(max_examples=30, deadline=None)

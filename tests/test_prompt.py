@@ -183,8 +183,8 @@ EMPTY_ROW = {f.name: "" for f in SPAN_SCHEMA.fields}
 NO_FEATURES = "instance renders no features; cannot build a prompt"
 
 
-def span_config(variant=1, max_tokens=128, **prefixes) -> RunConfig:
-    return RunConfig(prompt_variant=variant, **prefixes,
+def span_config(variant=1, max_tokens=128) -> RunConfig:
+    return RunConfig(prompt_variant=variant,
                      text=TextConfig(max_tokens=max_tokens))
 
 
@@ -210,31 +210,28 @@ _sequence = st.lists(st.text(alphabet=_CHARS, max_size=2),
 _row = st.fixed_dictionaries(
     {"gender": _cell, "seen": _sequence, "title": _cell, "tags": _sequence},
     optional={"hour": _cell})
-_prefix = st.text(alphabet="aΣ :.,", max_size=4)
 
 
 @settings(max_examples=300, deadline=None)
 @given(rows=st.lists(_row, min_size=1, max_size=8),
        variant=st.sampled_from(PROMPT_VARIANTS),
-       max_tokens=st.integers(1, 6), user_prefix=_prefix,
-       item_prefix=_prefix)
+       max_tokens=st.integers(1, 6))
 @example(rows=[dict(EMPTY_ROW, gender="x", seen="a||b"),
                dict(EMPTY_ROW, hour="9", seen="a|a", tags="|")],
-         variant=2, max_tokens=3, user_prefix="", item_prefix="")
+         variant=2, max_tokens=3)
 @example(rows=[dict(EMPTY_ROW, title="t", tags="a|a"),
                dict(EMPTY_ROW, tags="b||a")],
-         variant=1, max_tokens=2, user_prefix="u", item_prefix="i")
+         variant=1, max_tokens=2)
 @example(rows=[dict(EMPTY_ROW, hour="Σ"), dict(EMPTY_ROW, seen="Σ|a")],
-         variant=5, max_tokens=1, user_prefix="", item_prefix="")
+         variant=5, max_tokens=1)
 @example(rows=[dict(EMPTY_ROW, title="t"), EMPTY_ROW],
-         variant=3, max_tokens=4, user_prefix="", item_prefix="")
+         variant=3, max_tokens=4)
 def test_fit_tokenizer_equals_a_fit_on_every_train_prompt(
-        rows, variant, max_tokens, user_prefix, item_prefix):
+        rows, variant, max_tokens):
     """Cells that are empty, repeated or missing, sequences with empty or
     repeated elements, context fields, rows that render one side only, and
     prompts longer than max_tokens: the vocabulary keeps every id."""
-    cfg = span_config(variant, max_tokens, user_prefix=user_prefix,
-                      item_prefix=item_prefix)
+    cfg = span_config(variant, max_tokens)
     try:
         want = fit_on_prompts(rows, SPAN_SCHEMA, cfg)
     except DataError as e:
