@@ -9,6 +9,9 @@ Subcommands operate on a working directory created by `prepare` (or
     ctrl finetune --out run/ --init run/align.ckpt
     ctrl evaluate --out run/
 
+`prepare` writes the run's settings, `--config` with its four overrides
+applied, to `config.json`; every later stage runs that file as it stands.
+
 Exit codes: 0 success, 1 bad usage or an output path that cannot be
 written, 2 unreadable/invalid data or checkpoint, 3 numeric failure
 (non-finite loss).
@@ -38,30 +41,6 @@ DEFAULT_TAUS = (0.1, 0.3, 0.7, 1.0, 2.0)
 DEFAULT_SWEEP_BATCHES = (32, 128)
 
 
-def _add_overrides(sp) -> None:
-    sp.add_argument("--seed", type=int, default=None,
-                    help="override the config seed")
-    sp.add_argument("--backbone", choices=BACKBONES, default=None,
-                    help="override the tabular tower backbone")
-    sp.add_argument("--prompt-variant", type=int, choices=PROMPT_VARIANTS,
-                    default=None, help="override the prompt template variant")
-    sp.add_argument("--similarity", choices=SIMILARITIES, default=None,
-                    help="override the stage-1 similarity function")
-
-
-def apply_overrides(cfg: RunConfig, args) -> RunConfig:
-    if getattr(args, "seed", None) is not None:
-        cfg = replace(cfg, seed=args.seed)
-    if getattr(args, "backbone", None):
-        cfg = replace(cfg, model=replace(cfg.model, backbone=args.backbone))
-    if getattr(args, "prompt_variant", None) is not None:
-        cfg = replace(cfg, prompt_variant=args.prompt_variant)
-    if getattr(args, "similarity", None):
-        cfg = replace(cfg, align=replace(cfg.align,
-                                         similarity=args.similarity))
-    return cfg
-
-
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="ctrl",
@@ -75,11 +54,17 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--config", default=None,
                     help="run config JSON (defaults apply when omitted)")
     sp.add_argument("--out", required=True, help="working directory")
-    _add_overrides(sp)
+    sp.add_argument("--seed", type=int, default=None,
+                    help="override the config seed")
+    sp.add_argument("--backbone", choices=BACKBONES, default=None,
+                    help="override the tabular tower backbone")
+    sp.add_argument("--prompt-variant", type=int, choices=PROMPT_VARIANTS,
+                    default=None, help="override the prompt template variant")
+    sp.add_argument("--similarity", choices=SIMILARITIES, default=None,
+                    help="override the stage-1 similarity function")
 
     sp = sub.add_parser("align", help="stage 1: contrastive tower alignment")
     sp.add_argument("--out", required=True, help="prepared working directory")
-    _add_overrides(sp)
 
     sp = sub.add_parser("finetune", help="stage 2: supervised CTR training")
     sp.add_argument("--out", required=True, help="prepared working directory")
@@ -87,7 +72,6 @@ def build_parser() -> argparse.ArgumentParser:
                     help="stage-1 checkpoint to warm-start the tower from")
     sp.add_argument("--end-to-end", action="store_true",
                     help="train both objectives jointly instead of two stages")
-    _add_overrides(sp)
 
     sp = sub.add_parser("evaluate", help="score a checkpoint on a split")
     sp.add_argument("--out", required=True, help="prepared working directory")
@@ -100,7 +84,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--out", required=True, help="prepared working directory")
     sp.add_argument("--arms", default=",".join(ARM_NAMES),
                     help=f"comma list from {ARM_NAMES}")
-    _add_overrides(sp)
 
     sp = sub.add_parser("sweep", help="temperature x batch-size grid")
     sp.add_argument("--out", required=True, help="prepared working directory")
@@ -111,7 +94,6 @@ def build_parser() -> argparse.ArgumentParser:
                     help="comma list of stage-1 batch sizes")
     sp.add_argument("--parallel", type=int, default=1,
                     help="worker processes, at most one per grid cell")
-    _add_overrides(sp)
 
     sp = sub.add_parser("dump-embeddings",
                         help="write both towers' projected representations")
@@ -142,16 +124,18 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
-def _load_workdir(args):
-    cfg, prepared = load_prepared(args.out)
-    return apply_overrides(cfg, args), prepared
-
-
 def cmd_prepare(args) -> int:
     schema = load_schema(args.schema)
     rows = read_csv_rows(args.data, schema)
     cfg = load_config(args.config) if args.config else RunConfig()
-    cfg = apply_overrides(cfg, args)
+    if args.seed is not None:
+        cfg = replace(cfg, seed=args.seed)
+    if args.backbone:
+        cfg = replace(cfg, model=replace(cfg.model, backbone=args.backbone))
+    if args.prompt_variant is not None:
+        cfg = replace(cfg, prompt_variant=args.prompt_variant)
+    if args.similarity:
+        cfg = replace(cfg, align=replace(cfg.align, similarity=args.similarity))
     prepared = prepare_workdir(args.out, rows, schema, cfg)
     print(f"prepared {args.out}: train={prepared.train.n} "
           f"val={prepared.val.n} test={prepared.test.n}")
@@ -159,7 +143,7 @@ def cmd_prepare(args) -> int:
 
 
 def cmd_align(args) -> int:
-    cfg, prepared = _load_workdir(args)
+    cfg, prepared = load_prepared(args.out)
     summary = align_stage(prepared, cfg, args.out)
     loss = summary["final_loss"]
     loss_s = f"{loss:.4f}" if loss is not None else "-"
@@ -174,7 +158,7 @@ def cmd_align(args) -> int:
 
 
 def cmd_finetune(args) -> int:
-    cfg, prepared = _load_workdir(args)
+    cfg, prepared = load_prepared(args.out)
     if args.end_to_end:
         if args.init:
             raise UsageError("--end-to-end trains from scratch; "
@@ -202,7 +186,7 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_ablate(args) -> int:
-    cfg, prepared = _load_workdir(args)
+    cfg, prepared = load_prepared(args.out)
     arms = tuple(a.strip() for a in args.arms.split(",") if a.strip())
     blob = run_ablation(prepared, cfg, args.out, arms=arms)
     for row in blob["arms"]:
@@ -222,7 +206,7 @@ def _parse_list(text: str, cast, flag: str) -> list:
 
 
 def cmd_sweep(args) -> int:
-    cfg = apply_overrides(load_config(Path(args.out) / "config.json"), args)
+    cfg = load_config(Path(args.out) / "config.json")
     taus = _parse_list(args.taus, float, "--taus")
     batches = _parse_list(args.batch_sizes, int, "--batch-sizes")
     rows, failures = run_sweep(args.out, cfg, taus, batches,

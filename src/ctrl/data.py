@@ -23,6 +23,7 @@ from .params import rng_for
 KINDS = ("categorical", "sequence")
 SIDES = ("user", "item", "context")
 SEQ_SEP = "|"
+RESERVED = ("label", "timestamp")  # every CSV's own columns, never a field
 DEFAULT_MAX_SEQ_LEN = 10
 
 
@@ -35,6 +36,9 @@ class FieldSpec:
     vocab: Optional[dict] = None  # value -> index (from 1); None until fitted
 
     def __post_init__(self):
+        if not isinstance(self.name, str) or self.name in ("", *RESERVED):
+            raise UsageError(f"field name must be a non-empty string other "
+                             f"than {' and '.join(RESERVED)}, got {self.name!r}")
         if self.kind not in KINDS:
             raise UsageError(f"field '{self.name}': unknown kind '{self.kind}'")
         if self.side not in SIDES:
@@ -153,7 +157,7 @@ def read_csv_rows(path, schema: FeatureSchema) -> list:
         if reader.fieldnames is None:
             raise DataError(f"{path}: empty file")
         header = set(reader.fieldnames)
-        required = {f.name for f in schema.fields} | {"label", "timestamp"}
+        required = {f.name for f in schema.fields} | set(RESERVED)
         missing = sorted(required - header)
         if missing:
             raise DataError(f"{path}: missing columns {missing}")
@@ -188,7 +192,7 @@ def read_csv_rows(path, schema: FeatureSchema) -> list:
 def write_csv_rows(rows, schema: FeatureSchema, path) -> None:
     """Inverse of read_csv_rows with deterministic bytes: fixed column order,
     \\n line endings."""
-    names = [f.name for f in schema.fields] + ["label", "timestamp"]
+    names = [f.name for f in schema.fields] + list(RESERVED)
     write_csv(path, names, ([row.get(n, "") for n in names] for row in rows))
 
 

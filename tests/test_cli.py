@@ -1,14 +1,16 @@
 import hashlib
 import json
 import re
+import shlex
 import struct
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from ctrl.checkpoint import (DIGEST_BYTES, FORMAT_VERSION, load_checkpoint,
                              save_checkpoint)
-from ctrl.cli import main
+from ctrl.cli import build_parser, main
 from ctrl.orchestrate import load_alignment_model, load_prepared
 from ctrl.params import ParamStore
 from ctrl.viz import tower_representations
@@ -89,18 +91,39 @@ def test_align_finetune_evaluate_chain(workdir, capsys):
 
 
 def test_similarity_override_lands_in_checkpoint(workdir, tmp_path):
-    root, _, run = workdir
-    other = tmp_path / "cosine_run"
-    other.mkdir()
-    for name in ("config.json", "schema.json", "train.csv", "val.csv",
-                 "test.csv"):
-        (other / name).write_bytes((run / name).read_bytes())
-    assert main(["align", "--out", str(other),
+    root, data, _ = workdir
+    run = tmp_path / "cosine_run"
+    assert main(["prepare", "--data", str(data / "data.csv"),
+                 "--schema", str(data / "schema.json"),
+                 "--config", str(root / "cfg.json"), "--out", str(run),
                  "--similarity", "cosine", "--seed", "9"]) == 0
-    ckpt = load_checkpoint(other / "align.ckpt")
+    cfg = json.loads((run / "config.json").read_text())
+    assert (cfg["align"]["similarity"], cfg["seed"]) == ("cosine", 9)
+    assert main(["align", "--out", str(run)]) == 0
+    ckpt = load_checkpoint(run / "align.ckpt")
     assert ckpt.config["align"]["similarity"] == "cosine"
     assert ckpt.config["seed"] == 9
     assert not any(n.startswith("heads.tab_sub") for n in ckpt.params)
+
+
+STAGE_OVERRIDES = {"--seed": "9", "--backbone": "dcn",
+                   "--prompt-variant": "2", "--similarity": "cosine"}
+
+
+@pytest.mark.parametrize("flag", STAGE_OVERRIDES)
+@pytest.mark.parametrize("command", ["align", "finetune", "ablate", "sweep"])
+def test_a_stage_command_has_no_override_flag(aligned, tmp_path, capsys,
+                                              command, flag):
+    """A stage runs its work directory's config.json as it stands; only
+    `prepare` takes these flags, and writes them into that file."""
+    _copy(aligned, tmp_path, PREPARED)
+    before = sorted(p.name for p in tmp_path.iterdir())
+    capsys.readouterr()
+    assert main([command, "--out", str(tmp_path),
+                 flag, STAGE_OVERRIDES[flag]]) == 1
+    assert (f"unrecognized arguments: {flag} {STAGE_OVERRIDES[flag]}"
+            in capsys.readouterr().err)
+    assert sorted(p.name for p in tmp_path.iterdir()) == before
 
 
 def test_dump_embeddings_and_project2d(aligned, capsys):
@@ -117,17 +140,18 @@ def test_dump_embeddings_and_project2d(aligned, capsys):
 @pytest.mark.parametrize("head", ["maxsim", "cosine"])
 def test_dump_embeddings_prints_the_checkpoint_heads_gap(workdir, tmp_path,
                                                          capsys, head):
-    _, _, run = workdir
-    for name in ("config.json", "schema.json", "train.csv", "val.csv",
-                 "test.csv"):
-        (tmp_path / name).write_bytes((run / name).read_bytes())
-    assert main(["align", "--out", str(tmp_path), "--similarity", head]) == 0
+    root, data, _ = workdir
+    run = tmp_path / "run"
+    assert main(["prepare", "--data", str(data / "data.csv"),
+                 "--schema", str(data / "schema.json"),
+                 "--config", str(root / "cfg.json"), "--out", str(run),
+                 "--similarity", head]) == 0
+    assert main(["align", "--out", str(run)]) == 0
     capsys.readouterr()
-    assert main(["dump-embeddings", "--out", str(tmp_path),
-                 "--split", "val"]) == 0
+    assert main(["dump-embeddings", "--out", str(run), "--split", "val"]) == 0
     found = re.search(r"; (\w+) gap (\S+) \(paired", capsys.readouterr().out)
     assert found and found[1] == head
-    post = json.loads((tmp_path / "gap.json").read_text())["post"]["gap"]
+    post = json.loads((run / "gap.json").read_text())["post"]["gap"]
     assert float(found[2]) == post
 
 
@@ -569,13 +593,18 @@ def _break_schema(schema: dict, fault: str) -> dict:
             f["side"] = "item"
     elif fault == "seq_phrase":  # rendered as "7 ..." into every prompt
         next(f for f in fields if f["kind"] == "sequence")["seq_phrase"] = 7
+    elif fault in ("label", "timestamp", 5):
+        # a reserved name crashed `align` and gave `finetune` all-OOV ids;
+        # 5 was blamed on data.csv as a missing column
+        fields[0]["name"] = fault
     else:
         del fields[0]["name"]
     return schema
 
 
 @pytest.mark.parametrize("fault", ["kind", "side", "duplicate",
-                                   "no_user_field", "no_name", "seq_phrase"])
+                                   "no_user_field", "no_name", "seq_phrase",
+                                   "label", "timestamp", 5])
 def test_a_schema_that_parses_but_is_invalid_exits_2_naming_it(
         workdir, tmp_path, capsys, fault):
     _, data, run = workdir
@@ -1066,3 +1095,28 @@ def test_dump_embeddings_renders_at_the_alignment_batch_size(tmp_path):
     assert text_rows == [",".join([str(i), "text"]
                                   + [repr(float(v)) for v in h_text[i]])
                          for i in range(n)]
+
+
+def _readme_commands() -> list:
+    """Every `ctrl ...` command in README's sh blocks, as an argv without
+    the `ctrl`: continuation lines joined, comments stripped."""
+    readme = (Path(__file__).parents[1] / "README.md").read_text("utf-8")
+    commands = []
+    for block in re.findall(r"^```sh\n(.*?)^```", readme, re.M | re.S):
+        for line in block.replace("\\\n", " ").splitlines():
+            argv = shlex.split(line, comments=True)
+            if argv[:1] == ["ctrl"]:
+                commands.append(argv[1:])
+    return commands
+
+
+def test_every_readme_command_parses(capsys):
+    """A flag the README documents but the parser no longer has fails here."""
+    commands = _readme_commands()
+    assert len(commands) >= 15
+    for argv in commands:
+        try:
+            build_parser().parse_args(argv)
+        except SystemExit:
+            pytest.fail(f"ctrl {shlex.join(argv)}: "
+                        f"{capsys.readouterr().err.strip()}")
